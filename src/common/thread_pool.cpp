@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <exception>
 #include <future>
+#include <memory>
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
@@ -185,7 +186,8 @@ ThreadPool::parallelForChunked(
     {
         MutexLock lock(queueMutex);
         for (std::size_t i = 0; i < helpers; ++i) {
-            tasks.push(Task{[batch, run_chunks] { run_chunks(batch); }});
+            tasks.push(Task{[batch, run_chunks] { run_chunks(batch); },
+                            Timer{}});
         }
     }
     queueCv.notify_all();
@@ -221,6 +223,86 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         grain);
 }
 
+void
+ThreadPool::runOnEachThread(const std::function<void()> &fn)
+{
+    // Shared with the worker tasks, which may still be returning from
+    // their last wait when the caller leaves.
+    struct Turns
+    {
+        // EDGEPC_LOCK_RANK(25): turn-taking lock — leaf lock, like the
+        // parallelFor batch's; nothing is acquired inside it.
+        Mutex turnMu;
+        std::condition_variable_any cv;
+        /** Workers parked in this call so far; each takes the next
+            turn number as its ticket. */
+        std::size_t arrived EDGEPC_GUARDED_BY(turnMu) = 0;
+        /** Whose turn it is: 0 is the caller, i the i-th worker; n + 1
+            when every thread is done. */
+        std::size_t turn EDGEPC_GUARDED_BY(turnMu) = 0;
+        std::exception_ptr error EDGEPC_GUARDED_BY(turnMu);
+    };
+    const std::size_t n = workers.size();
+    auto turns = std::make_shared<Turns>();
+    auto run = [turns, &fn] {
+        try {
+            fn();
+        } catch (...) {
+            MutexLock lock(turns->turnMu);
+            if (!turns->error) {
+                turns->error = std::current_exception();
+            }
+        }
+    };
+    // fn stays on the caller's stack: every call returns before the
+    // turn passes on, and the caller waits for the last turn.
+    taskCounter().add(n);
+    queueDepthGauge().add(static_cast<std::int64_t>(n));
+    {
+        MutexLock lock(queueMutex);
+        for (std::size_t i = 0; i < n; ++i) {
+            tasks.push(Task{[turns, run, n] {
+                                UniqueMutexLock lock(turns->turnMu);
+                                const std::size_t ticket = ++turns->arrived;
+                                turns->cv.notify_all();
+                                while (turns->turn != ticket) {
+                                    turns->cv.wait(lock);
+                                }
+                                lock.unlock();
+                                run();
+                                lock.lock();
+                                ++turns->turn;
+                                turns->cv.notify_all();
+                                // Stay parked until the last turn, so no
+                                // worker helps another's call.
+                                while (turns->turn != n + 1) {
+                                    turns->cv.wait(lock);
+                                }
+                            },
+                            Timer{}});
+        }
+    }
+    queueCv.notify_all();
+
+    UniqueMutexLock lock(turns->turnMu);
+    while (turns->arrived != n) {
+        turns->cv.wait(lock);
+    }
+    lock.unlock();
+    run();
+    lock.lock();
+    ++turns->turn;
+    turns->cv.notify_all();
+    while (turns->turn != n + 1) {
+        turns->cv.wait(lock);
+    }
+    const std::exception_ptr err = turns->error;
+    lock.unlock();
+    if (err) {
+        std::rethrow_exception(err);
+    }
+}
+
 std::future<void>
 ThreadPool::submit(std::function<void()> fn)
 {
@@ -236,7 +318,7 @@ ThreadPool::submit(std::function<void()> fn)
     queueDepthGauge().add(1);
     {
         MutexLock lock(queueMutex);
-        tasks.push(Task{[task] { (*task)(); }});
+        tasks.push(Task{[task] { (*task)(); }, Timer{}});
     }
     queueCv.notify_one();
     return future;

@@ -85,6 +85,18 @@ class ThreadPool
         std::size_t grain = 0);
 
     /**
+     * Run @p fn once on every thread of the pool, one thread at a
+     * time: first on the caller, then on each worker. Until the last
+     * call returns, every worker is parked in this call, so a parallel
+     * kernel inside @p fn runs all of its chunks on the thread that
+     * called it. Warms per-thread state such as each thread's
+     * ScratchArena. The first exception @p fn throws is rethrown here,
+     * after every thread has had its turn. Must not be called from one
+     * of this pool's workers: that worker could never take its turn.
+     */
+    void runOnEachThread(const std::function<void()> &fn);
+
+    /**
      * Enqueue a single task and return a future for its completion.
      *
      * Unlike parallelFor(), the caller does not participate: the task

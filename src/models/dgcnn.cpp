@@ -228,12 +228,12 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
                                   nn::edgeDelayedFlopRatio(k_eff));
         if (block.delayedActive) {
             StageTimer::ScopedStage scope(t, kStageFeature);
-            const nn::Matrix pre = nn::delayedEdgeFirstLinear(
+            nn::Matrix pre = nn::delayedEdgeFirstLinear(
                 features, neighbors, lin0->weights().value,
                 lin0->biases().value, nn::GemmEngine::globalEngine(),
                 train ? &block.delayedCache : nullptr);
             const nn::Matrix activated =
-                block.mlp.forwardFrom(1, pre, train);
+                block.mlp.forwardFrom(1, std::move(pre), train);
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
             ecOutputs[m] = block.pool->forward(activated, train);
             features = ecOutputs[m];

@@ -312,12 +312,12 @@ PointNetPP::runSaModule(std::size_t module, const EdgePcConfig &config,
                 neighbors, linrelu0->weights().value,
                 linrelu0->biases().value, engine);
         } else {
-            const nn::Matrix pre = nn::delayedSaFirstLinear(
+            nn::Matrix pre = nn::delayedSaFirstLinear(
                 cur.positions, cur.saFeatures, cur.sampleIndices,
                 neighbors, lin0->weights().value, lin0->biases().value,
                 engine, train ? &block.delayedCache : nullptr);
             const nn::Matrix activated =
-                block.mlp.forwardFrom(1, pre, train);
+                block.mlp.forwardFrom(1, std::move(pre), train);
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
             next.saFeatures = block.pool->forward(activated, train);
         }
@@ -494,38 +494,6 @@ PointNetPP::infer(const PointCloud &cloud, const EdgePcConfig &config,
     return forward(cloud, config, timer, false);
 }
 
-namespace {
-
-/** Inference-only neighbor max-pool over a row range of a stacked
-    activation matrix: rows [offset, offset + rows) hold one cloud's
-    groups of @p k rows each, pooled to rows / k output rows. Reading
-    the range in place is what lets the batched path skip the
-    per-cloud sliceRows copy. */
-nn::Matrix
-maxPoolStackedRows(const nn::Matrix &act, std::size_t offset,
-                   std::size_t rows, std::size_t k)
-{
-    const std::size_t points = rows / k;
-    const std::size_t cols = act.cols();
-    nn::Matrix out(points, cols);
-    parallelFor(0, points, [&](std::size_t p) {
-        const float *src = act.data() + (offset + p * k) * cols;
-        float *dst = out.data() + p * cols;
-        std::copy(src, src + cols, dst);
-        for (std::size_t j = 1; j < k; ++j) {
-            const float *row = src + j * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                if (row[c] > dst[c]) {
-                    dst[c] = row[c];
-                }
-            }
-        }
-    });
-    return out;
-}
-
-} // namespace
-
 std::vector<nn::Matrix>
 PointNetPP::inferBatch(std::span<const PointCloud> clouds,
                        const EdgePcConfig &config, StageTimer *timer)
@@ -627,7 +595,7 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
                     neigh[b]);
                 const nn::Matrix activated =
                     block.mlp.forward(grouped, false);
-                st[b][i + 1].saFeatures = maxPoolStackedRows(
+                st[b][i + 1].saFeatures = nn::maxPoolRows(
                     activated, 0, seg_rows[b], k_eff[b]);
             }
         } else if (any_delayed) {
@@ -668,11 +636,11 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
                 StageTimer dummy;
                 StageTimer::ScopedStage scope(timer ? *timer : dummy,
                                               kStageFeature);
-                const nn::Matrix activated =
-                    block.mlp.forwardSegmented(stacked, seg_rows, 1);
+                const nn::Matrix activated = block.mlp.forwardSegmented(
+                    std::move(stacked), seg_rows, 1);
                 std::size_t offset = 0;
                 for (std::size_t b = 0; b < batch; ++b) {
-                    st[b][i + 1].saFeatures = maxPoolStackedRows(
+                    st[b][i + 1].saFeatures = nn::maxPoolRows(
                         activated, offset, seg_rows[b], k_eff[b]);
                     offset += seg_rows[b];
                 }
@@ -706,10 +674,10 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
             StageTimer::ScopedStage scope(timer ? *timer : dummy,
                                           kStageFeature);
             const nn::Matrix activated =
-                block.mlp.forwardSegmented(stacked, seg_rows);
+                block.mlp.forwardSegmented(std::move(stacked), seg_rows);
             std::size_t offset = 0;
             for (std::size_t b = 0; b < batch; ++b) {
-                st[b][i + 1].saFeatures = maxPoolStackedRows(
+                st[b][i + 1].saFeatures = nn::maxPoolRows(
                     activated, offset, seg_rows[b], k_eff[b]);
                 offset += seg_rows[b];
             }
@@ -798,7 +766,7 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
             StageTimer::ScopedStage scope(timer ? *timer : dummy,
                                           kStageFeature);
             nn::Matrix out =
-                block.mlp.forwardSegmented(stacked, seg_rows);
+                block.mlp.forwardSegmented(std::move(stacked), seg_rows);
             if (fine == 0) {
                 fp0_stacked = std::move(out);
                 continue;
@@ -823,7 +791,8 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
         }
         fp0_stacked = nn::concatRows(parts);
     }
-    const nn::Matrix out = head.forwardSegmented(fp0_stacked, seg_rows);
+    const nn::Matrix out =
+        head.forwardSegmented(std::move(fp0_stacked), seg_rows);
     std::size_t offset = 0;
     for (std::size_t b = 0; b < batch; ++b) {
         logits[b] = nn::sliceRows(out, offset, offset + seg_rows[b]);
@@ -966,14 +935,14 @@ PointNetPP::stagedFeature(StagedFrame &frame, const EdgePcConfig &config,
             StageTimer dummy;
             StageTimer::ScopedStage scope(timer ? *timer : dummy,
                                           kStageFeature);
-            const nn::Matrix pre = nn::delayedSaFirstLinear(
+            nn::Matrix pre = nn::delayedSaFirstLinear(
                 cur.positions, cur.saFeatures, cur.sampleIndices,
                 neighbors, lin0->weights().value, lin0->biases().value,
                 nn::GemmEngine::globalEngine(), nullptr);
             const nn::Matrix activated =
-                block.mlp.forwardFrom(1, pre, false);
+                block.mlp.forwardFrom(1, std::move(pre), false);
             next.saFeatures =
-                maxPoolStackedRows(activated, 0, rows, k_eff);
+                nn::maxPoolRows(activated, 0, rows, k_eff);
         } else {
             nn::Matrix grouped;
             {
@@ -990,7 +959,7 @@ PointNetPP::stagedFeature(StagedFrame &frame, const EdgePcConfig &config,
             const nn::Matrix activated =
                 block.mlp.forward(grouped, false);
             next.saFeatures =
-                maxPoolStackedRows(activated, 0, rows, k_eff);
+                nn::maxPoolRows(activated, 0, rows, k_eff);
         }
         if (isClassifier()) {
             // No skip connections ahead: free the consumed level now —

@@ -207,6 +207,30 @@ BatchNorm::BatchNorm(std::size_t features, float momentum, float epsilon)
     }
 }
 
+// This engine processes one cloud per forward pass, so the batch
+// statistics are per-cloud (instance) statistics. They are used at
+// inference as well: the reference implementations train with large
+// multi-cloud batches whose statistics match their running averages,
+// but here per-cloud statistics differ strongly across inputs and
+// normalizing with the blended running average at eval would put
+// activations outside the trained regime. Running statistics still
+// back the single-row case (classifier heads after global pooling),
+// where a per-batch variance is degenerate.
+bool
+BatchNorm::statistics(const float *x, std::size_t rows,
+                      std::vector<float> &mean,
+                      std::vector<float> &var) const
+{
+    if (rows > 1) {
+        columnMeanVar(x, rows, runningMean.size(), mean.data(),
+                      var.data());
+        return true;
+    }
+    mean = runningMean;
+    var = runningVar;
+    return false;
+}
+
 Matrix
 BatchNorm::forward(const Matrix &input, bool train)
 {
@@ -217,54 +241,19 @@ BatchNorm::forward(const Matrix &input, bool train)
               cols, runningMean.size());
     }
     Matrix out(rows, cols);
+    if (!train) {
+        const std::size_t segment[] = {rows};
+        inferSegments(input, out, segment, Activation{});
+        return out;
+    }
 
-    // This engine processes one cloud per forward pass, so the batch
-    // statistics are per-cloud (instance) statistics. They are used
-    // at inference as well: the reference implementations train with
-    // large multi-cloud batches whose statistics match their running
-    // averages, but here per-cloud statistics differ strongly across
-    // inputs and normalizing with the blended running average at eval
-    // would put activations outside the trained regime. Running
-    // statistics still back the single-row case (classifier heads
-    // after global pooling), where a per-batch variance is degenerate.
     std::vector<float> mean(cols), var(cols);
-    usedBatchStats = rows > 1;
+    usedBatchStats = statistics(input.data(), rows, mean, var);
     if (usedBatchStats) {
         for (std::size_t c = 0; c < cols; ++c) {
-            mean[c] = 0.0f;
-            var[c] = 0.0f;
+            runningMean[c] = (1.0f - mom) * runningMean[c] + mom * mean[c];
+            runningVar[c] = (1.0f - mom) * runningVar[c] + mom * var[c];
         }
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float *row = input.data() + r * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                mean[c] += row[c];
-            }
-        }
-        const float inv_rows = 1.0f / static_cast<float>(rows);
-        for (std::size_t c = 0; c < cols; ++c) {
-            mean[c] *= inv_rows;
-        }
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float *row = input.data() + r * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                const float d = row[c] - mean[c];
-                var[c] += d * d;
-            }
-        }
-        for (std::size_t c = 0; c < cols; ++c) {
-            var[c] *= inv_rows;
-        }
-        if (train) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                runningMean[c] =
-                    (1.0f - mom) * runningMean[c] + mom * mean[c];
-                runningVar[c] =
-                    (1.0f - mom) * runningVar[c] + mom * var[c];
-            }
-        }
-    } else {
-        mean = runningMean;
-        var = runningVar;
     }
 
     savedInvStd.resize(cols);
@@ -272,89 +261,47 @@ BatchNorm::forward(const Matrix &input, bool train)
         savedInvStd[c] = 1.0f / std::sqrt(var[c] + eps);
     }
 
-    if (train) {
-        savedNormalized = Matrix(rows, cols);
-    }
+    savedNormalized = Matrix(rows, cols);
     const float *g = gamma.value.data();
     const float *b = beta.value.data();
     parallelFor(0, rows, [&](std::size_t r) {
         const float *in_row = input.data() + r * cols;
         float *out_row = out.data() + r * cols;
-        float *norm_row =
-            train ? savedNormalized.data() + r * cols : nullptr;
+        float *norm_row = savedNormalized.data() + r * cols;
         for (std::size_t c = 0; c < cols; ++c) {
             const float normalized =
                 (in_row[c] - mean[c]) * savedInvStd[c];
-            if (norm_row) {
-                norm_row[c] = normalized;
-            }
+            norm_row[c] = normalized;
             out_row[c] = g[c] * normalized + b[c];
         }
     });
     return out;
 }
 
-bool
-BatchNorm::inferSegmentsInPlace(Matrix &x,
-                                std::span<const std::size_t> segment_rows)
+void
+BatchNorm::inferSegments(const Matrix &in, Matrix &out,
+                         std::span<const std::size_t> segment_rows,
+                         Activation act) const
 {
-    const std::size_t cols = x.cols();
+    const std::size_t cols = in.cols();
     if (cols != runningMean.size()) {
-        fatal("BatchNorm::inferSegmentsInPlace: feature dim %zu != "
-              "configured %zu",
+        fatal("BatchNorm::inferSegments: feature dim %zu != configured "
+              "%zu",
               cols, runningMean.size());
     }
-
-    // Same statistics policy and arithmetic as forward(): multi-row
-    // segments normalize with their own instance statistics, single
-    // rows fall back to the running averages. Normalizing in place on
-    // the stacked batch is what saves the per-segment slice and
-    // copy-back that a forward() round trip would cost.
     std::vector<float> mean(cols), var(cols), inv_std(cols);
-    const float *g = gamma.value.data();
-    const float *b = beta.value.data();
     std::size_t offset = 0;
     for (std::size_t rows : segment_rows) {
-        if (rows > 1) {
-            std::fill(mean.begin(), mean.end(), 0.0f);
-            std::fill(var.begin(), var.end(), 0.0f);
-            for (std::size_t r = 0; r < rows; ++r) {
-                const float *row = x.data() + (offset + r) * cols;
-                for (std::size_t c = 0; c < cols; ++c) {
-                    mean[c] += row[c];
-                }
-            }
-            const float inv_rows = 1.0f / static_cast<float>(rows);
-            for (std::size_t c = 0; c < cols; ++c) {
-                mean[c] *= inv_rows;
-            }
-            for (std::size_t r = 0; r < rows; ++r) {
-                const float *row = x.data() + (offset + r) * cols;
-                for (std::size_t c = 0; c < cols; ++c) {
-                    const float d = row[c] - mean[c];
-                    var[c] += d * d;
-                }
-            }
-            for (std::size_t c = 0; c < cols; ++c) {
-                var[c] *= inv_rows;
-            }
-        } else {
-            mean = runningMean;
-            var = runningVar;
-        }
+        const float *src = in.data() + offset * cols;
+        statistics(src, rows, mean, var);
         for (std::size_t c = 0; c < cols; ++c) {
             inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
         }
-        parallelFor(0, rows, [&](std::size_t r) {
-            float *row = x.data() + (offset + r) * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                const float normalized = (row[c] - mean[c]) * inv_std[c];
-                row[c] = g[c] * normalized + b[c];
-            }
-        });
+        normalizeActivate(src, out.data() + offset * cols, rows, cols,
+                          mean.data(), inv_std.data(), gamma.value.data(),
+                          beta.value.data(), act);
         offset += rows;
     }
-    return true;
 }
 
 Matrix
@@ -419,24 +366,35 @@ BatchNorm::collectBuffers(std::vector<std::vector<float> *> &out)
 // ReLU
 // ---------------------------------------------------------------------
 
+namespace {
+
+/**
+ * Shared activation forward: the output comes from the same branchless
+ * kernel at training and inference, and training also records which
+ * inputs were positive.
+ */
 Matrix
-ReLU::forward(const Matrix &input, bool train)
+activationForward(const Matrix &input, Activation act, bool train,
+                  std::vector<std::uint8_t> &mask)
 {
-    Matrix out = input;
+    Matrix out(input.rows(), input.cols());
+    activate(input.data(), out.data(), input.numel(), act);
     if (train) {
-        mask.assign(input.numel(), 0);
-    }
-    float *data = out.data();
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-        if (data[i] > 0.0f) {
-            if (train) {
-                mask[i] = 1;
-            }
-        } else {
-            data[i] = 0.0f;
+        const float *in = input.data();
+        mask.resize(input.numel());
+        for (std::size_t i = 0; i < input.numel(); ++i) {
+            mask[i] = in[i] > 0.0f ? 1 : 0;
         }
     }
     return out;
+}
+
+} // namespace
+
+Matrix
+ReLU::forward(const Matrix &input, bool train)
+{
+    return activationForward(input, Activation::relu(), train, mask);
 }
 
 Matrix
@@ -461,21 +419,8 @@ LeakyReLU::LeakyReLU(float negative_slope) : slope(negative_slope) {}
 Matrix
 LeakyReLU::forward(const Matrix &input, bool train)
 {
-    Matrix out = input;
-    if (train) {
-        mask.assign(input.numel(), 0);
-    }
-    float *data = out.data();
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-        if (data[i] > 0.0f) {
-            if (train) {
-                mask[i] = 1;
-            }
-        } else {
-            data[i] *= slope;
-        }
-    }
-    return out;
+    return activationForward(input, Activation::leakyRelu(slope), train,
+                             mask);
 }
 
 Matrix
@@ -520,21 +465,31 @@ Sequential::addLinearRelu(std::size_t in, std::size_t out, Rng &rng,
 Matrix
 Sequential::forward(const Matrix &input, bool train)
 {
-    return forwardFrom(0, input, train);
+    if (!train) {
+        const std::size_t segment[] = {input.rows()};
+        return infer(&input, Matrix{}, segment, 0);
+    }
+    if (layers.empty()) {
+        return input;
+    }
+    return forwardFrom(1, layers[0]->forward(input, true), true);
 }
 
 Matrix
-Sequential::forwardFrom(std::size_t first, const Matrix &input, bool train)
+Sequential::forwardFrom(std::size_t first, Matrix input, bool train)
 {
     if (first > layers.size()) {
         fatal("forwardFrom: first layer %zu > size %zu", first,
               layers.size());
     }
-    Matrix x = input;
-    for (std::size_t i = first; i < layers.size(); ++i) {
-        x = layers[i]->forward(x, train);
+    if (!train) {
+        const std::size_t segment[] = {input.rows()};
+        return infer(nullptr, std::move(input), segment, first);
     }
-    return x;
+    for (std::size_t i = first; i < layers.size(); ++i) {
+        input = layers[i]->forward(input, true);
+    }
+    return input;
 }
 
 Matrix
@@ -571,7 +526,7 @@ Sequential::rowIndependentInference() const
 }
 
 Matrix
-Sequential::forwardSegmented(const Matrix &input,
+Sequential::forwardSegmented(Matrix input,
                              std::span<const std::size_t> segment_rows,
                              std::size_t first_layer)
 {
@@ -579,6 +534,15 @@ Sequential::forwardSegmented(const Matrix &input,
         fatal("forwardSegmented: first layer %zu > size %zu", first_layer,
               layers.size());
     }
+    return infer(nullptr, std::move(input), segment_rows, first_layer);
+}
+
+Matrix
+Sequential::infer(const Matrix *borrowed, Matrix owned,
+                  std::span<const std::size_t> segment_rows,
+                  std::size_t first)
+{
+    const Matrix &input = borrowed ? *borrowed : owned;
     std::size_t total = 0;
     for (std::size_t rows : segment_rows) {
         total += rows;
@@ -587,31 +551,61 @@ Sequential::forwardSegmented(const Matrix &input,
         fatal("forwardSegmented: segment rows %zu != input rows %zu",
               total, input.rows());
     }
+    // A single segment may change height (a pooling layer); later
+    // statistics must see the new row count.
+    std::size_t whole = total;
+    if (segment_rows.size() == 1) {
+        segment_rows = {&whole, 1};
+    }
 
-    // `x` is materialized lazily: the first layer reads `input`
-    // directly (the usual Linear head makes a fresh matrix anyway), so
-    // the stacked batch is not copied just to enter the loop.
-    Matrix x;
-    bool have_x = false;
-    for (std::size_t li = first_layer; li < layers.size(); ++li) {
-        auto &layer = layers[li];
-        if (layer->rowIndependentInference()) {
-            x = layer->forward(have_x ? x : input, false);
-            have_x = true;
+    // Shape-preserving epilogue step: in place once the loop owns its
+    // matrix, else from the borrowed input into a fresh one (the same
+    // single pass, with no entry copy).
+    auto epilogue = [&](const auto &step) {
+        if (borrowed != nullptr) {
+            owned = Matrix(borrowed->rows(), borrowed->cols());
+            step(*borrowed, owned);
+            borrowed = nullptr;
+        } else {
+            step(owned, owned);
+        }
+    };
+
+    for (std::size_t li = first; li < layers.size(); ++li) {
+        Layer &layer = *layers[li];
+        if (const auto *bn = dynamic_cast<const BatchNorm *>(&layer)) {
+            // BatchNorm absorbs the activation that follows it.
+            Activation act;
+            if (li + 1 < layers.size()) {
+                if (const auto next = layers[li + 1]->activation()) {
+                    act = *next;
+                    ++li;
+                }
+            }
+            epilogue([&](const Matrix &in, Matrix &out) {
+                bn->inferSegments(in, out, segment_rows, act);
+            });
             continue;
         }
-        if (!have_x) {
-            x = input;
-            have_x = true;
+        if (const auto act = layer.activation()) {
+            epilogue([&](const Matrix &in, Matrix &out) {
+                activate(in.data(), out.data(), in.numel(), *act);
+            });
+            continue;
         }
-        if (layer->inferSegmentsInPlace(x, segment_rows)) {
+        const Matrix &x = borrowed ? *borrowed : owned;
+        if (layer.rowIndependentInference() || segment_rows.size() == 1) {
+            Matrix y = layer.forward(x, false);
+            whole = y.rows();
+            owned = std::move(y);
+            borrowed = nullptr;
             continue;
         }
         Matrix out;
         std::size_t offset = 0;
         for (std::size_t s = 0; s < segment_rows.size(); ++s) {
             Matrix seg = sliceRows(x, offset, offset + segment_rows[s]);
-            Matrix y = layer->forward(seg, false);
+            Matrix y = layer.forward(seg, false);
             if (y.rows() != segment_rows[s]) {
                 fatal("forwardSegmented: layer changed segment rows "
                       "(%zu -> %zu)",
@@ -624,9 +618,13 @@ Sequential::forwardSegmented(const Matrix &input,
                       out.data() + offset * y.cols());
             offset += segment_rows[s];
         }
-        x = std::move(out);
+        owned = std::move(out);
+        borrowed = nullptr;
     }
-    return have_x ? x : input;
+    if (borrowed != nullptr) {
+        return *borrowed; // No layer ran.
+    }
+    return owned;
 }
 
 Matrix
@@ -652,8 +650,22 @@ Sequential::collectBuffers(std::vector<std::vector<float> *> &out)
 }
 
 // ---------------------------------------------------------------------
-// MaxPoolNeighbors
+// Max-pooling
 // ---------------------------------------------------------------------
+
+Matrix
+maxPoolRows(const Matrix &x, std::size_t begin, std::size_t rows,
+            std::size_t k)
+{
+    if (k == 0 || rows % k != 0 || begin + rows > x.rows()) {
+        fatal("maxPoolRows: rows [%zu, %zu) of %zu in groups of %zu",
+              begin, begin + rows, x.rows(), k);
+    }
+    const std::size_t cols = x.cols();
+    Matrix out(rows / k, cols);
+    maxPoolGroups(x.data() + begin * cols, rows / k, k, cols, out.data());
+    return out;
+}
 
 MaxPoolNeighbors::MaxPoolNeighbors(std::size_t group_size) : k(group_size)
 {
@@ -669,35 +681,29 @@ MaxPoolNeighbors::forward(const Matrix &input, bool train)
         fatal("MaxPoolNeighbors: rows %zu not a multiple of k=%zu",
               input.rows(), k);
     }
+    if (!train) {
+        return maxPoolRows(input, 0, input.rows(), k);
+    }
     const std::size_t points = input.rows() / k;
     const std::size_t cols = input.cols();
     Matrix out(points, cols);
-    if (train) {
-        argmax.assign(points * cols, 0);
-        savedRows = input.rows();
-    }
+    argmax.assign(points * cols, 0);
+    savedRows = input.rows();
 
     parallelFor(0, points, [&](std::size_t p) {
         float *out_row = out.data() + p * cols;
         const float *first = input.data() + p * k * cols;
+        std::uint32_t *amax = argmax.data() + p * cols;
         for (std::size_t c = 0; c < cols; ++c) {
             out_row[c] = first[c];
-        }
-        std::uint32_t *amax =
-            train ? argmax.data() + p * cols : nullptr;
-        if (amax) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                amax[c] = static_cast<std::uint32_t>(p * k);
-            }
+            amax[c] = static_cast<std::uint32_t>(p * k);
         }
         for (std::size_t j = 1; j < k; ++j) {
             const float *row = input.data() + (p * k + j) * cols;
             for (std::size_t c = 0; c < cols; ++c) {
                 if (row[c] > out_row[c]) {
                     out_row[c] = row[c];
-                    if (amax) {
-                        amax[c] = static_cast<std::uint32_t>(p * k + j);
-                    }
+                    amax[c] = static_cast<std::uint32_t>(p * k + j);
                 }
             }
         }
@@ -730,12 +736,13 @@ GlobalMaxPool::forward(const Matrix &input, bool train)
     if (input.rows() == 0) {
         fatal("GlobalMaxPool: empty input");
     }
+    if (!train) {
+        return maxPoolRows(input, 0, input.rows(), input.rows());
+    }
     const std::size_t cols = input.cols();
     Matrix out(1, cols);
-    if (train) {
-        argmax.assign(cols, 0);
-        savedRows = input.rows();
-    }
+    argmax.assign(cols, 0);
+    savedRows = input.rows();
     for (std::size_t c = 0; c < cols; ++c) {
         out.at(0, c) = input.at(0, c);
     }
@@ -744,9 +751,7 @@ GlobalMaxPool::forward(const Matrix &input, bool train)
         for (std::size_t c = 0; c < cols; ++c) {
             if (row[c] > out.at(0, c)) {
                 out.at(0, c) = row[c];
-                if (train) {
-                    argmax[c] = static_cast<std::uint32_t>(r);
-                }
+                argmax[c] = static_cast<std::uint32_t>(r);
             }
         }
     }

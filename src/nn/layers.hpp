@@ -13,9 +13,11 @@
 #define EDGEPC_NN_LAYERS_HPP
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "nn/epilogue.hpp"
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
@@ -54,6 +56,16 @@ class Layer
      */
     virtual bool rowIndependentInference() const { return false; }
 
+    /**
+     * The element-wise function of an activation layer, which
+     * Sequential's inference loop applies in place or fuses into the
+     * BatchNorm before it; empty for every other layer.
+     */
+    virtual std::optional<Activation> activation() const
+    {
+        return std::nullopt;
+    }
+
     /** Append this layer's parameters to @p out. */
     virtual void collectParameters(std::vector<Parameter *> &out)
     {
@@ -67,22 +79,6 @@ class Layer
     virtual void collectBuffers(std::vector<std::vector<float> *> &out)
     {
         (void)out;
-    }
-
-    /**
-     * Inference-only forward applied in place over a row-stacked batch
-     * of independent segments. Shape-preserving layers whose inference
-     * depends on per-segment statistics (BatchNorm) override this so
-     * Sequential::forwardSegmented can skip the slice/forward/copy-back
-     * round trip per segment. Returns false when the layer has no
-     * in-place segmented path and the caller must fall back.
-     */
-    virtual bool inferSegmentsInPlace(
-        Matrix &x, std::span<const std::size_t> segment_rows)
-    {
-        (void)x;
-        (void)segment_rows;
-        return false;
     }
 
     /**
@@ -198,10 +194,28 @@ class BatchNorm : public Layer
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     void collectBuffers(std::vector<std::vector<float> *> &out) override;
-    bool inferSegmentsInPlace(
-        Matrix &x, std::span<const std::size_t> segment_rows) override;
+
+    /**
+     * Inference over a row-stacked batch of independent segments:
+     * each segment is normalized with its own statistics (or the
+     * running ones when it has a single row), then @p act is applied,
+     * in one pass from @p in to @p out. @p out may be @p in, and must
+     * have its shape.
+     */
+    void inferSegments(const Matrix &in, Matrix &out,
+                       std::span<const std::size_t> segment_rows,
+                       Activation act) const;
 
   private:
+    /**
+     * Mean and variance of @p rows rows at @p x: their own for more
+     * than one row, else the running averages. Returns whether they
+     * are the rows' own.
+     */
+    bool statistics(const float *x, std::size_t rows,
+                    std::vector<float> &mean,
+                    std::vector<float> &var) const;
+
     Parameter gamma; ///< 1 x features (scale).
     Parameter beta;  ///< 1 x features (shift).
     std::vector<float> runningMean;
@@ -228,6 +242,10 @@ class ReLU : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     bool rowIndependentInference() const override { return true; }
+    std::optional<Activation> activation() const override
+    {
+        return Activation::relu();
+    }
 
   private:
     std::vector<std::uint8_t> mask;
@@ -246,6 +264,10 @@ class LeakyReLU : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     bool rowIndependentInference() const override { return true; }
+    std::optional<Activation> activation() const override
+    {
+        return Activation::leakyRelu(slope);
+    }
 
   private:
     float slope;
@@ -284,16 +306,20 @@ class Sequential : public Layer
      * @p segment_rows gives each cloud's row count (must sum to
      * input.rows()). Row-independent layers run once at full batch
      * height — this is where the packed GEMM gets its large-M shape —
-     * while layers with per-cloud statistics (BatchNorm) run per
-     * segment, so the result matches per-cloud forward() exactly up
-     * to GEMM-path float reassociation.
+     * while BatchNorm normalizes each segment with its own statistics,
+     * fused with the activation after it into one in-place pass, so
+     * the result matches per-cloud forward() exactly up to GEMM-path
+     * float reassociation.
+     *
+     * This is the one inference loop: forward(x, false) and
+     * forwardFrom(first, x, false) run it as a single segment.
      *
      * @param first_layer Skip layers [0, first_layer): the delayed
      *        aggregation route runs the first Linear itself (over the
      *        unique rows, pre-gather) and feeds the combined
      *        pre-activations to the remaining tail.
      */
-    Matrix forwardSegmented(const Matrix &input,
+    Matrix forwardSegmented(Matrix input,
                             std::span<const std::size_t> segment_rows,
                             std::size_t first_layer = 0);
 
@@ -303,8 +329,10 @@ class Sequential : public Layer
     /**
      * forward() starting at layer @p first: runs layers
      * [first, size()) on @p input — the delayed-aggregation tail pass.
+     * Callers that own the input move it in, so inference updates it
+     * in place.
      */
-    Matrix forwardFrom(std::size_t first, const Matrix &input, bool train);
+    Matrix forwardFrom(std::size_t first, Matrix input, bool train);
 
     /**
      * backward() stopping before layer @p first: runs the layers in
@@ -316,6 +344,16 @@ class Sequential : public Layer
     std::size_t size() const { return layers.size(); }
 
   private:
+    /**
+     * The inference loop over layers [first, size()). It reads
+     * @p borrowed when given, else @p owned, and writes into a matrix
+     * of its own from the first layer on, so a borrowed input is never
+     * copied.
+     */
+    Matrix infer(const Matrix *borrowed, Matrix owned,
+                 std::span<const std::size_t> segment_rows,
+                 std::size_t first);
+
     std::vector<std::unique_ptr<Layer>> layers;
 };
 
@@ -338,6 +376,15 @@ class MaxPoolNeighbors : public Layer
     std::vector<std::uint32_t> argmax;
     std::size_t savedRows = 0;
 };
+
+/**
+ * Inference max-pool over rows [begin, begin + rows) of @p x, in groups
+ * of @p k consecutive rows (rows must be a multiple of k): returns
+ * rows / k pooled rows. The one kernel behind MaxPoolNeighbors and
+ * GlobalMaxPool inference and the batched route's per-cloud pools.
+ */
+Matrix maxPoolRows(const Matrix &x, std::size_t begin, std::size_t rows,
+                   std::size_t k);
 
 /** Max-pool all rows into a single row (global feature). */
 class GlobalMaxPool : public Layer

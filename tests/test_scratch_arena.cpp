@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <thread>
 #include <vector>
@@ -133,6 +134,12 @@ operator new[](std::size_t size, std::align_val_t align,
     return countedAlignedAlloc(size, static_cast<std::size_t>(align));
 }
 
+// GCC 12 inlines these into callers of the replaced operator new and
+// reports -Wmismatched-new-delete for the std::free, not seeing that
+// every allocating form above is malloc-backed. Scoped to the
+// replacement deallocators only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void
 operator delete(void *p) noexcept
 {
@@ -194,6 +201,7 @@ operator delete[](void *p, std::align_val_t,
 {
     std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace edgepc {
 namespace {
@@ -383,15 +391,32 @@ snapshot()
             g_heapBytes.load(std::memory_order_relaxed)};
 }
 
+/**
+ * Warm every arena the measured call can touch: two plain calls, then
+ * one on each pool thread with the others parked, so each thread runs
+ * every chunk of its call. The pool hands chunks out dynamically and
+ * the caller takes chunks too, so on a busy host one thread may run
+ * every chunk of the plain calls; another thread's arena would then
+ * first grow inside the measured call.
+ */
+void
+warmEveryThread(const std::function<void()> &call)
+{
+    for (int warm = 0; warm < 2; ++warm) {
+        call();
+    }
+    ThreadPool::globalPool().runOnEachThread(call);
+}
+
 TEST(ScratchArenaZeroAlloc, BruteForceSteadyState)
 {
     const auto pts = randomCloud(2048, 11);
     const auto queries = randomCloud(kQueries, 12);
     BruteForceKnn knn;
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         const auto ignored = knn.search(queries, pts, 16);
         static_cast<void>(ignored);
-    }
+    });
     const SteadyState before = snapshot();
     const auto out = knn.search(queries, pts, 16);
     const SteadyState delta = deltaOf(before);
@@ -405,10 +430,10 @@ TEST(ScratchArenaZeroAlloc, BallQuerySteadyState)
     const auto pts = randomCloud(2048, 21);
     const auto queries = randomCloud(kQueries, 22);
     BallQuery ball(0.25f);
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         const auto ignored = ball.search(queries, pts, 16);
         static_cast<void>(ignored);
-    }
+    });
     const SteadyState before = snapshot();
     const auto out = ball.search(queries, pts, 16);
     const SteadyState delta = deltaOf(before);
@@ -423,10 +448,10 @@ TEST(ScratchArenaZeroAlloc, MortonWindowSteadyState)
     MortonSampler sampler(32);
     const Structurization s = sampler.structurize(pts);
     const MortonWindowSearch search(64);
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         const auto ignored = search.searchAll(pts, s, 16);
         static_cast<void>(ignored);
-    }
+    });
     const SteadyState before = snapshot();
     const auto out = search.searchAll(pts, s, 16);
     const SteadyState delta = deltaOf(before);
@@ -454,9 +479,9 @@ TEST(ScratchArenaZeroAlloc, GemmSteadyState)
         v = rng.nextFloat();
     }
     nn::GemmEngine engine(nn::GemmMode::Fast);
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         engine.gemm(a.data(), b.data(), c.data(), m, k, n);
-    }
+    });
     const SteadyState before = snapshot();
     engine.gemm(a.data(), b.data(), c.data(), m, k, n);
     const SteadyState delta = deltaOf(before);
@@ -479,10 +504,10 @@ TEST(ScratchArenaZeroAlloc, TransposedGemmDoesNotMaterializeTranspose)
     a.fillNormal(rng, 1.0f);
     b.fillNormal(rng, 1.0f);
     nn::GemmEngine engine(nn::GemmMode::Fast);
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         const auto ignored = engine.multiplyLeftTransposed(a, b);
         static_cast<void>(ignored);
-    }
+    });
     const SteadyState before = snapshot();
     const auto out = engine.multiplyLeftTransposed(a, b);
     const SteadyState delta = deltaOf(before);
@@ -496,10 +521,10 @@ TEST(ScratchArenaZeroAlloc, FpsSteadyState)
 {
     const auto pts = randomCloud(2048, 41);
     FarthestPointSampler fps;
-    for (int warm = 0; warm < 2; ++warm) {
+    warmEveryThread([&] {
         const auto ignored = fps.sample(pts, 256);
         static_cast<void>(ignored);
-    }
+    });
     const SteadyState before = snapshot();
     const auto out = fps.sample(pts, 256);
     const SteadyState delta = deltaOf(before);

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <numeric>
+#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 
 namespace edgepc {
@@ -72,6 +76,52 @@ TEST(ThreadPool, PropagatesExceptions)
                          },
                          1),
         std::runtime_error);
+}
+
+TEST(ThreadPool, RunOnEachThreadVisitsEveryThreadOnceAtATime)
+{
+    ThreadPool pool(3);
+    Mutex mu;
+    std::set<std::thread::id> seen;
+    std::atomic<int> inside{0};
+    std::atomic<int> most_inside{0};
+    pool.runOnEachThread([&] {
+        const int now = inside.fetch_add(1) + 1;
+        most_inside.store(std::max(most_inside.load(), now));
+        // A parallel kernel inside runs all of its chunks here: every
+        // other pool thread is parked.
+        const std::thread::id self = std::this_thread::get_id();
+        std::atomic<int> foreign{0};
+        pool.parallelFor(
+            0, 64,
+            [&](std::size_t) {
+                if (std::this_thread::get_id() != self) {
+                    foreign.fetch_add(1);
+                }
+            },
+            1);
+        EXPECT_EQ(foreign.load(), 0);
+        {
+            MutexLock lock(mu);
+            seen.insert(self);
+        }
+        inside.fetch_sub(1);
+    });
+    EXPECT_EQ(seen.size(), 4u); // The caller and three workers.
+    EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
+    EXPECT_EQ(most_inside.load(), 1);
+
+    std::atomic<int> calls{0};
+    const auto throwing = [&] {
+        calls.fetch_add(1);
+        throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(pool.runOnEachThread(throwing), std::runtime_error);
+    EXPECT_EQ(calls.load(), 4); // Every thread still had its turn.
+    // The pool stays usable after a throwing round.
+    std::atomic<int> count{0};
+    pool.parallelFor(0, 64, [&](std::size_t) { count.fetch_add(1); }, 4);
+    EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPool, ReusableAcrossCalls)
