@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -692,7 +695,10 @@ TEST(FixedPointDistance, BallQueryFixedPathBumpsCounter)
 // ---------------------------------------------------------------------
 // Fig-9-style accuracy budget: quantized inference within 1.0 pp of
 // fp32 on the synthetic tasks (models trained fp32, evaluated both
-// ways on the same split).
+// ways on the same split). One trained model's gap is a coin flip of
+// a few borderline points, so each test bounds the median gap over a
+// fixed list of (dataset seed, model seed) pairs: the original single
+// draw first, then the next four seeds of each.
 // ---------------------------------------------------------------------
 
 /** |accuracy(int8) - accuracy(fp32)| in percentage points. */
@@ -714,63 +720,115 @@ quantAccuracyDeltaPp(PointCloudModel &model, const Dataset &data,
     return std::fabs(int8.accuracy - fp32.accuracy) * 100.0;
 }
 
+/** Seed pairs per test: (data_seed + i, 42 + i) for i in [0, 5). */
+constexpr std::uint64_t kSeedPairs = 5;
+constexpr std::uint64_t kModelSeed = 42;
+
+/**
+ * Median of @p gap_of(data seed, model seed) over the kSeedPairs pairs
+ * starting at (@p data_seed, kModelSeed); every gap is recorded as a
+ * test property and echoed in @p gaps.
+ */
+double
+medianGapPp(std::uint64_t data_seed,
+            const std::function<double(std::uint64_t, std::uint64_t)> &gap_of,
+            std::string &gaps)
+{
+    std::vector<double> all;
+    for (std::uint64_t i = 0; i < kSeedPairs; ++i) {
+        const double gap = gap_of(data_seed + i, kModelSeed + i);
+        all.push_back(gap);
+        const std::string pair = std::to_string(data_seed + i) + "/" +
+                                 std::to_string(kModelSeed + i);
+        ::testing::Test::RecordProperty("gap_pp_" + pair,
+                                        std::to_string(gap));
+        gaps += pair + ": " + std::to_string(gap) + " pp; ";
+    }
+    std::sort(all.begin(), all.end());
+    return all[all.size() / 2];
+}
+
 TEST(QuantAccuracy, ClassificationWithinOnePointOfFp32)
 {
     QuantDispatchGuard guard;
-    ShapeOptions options;
-    options.points = 96;
-    options.randomRotation = false;
-    // 8 classes x 25 clouds = 200 samples: one flipped prediction is
-    // 0.5 pp, so the 1.0 pp budget tolerates borderline clouds.
-    const Dataset data = makeShapeDataset(25, options, 5);
-    auto [train_set, eval_set] = data.split(0.5, 2);
+    std::string gaps;
+    const double median = medianGapPp(
+        5,
+        [](std::uint64_t data_seed, std::uint64_t model_seed) {
+            ShapeOptions options;
+            options.points = 96;
+            options.randomRotation = false;
+            // 8 classes x 25 clouds = 200 samples: one flipped
+            // prediction is 0.5 pp.
+            const Dataset data = makeShapeDataset(25, options, data_seed);
+            auto [train_set, eval_set] = data.split(0.5, 2);
 
-    TrainOptions topt;
-    topt.epochs = 8;
-    topt.learningRate = 0.01f;
-    topt.batchSize = 4;
-    Trainer trainer(topt);
-    PointNetPP model(
-        PointNetPPConfig::liteClassification(96, data.numClasses), 42);
-    trainer.trainClassifier(model, train_set, EdgePcConfig::baseline());
-
-    EXPECT_LE(quantAccuracyDeltaPp(model, data, true), 1.0);
+            TrainOptions topt;
+            topt.epochs = 8;
+            topt.learningRate = 0.01f;
+            topt.batchSize = 4;
+            Trainer trainer(topt);
+            PointNetPP model(
+                PointNetPPConfig::liteClassification(96, data.numClasses),
+                model_seed);
+            trainer.trainClassifier(model, train_set,
+                                    EdgePcConfig::baseline());
+            return quantAccuracyDeltaPp(model, data, true);
+        },
+        gaps);
+    EXPECT_LE(median, 1.0) << gaps;
 }
 
 TEST(QuantAccuracy, SemanticSegmentationWithinOnePointOfFp32)
 {
     QuantDispatchGuard guard;
-    SceneOptions options;
-    options.points = 128;
-    const Dataset data = makeSceneDataset(8, options, 3);
+    std::string gaps;
+    const double median = medianGapPp(
+        3,
+        [](std::uint64_t data_seed, std::uint64_t model_seed) {
+            SceneOptions options;
+            options.points = 128;
+            const Dataset data = makeSceneDataset(8, options, data_seed);
 
-    TrainOptions topt;
-    topt.epochs = 4;
-    topt.learningRate = 0.02f;
-    topt.batchSize = 4;
-    Trainer trainer(topt);
-    PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 42);
-    trainer.trainSegmentation(model, data, EdgePcConfig::baseline());
-
-    EXPECT_LE(quantAccuracyDeltaPp(model, data, false), 1.0);
+            TrainOptions topt;
+            topt.epochs = 4;
+            topt.learningRate = 0.02f;
+            topt.batchSize = 4;
+            Trainer trainer(topt);
+            PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5),
+                             model_seed);
+            trainer.trainSegmentation(model, data,
+                                      EdgePcConfig::baseline());
+            return quantAccuracyDeltaPp(model, data, false);
+        },
+        gaps);
+    EXPECT_LE(median, 1.0) << gaps;
 }
 
 TEST(QuantAccuracy, PartSegmentationWithinOnePointOfFp32)
 {
     QuantDispatchGuard guard;
-    PartOptions options;
-    options.points = 128;
-    const Dataset data = makePartDataset(4, options, 7);
+    std::string gaps;
+    const double median = medianGapPp(
+        7,
+        [](std::uint64_t data_seed, std::uint64_t model_seed) {
+            PartOptions options;
+            options.points = 128;
+            const Dataset data = makePartDataset(4, options, data_seed);
 
-    TrainOptions topt;
-    topt.epochs = 4;
-    topt.learningRate = 0.02f;
-    topt.batchSize = 4;
-    Trainer trainer(topt);
-    Dgcnn model(DgcnnConfig::liteSegmentation(data.numClasses), 42);
-    trainer.trainSegmentation(model, data, EdgePcConfig::baseline());
-
-    EXPECT_LE(quantAccuracyDeltaPp(model, data, false), 1.0);
+            TrainOptions topt;
+            topt.epochs = 4;
+            topt.learningRate = 0.02f;
+            topt.batchSize = 4;
+            Trainer trainer(topt);
+            Dgcnn model(DgcnnConfig::liteSegmentation(data.numClasses),
+                        model_seed);
+            trainer.trainSegmentation(model, data,
+                                      EdgePcConfig::baseline());
+            return quantAccuracyDeltaPp(model, data, false);
+        },
+        gaps);
+    EXPECT_LE(median, 1.0) << gaps;
 }
 
 } // namespace
