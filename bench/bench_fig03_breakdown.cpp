@@ -10,12 +10,27 @@
  * The per-stage numbers reported here come from the obs tracer's
  * "stage" spans (not the StageTimer), so this bench doubles as an
  * end-to-end check that the span instrumentation reproduces the
- * paper's breakdown; it emits BENCH_fig03.json for CI.
+ * paper's breakdown; it emits BENCH_fig03.json for CI. Each workload
+ * prints PASS or MISS against the paper's band (BENCH row metric
+ * smp_ns_in_band). The band was measured on the Jetson, so a CPU host
+ * may honestly miss it: the exit status does not depend on it.
  */
 
 #include "bench_util.hpp"
 
 using namespace edgepc;
+
+namespace {
+
+/** Whether a sample + neighbor share of E2E latency lies inside the
+    paper's Fig 3 band, 38-80%. */
+bool
+inPaperBand(double share)
+{
+    return share >= 0.38 && share <= 0.80;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -40,6 +55,7 @@ main(int argc, char **argv)
 
     Table table({"workload", "model", "points", "smp+ns ms", "group ms",
                  "feature ms", "E2E ms", "smp+ns share"});
+    std::vector<std::pair<std::string, double>> shares;
 
     for (const WorkloadSpec &spec : workloadTable()) {
         const auto model = makeWorkloadModel(spec, scale, opts.seed);
@@ -59,6 +75,8 @@ main(int argc, char **argv)
             stage_ms[kStageSample] + stage_ms[kStageNeighbor];
         const double group = stage_ms[kStageGroup];
         const double feature = stage_ms[kStageFeature];
+        const double share = sn / r.endToEndMs;
+        shares.emplace_back(spec.id, share);
 
         table.row()
             .cell(spec.id)
@@ -68,20 +86,28 @@ main(int argc, char **argv)
             .cell(group)
             .cell(feature)
             .cell(r.endToEndMs)
-            .cell(formatPercent(sn / r.endToEndMs));
+            .cell(formatPercent(share));
 
         bench::BenchRow &row = report.row(spec.id);
         row.wallMs = r.endToEndMs;
         row.stages = stage_ms;
         row.metrics["smp_ns_ms"] = sn;
-        row.metrics["smp_ns_share"] = sn / r.endToEndMs;
+        row.metrics["smp_ns_share"] = share;
+        row.metrics["smp_ns_in_band"] = inPaperBand(share) ? 1.0 : 0.0;
         row.metrics["points"] = static_cast<double>(frame.size());
     }
     table.print(std::cout);
-    std::cout << "\nExpected shape: the smp+ns share grows with the "
-                 "point count and peaks on the 8192-pt workloads, "
-                 "placing sample+neighbor search among the dominant "
-                 "pipeline costs (paper band: 38-80%).\n";
+    std::cout << "\nsmp+ns share against the paper band (38-80%, "
+                 "Jetson):\n";
+    std::size_t passes = 0;
+    for (const auto &[id, share] : shares) {
+        const bool in_band = inPaperBand(share);
+        passes += in_band ? 1 : 0;
+        std::cout << (in_band ? "PASS " : "MISS ") << id << " "
+                  << formatPercent(share) << "\n";
+    }
+    std::cout << passes << "/" << shares.size()
+              << " workloads inside the paper band\n";
 
     // Delayed-aggregation A/B (DESIGN.md §13): force the route off
     // and on around the same workload and compare the group+feature

@@ -23,7 +23,7 @@ class BruteForceKnn : public NeighborSearch
      *     Off for k-NN — snap error reorders near-ties — so the
      *     approximation is strictly opt-in; EDGEPC_SIMD (int8 |
      *     scalar | simd) overrides. Coordinate-space search() only;
-     *     searchFeatureSpace always runs fp32.
+     *     searchFeatureSpace has its own fp32 GEMM route.
      */
     explicit BruteForceKnn(
         simd::FixedPointMode fixed_point = simd::FixedPointMode::Off)
@@ -42,6 +42,21 @@ class BruteForceKnn : public NeighborSearch
      * k-NN in an arbitrary-dimension feature space (row-major points
      * of dimension dim). Used by DGCNN's later EdgeConv modules, which
      * search neighbors by feature distance (Sec 5.2.3).
+     *
+     * One GEMM-formulated route (DESIGN.md §16): queries and
+     * candidates are centered on the candidates' mean, and each tile
+     * of query rows gets ‖q‖² − 2q·c + ‖c‖² from the packed GEMM
+     * kernel — always fp32, under the layer GEMMs' microkernel
+     * dispatch but outside their accounting — clamped at +0 and
+     * selected with KHeap. Near-ties within the expansion's forward
+     * error may order differently from a direct Σ(q − c)² scan;
+     * exact ties keep the first-encountered index. The lists depend
+     * only on the inputs, not on the thread count.
+     *
+     * Raises EmptyCloud for no candidates, dim == 0 or k == 0,
+     * ShapeMismatch when a span is not whole rows of @p dim, and
+     * NonFiniteData for NaN or infinite features or norms too large
+     * for fp32 distances. k clamps to the candidate count.
      */
     [[nodiscard]]
     static NeighborLists searchFeatureSpace(std::span<const float> queries,

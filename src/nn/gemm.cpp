@@ -122,6 +122,22 @@ fusedState()
     return state;
 }
 
+/** Whether a call the policy sent to the fast (or scalar) path runs the
+ *  AVX2+FMA build under the process-wide dispatch override. */
+bool
+fmaBuildForPolicy(bool fast)
+{
+    switch (GemmEngine::dispatchPath()) {
+      case GemmDispatchPath::ForceScalar:
+        return false;
+      case GemmDispatchPath::ForceFast:
+        return fmaAvailable();
+      case GemmDispatchPath::Auto:
+        break;
+    }
+    return fast && fmaAvailable();
+}
+
 /**
  * Pack one B column panel (kNR columns starting at panel * kNR) into
  * panel-major layout: dst[kk * kNR + jj], zero-padded to kNR columns so
@@ -1324,21 +1340,9 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
     if (epilogue != GemmEpilogue::None) {
         fusedCalls.add(1);
     }
-    bool fast = false;
-    switch (policy) {
-      case GemmMode::Scalar:
-        fast = false;
-        break;
-      case GemmMode::Fast:
-        fast = true;
-        break;
-      case GemmMode::Auto:
-        // Thin channel dimensions never reach the tensor cores.
-        fast = k >= channelThreshold;
-        break;
-    }
     // The counters track the policy decision (the device model); the
     // process-wide dispatch override only swaps the executed build.
+    const bool fast = policyFast(k);
     if (fast) {
         ++fastCalls;
         fastPath.add(1);
@@ -1346,20 +1350,78 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
         ++scalarCalls;
         scalarPath.add(1);
     }
-    bool use_fma = false;
-    switch (dispatchPath()) {
-      case GemmDispatchPath::ForceScalar:
-        use_fma = false;
-        break;
-      case GemmDispatchPath::ForceFast:
-        use_fma = fmaAvailable();
-        break;
-      case GemmDispatchPath::Auto:
-        use_fma = fast && fmaAvailable();
-        break;
-    }
     gemmPacked(a, a_transposed, b, b_transposed, c, m, k, n, epilogue,
-               bias, accumulate, use_fma);
+               bias, accumulate, fmaBuildForPolicy(fast));
+}
+
+bool
+GemmEngine::policyFast(std::size_t k) const
+{
+    switch (policy) {
+      case GemmMode::Scalar:
+        return false;
+      case GemmMode::Fast:
+        return true;
+      case GemmMode::Auto:
+        // Thin channel dimensions never reach the tensor cores.
+        return k >= channelThreshold;
+    }
+    return false;
+}
+
+PackedTransposedB::PackedTransposedB(const GemmEngine &engine,
+                                     const float *b, std::size_t n,
+                                     std::size_t k, const float *shift,
+                                     ScratchArena &arena)
+    : rows(n), depth(k), useFma(fmaBuildForPolicy(engine.policyFast(k)))
+{
+    const std::size_t count = (n + kNR - 1) / kNR;
+    float *dst = arena.alloc<float>(count * k * kNR).data();
+    for (std::size_t p = 0; p < count; ++p) {
+        float *panel = dst + p * k * kNR;
+        packBPanel(b, true, k, n, k, p, panel);
+        // Shift only the real columns: the zero padding must stay zero.
+        const std::size_t cols = std::min(kNR, n - p * kNR);
+        // EDGEPC_HOT: in-place shift of one packed panel.
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            for (std::size_t jj = 0; jj < cols; ++jj) {
+                panel[kk * kNR + jj] -= shift[kk];
+            }
+        }
+    }
+    panels = dst;
+}
+
+void
+PackedTransposedB::rowSquaredNorms(float *out) const
+{
+    const std::size_t count = (rows + kNR - 1) / kNR;
+    for (std::size_t p = 0; p < count; ++p) {
+        const float *panel = panels + p * depth * kNR;
+        float acc[kNR] = {};
+        // EDGEPC_HOT: one k-ordered sum per lane, kNR rows at a time.
+        for (std::size_t kk = 0; kk < depth; ++kk) {
+            for (std::size_t jj = 0; jj < kNR; ++jj) {
+                const float v = panel[kk * kNR + jj];
+                acc[jj] += v * v;
+            }
+        }
+        const std::size_t cols = std::min(kNR, rows - p * kNR);
+        std::copy(acc, acc + cols, out + p * kNR);
+    }
+}
+
+void
+PackedTransposedB::multiply(const float *a, std::size_t m,
+                            const float *bias, float *c) const
+{
+    const std::size_t count = (rows + kNR - 1) / kNR;
+    const PackedGemmCtx ctx{a,     false, depth,
+                            panels, c,    m,
+                            depth, rows,  count,
+                            1,     count, GemmEpilogue::Bias,
+                            bias,  false, useFma};
+    runTileChunk(ctx, 0, (m + kMC - 1) / kMC);
 }
 
 void

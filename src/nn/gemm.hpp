@@ -43,6 +43,9 @@
 #include "nn/tensor.hpp"
 
 namespace edgepc {
+
+class ScratchArena; // common/scratch_arena.hpp
+
 namespace nn {
 
 struct QuantizedWeights; // nn/quant.hpp
@@ -225,10 +228,56 @@ class GemmEngine
              std::size_t n, GemmEpilogue epilogue, const float *bias,
              bool accumulate);
 
+    friend class PackedTransposedB;
+
+    /** The policy's fast/scalar decision for reduction @p k. */
+    bool policyFast(std::size_t k) const;
+
     GemmMode policy;
     std::size_t channelThreshold;
     std::uint64_t fastCalls = 0;
     std::uint64_t scalarCalls = 0;
+};
+
+/**
+ * The right operand of C = A * B^T packed once into the microkernel's
+ * column panels, for many row tiles multiplied against the same B: the
+ * feature-space k-NN's distance GEMM (DESIGN.md §16). Row j of B is
+ * packed as b_j − shift, so a caller can center B without a copy of
+ * its own. The panels live in the given ScratchArena's current Frame.
+ *
+ * A product runs the packed microkernel on its calling thread (no pool
+ * launch), so pool workers may multiply their own row tiles against one
+ * shared packing. The build is the one @p engine picks for reduction K
+ * (policy, threshold and the EDGEPC_GEMM override), always fp32, but
+ * outside the layer-GEMM accounting: no nn/gemm span, no gemm.*
+ * counters, no fast/scalar call counts.
+ */
+class PackedTransposedB
+{
+  public:
+    /** Pack B (@p n x @p k, row-major) minus @p shift (length @p k)
+        into @p arena. */
+    PackedTransposedB(const GemmEngine &engine, const float *b,
+                      std::size_t n, std::size_t k, const float *shift,
+                      ScratchArena &arena);
+
+    /** out[j] = ‖b_j − shift‖² for every row, each summed in k order
+        over the packed values the products read. */
+    void rowSquaredNorms(float *out) const;
+
+    /**
+     * C (@p m x n, row stride n) = A (@p m x k, row-major) * B^T +
+     * @p bias (length n), on the calling thread.
+     */
+    void multiply(const float *a, std::size_t m, const float *bias,
+                  float *c) const;
+
+  private:
+    const float *panels;
+    std::size_t rows;
+    std::size_t depth;
+    bool useFma;
 };
 
 } // namespace nn

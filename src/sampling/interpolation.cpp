@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/trace.hpp"
 
 namespace edgepc {
 
@@ -59,6 +60,7 @@ InterpolationPlan
 exactInterpolation(std::span<const Vec3> targets,
                    std::span<const Vec3> sources, std::size_t k)
 {
+    EDGEPC_TRACE_SCOPE("exact-upsample", "sampling");
     if (sources.empty()) {
         raise(ErrorCode::EmptyCloud, "exactInterpolation: empty source set");
     }

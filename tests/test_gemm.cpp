@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/scratch_arena.hpp"
 #include "nn/gemm.hpp"
 
 namespace edgepc {
@@ -292,6 +294,69 @@ TEST(GemmPacked, TransposedVariantsBothPaths)
         expectRelClose(engine.multiplyTransposed(a, bt), want_abt, 1e-4f);
         expectRelClose(engine.multiplyLeftTransposed(at, b), want_atb,
                        1e-4f);
+    }
+}
+
+/**
+ * The packed-once B^T operand (the feature-space k-NN's distance GEMM)
+ * computes what a counted multiplyTransposed of the same engine does
+ * against the shifted B, plus the bias, bit for bit under either
+ * policy — the same kernel and build — without touching the engine's
+ * call counts. Its row norms are the serial k-ordered sums.
+ */
+TEST(GemmPacked, PackedTransposedBMatchesLayerGemm)
+{
+    const DispatchPathGuard guard(GemmDispatchPath::Auto);
+    const std::size_t n = 37, k = 64; // 37 = two full panels + 5
+    const Matrix b = randomMatrix(n, k, 96);
+    const Matrix shift = randomMatrix(1, k, 97);
+    const Matrix bias = randomMatrix(1, n, 98);
+    Matrix shifted(n, k);
+    for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            shifted.at(j, kk) = b.at(j, kk) - shift.at(0, kk);
+        }
+    }
+    ScratchArena &arena = ScratchArena::local();
+    std::vector<Matrix> by_policy;
+    for (const GemmMode mode : {GemmMode::Scalar, GemmMode::Auto}) {
+        GemmEngine engine(mode);
+        const ScratchArena::Frame frame(arena);
+        const PackedTransposedB packed(engine, b.data(), n, k,
+                                       shift.data(), arena);
+        std::vector<float> norms(n);
+        packed.rowSquaredNorms(norms.data());
+        for (std::size_t j = 0; j < n; ++j) {
+            float want = 0.0f;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                want += shifted.at(j, kk) * shifted.at(j, kk);
+            }
+            ASSERT_EQ(norms[j], want) << "row " << j;
+        }
+        for (const std::size_t m : {6u, 7u, 50u}) {
+            const Matrix a = randomMatrix(m, k, 99 + m);
+            Matrix want = engine.multiplyTransposed(a, shifted);
+            for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    want.at(i, j) += bias.at(0, j);
+                }
+            }
+            const std::uint64_t fast = engine.fastPathCalls();
+            const std::uint64_t scalar = engine.scalarPathCalls();
+            Matrix got(m, n);
+            packed.multiply(a.data(), m, bias.data(), got.data());
+            expectBitExact(got, want);
+            EXPECT_EQ(engine.fastPathCalls(), fast);
+            EXPECT_EQ(engine.scalarPathCalls(), scalar);
+            if (m == 50) {
+                by_policy.push_back(got);
+            }
+        }
+    }
+    if (GemmEngine::fastKernelAvailable()) {
+        // The two policies ran different builds: FMA rounds each
+        // multiply-add once.
+        EXPECT_NE(by_policy[0].storage(), by_policy[1].storage());
     }
 }
 

@@ -425,6 +425,37 @@ TEST(ScratchArenaZeroAlloc, BruteForceSteadyState)
     EXPECT_EQ(out.queries(), kQueries);
 }
 
+/**
+ * The feature-space k-NN's packed candidates, norms, per-tile distance
+ * rows and heaps all come from the arenas: a warm call allocates only
+ * its output lists and one parallelFor's control block, however many
+ * query tiles it runs.
+ */
+TEST(ScratchArenaZeroAlloc, FeatureSpaceKnnSteadyState)
+{
+    const std::size_t dim = 64;
+    Rng rng(13);
+    std::vector<float> cands(2048 * dim), queries(kQueries * dim);
+    for (auto &v : cands) {
+        v = rng.nextFloat();
+    }
+    for (auto &v : queries) {
+        v = rng.nextFloat();
+    }
+    warmEveryThread([&] {
+        const auto ignored =
+            BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+        static_cast<void>(ignored);
+    });
+    const SteadyState before = snapshot();
+    const auto out =
+        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LE(delta.allocs, kPerCallAllocBudget);
+    EXPECT_EQ(out.queries(), kQueries);
+}
+
 TEST(ScratchArenaZeroAlloc, BallQuerySteadyState)
 {
     const auto pts = randomCloud(2048, 21);

@@ -27,7 +27,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 \
 suppressions=$(pwd)/tools/ci/tsan.supp"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R 'ThreadPool|RobustPipeline|ObsConcurrency|ScratchArena|Serving|BoundedQueue|StagedPipeline|Epilogue'
+    -R 'ThreadPool|RobustPipeline|ObsConcurrency|ScratchArena|Serving|BoundedQueue|StagedPipeline|Epilogue|FeatureKnn'
 
 # The chaos stream exercises watchdog + fault injector + degradation
 # ladder end to end.
