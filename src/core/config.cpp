@@ -1,5 +1,7 @@
 #include "core/config.hpp"
 
+#include "nn/gemm.hpp"
+
 namespace edgepc {
 
 std::string
@@ -14,6 +16,13 @@ variantName(PipelineVariant variant)
         return "S+N+F";
     }
     return "?";
+}
+
+void
+applyGemmMode(const EdgePcConfig &cfg)
+{
+    nn::GemmEngine::globalEngine().setMode(
+        cfg.useTensorCores() ? nn::GemmMode::Auto : nn::GemmMode::Scalar);
 }
 
 EdgePcConfig

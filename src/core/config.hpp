@@ -89,6 +89,16 @@ struct EdgePcConfig
     static EdgePcConfig snf();
 };
 
+/**
+ * Point the process-global GEMM engine at @p cfg's feature-compute
+ * path (EdgePcConfig::useTensorCores: the fast kernels, else scalar).
+ * Every route that runs a model's GEMMs calls it first: the sequential
+ * and staged pipelines and the serving micro-batch. The engine mode is
+ * one process-global field, so two pipelines with different variants
+ * in one process still race on it.
+ */
+void applyGemmMode(const EdgePcConfig &cfg);
+
 } // namespace edgepc
 
 #endif // EDGEPC_CORE_CONFIG_HPP

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -10,14 +9,6 @@ InferencePipeline::InferencePipeline(PointCloudModel &model_,
                                      EdgePcConfig cfg_, EnergyModel energy)
     : model(model_), cfg(cfg_), energyModel(energy)
 {
-}
-
-void
-InferencePipeline::applyGemmMode() const
-{
-    nn::GemmEngine::globalEngine().setMode(cfg.useTensorCores()
-                                               ? nn::GemmMode::Auto
-                                               : nn::GemmMode::Scalar);
 }
 
 PipelineResult
@@ -53,7 +44,7 @@ InferencePipeline::runBatch(std::span<const PointCloud> clouds)
 PipelineResult
 InferencePipeline::runSequential(std::span<const PointCloud> clouds)
 {
-    applyGemmMode();
+    applyGemmMode(cfg);
 
     Timer wall;
     PipelineResult result;

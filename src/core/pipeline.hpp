@@ -95,7 +95,6 @@ class InferencePipeline
     void setConfig(const EdgePcConfig &config) { cfg = config; }
 
   private:
-    void applyGemmMode() const;
     PipelineResult runSequential(std::span<const PointCloud> clouds);
     PipelineResult runStaged(std::span<const PointCloud> clouds);
 

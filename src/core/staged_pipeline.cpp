@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
-#include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -276,11 +275,8 @@ StagedPipeline::featureWorker()
         if (!slot->failed) {
             EDGEPC_TRACE_SCOPE("staged.feature", "pipeline");
             // Only this worker runs GEMMs in staged mode, so the
-            // per-frame config decides the engine mode here (the
-            // sequential path does the same in InferencePipeline).
-            nn::GemmEngine::globalEngine().setMode(
-                slot->cfg.useTensorCores() ? nn::GemmMode::Auto
-                                           : nn::GemmMode::Scalar);
+            // per-frame config decides the engine mode here.
+            applyGemmMode(slot->cfg);
             try {
                 slot->logits = model.stagedFeature(*slot->state,
                                                    slot->cfg,

@@ -66,12 +66,13 @@ class PointCloudModel
     /**
      * Run inference on a batch of independent clouds under one
      * configuration, returning one logits matrix per cloud (in input
-     * order). The default implementation loops infer(); models may
-     * override with a lockstep batched path that stacks the
+     * order; none for an empty batch). The default implementation
+     * loops infer(); models may override it to stack the
      * feature-compute stage across clouds so the GEMM runs at large M
-     * (the serving engine's cross-stream micro-batching hook). An
-     * override must match per-cloud infer() numerics up to GEMM-path
-     * float reassociation.
+     * (the serving engine's cross-stream micro-batching hook), as
+     * PointNetPP does by executing all the clouds' plans at once. An
+     * override must return each cloud's infer() logits bit for bit,
+     * whatever else is in the batch.
      */
     virtual std::vector<nn::Matrix>
     inferBatch(std::span<const PointCloud> clouds, const EdgePcConfig &cfg,

@@ -25,6 +25,51 @@ accumulate(nn::Matrix &acc, const nn::Matrix &g)
     }
 }
 
+/** Times its scope against @p timer's @p stage (or no timer). */
+class StageScope
+{
+  public:
+    StageScope(StageTimer *timer, const char *stage)
+        : scope(timer != nullptr ? *timer : unused, stage)
+    {
+    }
+
+  private:
+    StageTimer unused;
+    StageTimer::ScopedStage scope;
+};
+
+/**
+ * Put one cloud's @p part at row @p offset of a batch's @p stacked
+ * matrix of @p total rows, allocating the stack on first use. A part
+ * that holds every row is the stack itself: moved, not copied.
+ */
+void
+stackRows(nn::Matrix &stacked, std::size_t total, std::size_t offset,
+          nn::Matrix part)
+{
+    if (part.rows() == total) {
+        stacked = std::move(part);
+        return;
+    }
+    if (stacked.rows() != total) {
+        stacked = nn::Matrix(total, part.cols());
+    }
+    std::copy(part.data(), part.data() + part.numel(),
+              stacked.data() + offset * stacked.cols());
+}
+
+/** Rows [offset, offset + rows) of a batch's @p stacked matrix; the
+    whole stack is moved out, not copied. */
+nn::Matrix
+unstackRows(nn::Matrix &stacked, std::size_t offset, std::size_t rows)
+{
+    if (rows == stacked.rows()) {
+        return std::move(stacked);
+    }
+    return nn::sliceRows(stacked, offset, offset + rows);
+}
+
 } // namespace
 
 PointNetPPConfig
@@ -120,6 +165,7 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
         const SaConfig &sa = cfg.sa[si];
         SaBlock block;
         block.conf = sa;
+        block.featDim = level_dims.back();
         std::size_t in_dim = 3 + level_dims.back();
         for (std::size_t wi = 0; wi < sa.mlp.size(); ++wi) {
             const std::size_t width = sa.mlp[wi];
@@ -140,7 +186,11 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
             }
             in_dim = width;
         }
-        block.pool = std::make_unique<nn::MaxPoolNeighbors>(sa.k);
+        if (!sa.mlp.empty()) {
+            nn::Layer *first = block.mlp.layerAt(0);
+            block.firstLinear = dynamic_cast<nn::Linear *>(first);
+            block.singleStage = dynamic_cast<nn::LinearRelu *>(first);
+        }
         level_dims.push_back(in_dim);
         saBlocks.push_back(std::move(block));
     }
@@ -181,710 +231,374 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
     head.setQuantMode(cfg.quantizedInference);
 }
 
+/**
+ * Everything a frame's inference reads besides the weights: the
+ * geometry, planned from positions only, and the input features.
+ * Frame-local heap state only (no arena views, no references into the
+ * model), so a plan may sit in a queue or move between the staged
+ * executor's workers while other frames run.
+ */
+struct PointNetPP::FramePlan : StagedFrame
+{
+    /** One level of the frame's geometry. */
+    struct Level
+    {
+        std::vector<Vec3> positions;
+        // SA module i's plan on level i (empty on the deepest level).
+        std::vector<std::uint32_t> sampleIndices;
+        Structurization structur;
+        bool structurized = false; ///< structur is built.
+        NeighborLists neighbors;
+        bool delayed = false; ///< Delayed aggregation (DESIGN.md §13).
+    };
+
+    std::vector<Level> levels;               ///< sa.size() + 1.
+    std::vector<InterpolationPlan> upsample; ///< One per FP module.
+    nn::Matrix input;                        ///< N x C_0.
+
+    void reset() override;
+};
+
 void
-PointNetPP::saSampleStage(std::size_t module, const EdgePcConfig &config,
-                          StageTimer *timer, LevelState &cur) const
+PointNetPP::FramePlan::reset()
 {
-    const SaBlock &block = saBlocks[module];
-    const std::size_t num_points = cur.positions.size();
-    const std::size_t n = std::min(block.conf.points, num_points);
-
-    const bool morton_sample =
-        config.approximate() &&
-        static_cast<int>(module) < config.optimizedSampleLayers;
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageSample);
-        if (morton_sample) {
-            const MortonSampler sampler(config.codeBits);
-            cur.structur = sampler.structurize(cur.positions);
-            cur.mortonSampled = true;
-            cur.sampleIndices =
-                sampler.sampleStructurized(cur.structur, n);
-        } else {
-            FarthestPointSampler sampler;
-            cur.sampleIndices = sampler.sample(cur.positions, n);
-        }
-    }
-}
-
-NeighborLists
-PointNetPP::saNeighborStage(std::size_t module,
-                            const EdgePcConfig &config,
-                            StageTimer *timer, LevelState &cur) const
-{
-    const SaBlock &block = saBlocks[module];
-    const std::size_t k = block.conf.k;
-
-    NeighborLists neighbors;
-    const bool morton_ns =
-        config.approximate() &&
-        static_cast<int>(module) < config.optimizedNeighborLayers;
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageNeighbor);
-        if (morton_ns) {
-            if (!cur.mortonSampled) {
-                // No structurization to reuse from the sampler: build
-                // one here (its cost counts against this stage).
-                const MortonSampler sampler(config.codeBits);
-                cur.structur = sampler.structurize(cur.positions);
-                cur.mortonSampled = true;
-            }
-            const MortonWindowSearch searcher(config.searchWindow);
-            neighbors = searcher.search(cur.positions, cur.structur,
-                                        cur.sampleIndices, k);
-        } else {
-            std::vector<Vec3> queries(cur.sampleIndices.size());
-            for (std::size_t i = 0; i < queries.size(); ++i) {
-                queries[i] = cur.positions[cur.sampleIndices[i]];
-            }
-            if (block.conf.mode == NeighborMode::BallQuery) {
-                BallQuery searcher(block.conf.radius,
-                                   cfg.fixedPointSearch);
-                neighbors = searcher.search(queries, cur.positions, k);
-            } else {
-                BruteForceKnn searcher(cfg.fixedPointSearch);
-                neighbors = searcher.search(queries, cur.positions, k);
-            }
-        }
-    }
-    return neighbors;
-}
-
-NeighborLists
-PointNetPP::saSampleAndSearch(std::size_t module,
-                              const EdgePcConfig &config,
-                              StageTimer *timer, LevelState &cur)
-{
-    saSampleStage(module, config, timer, cur);
-    return saNeighborStage(module, config, timer, cur);
+    StagedFrame::reset();
+    levels.clear();
+    upsample.clear();
+    input = nn::Matrix{};
 }
 
 void
-PointNetPP::runSaModule(std::size_t module, const EdgePcConfig &config,
-                        StageTimer *timer, bool train)
-{
-    SaBlock &block = saBlocks[module];
-    LevelState &cur = levels[module];
-    LevelState &next = levels[module + 1];
-
-    const NeighborLists neighbors =
-        saSampleAndSearch(module, config, timer, cur);
-
-    // The searchers clamp k when the candidate set is smaller than
-    // the configured neighbor count; everything downstream must use
-    // the effective k.
-    const std::size_t k_eff = neighbors.k;
-    const std::size_t feat_dim = cur.saFeatures.cols();
-
-    // Delayed aggregation (DESIGN.md §13): run the first Linear over
-    // the level's unique rows before the gather. A single-stage
-    // LinearRelu block (the classifier's deepest) has no eager-tail
-    // state to cache, so its delayed route is inference-only.
-    auto *lin0 = block.mlp.size() == 0
-                     ? nullptr
-                     : dynamic_cast<nn::Linear *>(block.mlp.layerAt(0));
-    auto *linrelu0 =
-        block.mlp.size() == 0
-            ? nullptr
-            : dynamic_cast<nn::LinearRelu *>(block.mlp.layerAt(0));
-    const double flop_ratio = nn::saDelayedFlopRatio(
-        cur.positions.size(), cur.sampleIndices.size(), k_eff, feat_dim);
-    block.delayedActive =
-        nn::resolveDelayedAgg(cfg.delayedAggregation, flop_ratio) &&
-        (lin0 != nullptr || (linrelu0 != nullptr && !train));
-
-    if (block.delayedActive) {
-        // The gather no longer feeds a GEMM, so the whole block counts
-        // as feature compute; the grouping stage is what this route
-        // deletes.
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        cur.groupedFeatureDim = feat_dim;
-        nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
-        if (linrelu0 != nullptr) {
-            next.saFeatures = nn::delayedSaSingleStageInfer(
-                cur.positions, cur.saFeatures, cur.sampleIndices,
-                neighbors, linrelu0->weights().value,
-                linrelu0->biases().value, engine);
-        } else {
-            nn::Matrix pre = nn::delayedSaFirstLinear(
-                cur.positions, cur.saFeatures, cur.sampleIndices,
-                neighbors, lin0->weights().value, lin0->biases().value,
-                engine, train ? &block.delayedCache : nullptr);
-            const nn::Matrix activated =
-                block.mlp.forwardFrom(1, std::move(pre), train);
-            block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            next.saFeatures = block.pool->forward(activated, train);
-        }
-        next.positions.resize(cur.sampleIndices.size());
-        for (std::size_t i = 0; i < cur.sampleIndices.size(); ++i) {
-            next.positions[i] = cur.positions[cur.sampleIndices[i]];
-        }
-        return;
-    }
-
-    // --- Grouping stage -------------------------------------------
-    nn::Matrix grouped;
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageGroup);
-        cur.groupedFeatureDim = feat_dim;
-
-        // Relative coordinates (constant w.r.t. learnable activations).
-        const std::size_t rows = cur.sampleIndices.size() * k_eff;
-        nn::Matrix rel(rows, 3);
-        parallelFor(0, cur.sampleIndices.size(), [&](std::size_t i) {
-            const Vec3 center = cur.positions[cur.sampleIndices[i]];
-            const auto row = neighbors.row(i);
-            for (std::size_t j = 0; j < k_eff; ++j) {
-                float *dst = rel.data() + (i * k_eff + j) * 3;
-                const Vec3 d = cur.positions[row[j]] - center;
-                dst[0] = d.x;
-                dst[1] = d.y;
-                dst[2] = d.z;
-            }
-        });
-
-        if (feat_dim > 0) {
-            block.gather.setIndices(neighbors.indices);
-            const nn::Matrix gathered =
-                block.gather.forward(cur.saFeatures, train);
-            grouped = nn::concatCols(rel, gathered);
-        } else {
-            grouped = std::move(rel);
-        }
-    }
-
-    // --- Feature compute stage ------------------------------------
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        const nn::Matrix activated = block.mlp.forward(grouped, train);
-        block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-        next.saFeatures = block.pool->forward(activated, train);
-    }
-
-    next.positions.resize(cur.sampleIndices.size());
-    for (std::size_t i = 0; i < cur.sampleIndices.size(); ++i) {
-        next.positions[i] = cur.positions[cur.sampleIndices[i]];
-    }
-}
-
-InterpolationPlan
-PointNetPP::fpUpsamplePlan(std::size_t fine_index,
-                           const EdgePcConfig &config, StageTimer *timer,
-                           const LevelState &fine_level,
-                           const LevelState &coarse_level) const
-{
-    // --- Up-sampling search (counted as sample stage) --------------
-    InterpolationPlan plan;
-    const bool morton_up =
-        config.approximate() &&
-        static_cast<int>(fine_index) < config.optimizedSampleLayers &&
-        fine_level.mortonSampled;
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageSample);
-        if (morton_up) {
-            const MortonUpsampler upsampler;
-            plan = upsampler.plan(fine_level.positions,
-                                  fine_level.structur,
-                                  fine_level.sampleIndices);
-        } else {
-            plan = exactInterpolation(fine_level.positions,
-                                      coarse_level.positions, 3);
-        }
-    }
-    return plan;
-}
-
-void
-PointNetPP::runFpModule(std::size_t module, const EdgePcConfig &config,
-                        StageTimer *timer, bool train)
-{
-    FpBlock &block = fpBlocks[module];
-    const std::size_t num_levels = levels.size();
-    const std::size_t coarse = num_levels - 1 - module;
-    const std::size_t fine = coarse - 1;
-    LevelState &fine_level = levels[fine];
-
-    InterpolationPlan plan =
-        fpUpsamplePlan(fine, config, timer, fine_level, levels[coarse]);
-
-    // --- Interpolation apply + skip concat (grouping stage) --------
-    nn::Matrix concat;
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageGroup);
-        block.interp.setPlan(std::move(plan));
-        const nn::Matrix up =
-            block.interp.forward(fpFeatures[coarse], train);
-        if (fine_level.saFeatures.cols() > 0) {
-            concat = nn::concatCols(up, fine_level.saFeatures);
-        } else {
-            concat = up;
-        }
-    }
-
-    // --- Feature compute -------------------------------------------
-    {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        fpFeatures[fine] = block.mlp.forward(concat, train);
-    }
-}
-
-nn::Matrix
-PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
-                    StageTimer *timer, bool train)
+PointNetPP::planSample(FramePlan &plan, const PointCloud &cloud,
+                       const EdgePcConfig &config, StageTimer *timer) const
 {
     if (cloud.empty()) {
-        raise(ErrorCode::EmptyCloud, "PointNetPP::forward: empty cloud");
+        raise(ErrorCode::EmptyCloud, "PointNetPP: empty cloud");
     }
     if (cloud.featureDim() != cfg.inputFeatureDim) {
-        raise(ErrorCode::ShapeMismatch, "PointNetPP::forward: cloud feature dim %zu != model %zu",
+        raise(ErrorCode::ShapeMismatch,
+              "PointNetPP: cloud feature dim %zu != model %zu",
               cloud.featureDim(), cfg.inputFeatureDim);
     }
-    trainMode = train;
+    StageScope scope(timer, kStageSample);
+    plan.levels.assign(saBlocks.size() + 1, FramePlan::Level{});
+    plan.levels[0].positions = cloud.positions();
+    plan.input = nn::Matrix(cloud.size(), cfg.inputFeatureDim,
+                            std::vector<float>(cloud.features()));
 
-    levels.assign(cfg.sa.size() + 1, LevelState{});
-    levels[0].positions = cloud.positions();
-    levels[0].saFeatures =
-        nn::Matrix(cloud.size(), cfg.inputFeatureDim,
-                   std::vector<float>(cloud.features()));
+    // The whole sampling chain runs here: level i+1's positions are a
+    // pure gather of level i's samples, so sampling never waits for a
+    // neighbor or feature result.
+    for (std::size_t i = 0; i < saBlocks.size(); ++i) {
+        FramePlan::Level &cur = plan.levels[i];
+        const std::size_t n =
+            std::min(saBlocks[i].conf.points, cur.positions.size());
+        cur.structurized = config.approximate() &&
+                           static_cast<int>(i) < config.optimizedSampleLayers;
+        if (cur.structurized) {
+            const MortonSampler sampler(config.codeBits);
+            cur.structur = sampler.structurize(cur.positions);
+            cur.sampleIndices = sampler.sampleStructurized(cur.structur, n);
+        } else {
+            cur.sampleIndices =
+                FarthestPointSampler().sample(cur.positions, n);
+        }
+        std::vector<Vec3> &next = plan.levels[i + 1].positions;
+        next.resize(cur.sampleIndices.size());
+        for (std::size_t j = 0; j < next.size(); ++j) {
+            next[j] = cur.positions[cur.sampleIndices[j]];
+        }
+    }
+
+    // FP module m up-samples level fine + 1 to fine. Its plan reads
+    // positions only, and reuses fine's structurization exactly when
+    // the sampler above built one.
+    plan.upsample.resize(fpBlocks.size());
+    for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
+        const std::size_t fine = saBlocks.size() - 1 - m;
+        const FramePlan::Level &level = plan.levels[fine];
+        plan.upsample[m] =
+            level.structurized
+                ? MortonUpsampler().plan(level.positions, level.structur,
+                                         level.sampleIndices)
+                : exactInterpolation(level.positions,
+                                     plan.levels[fine + 1].positions, 3);
+    }
+}
+
+void
+PointNetPP::planNeighbors(FramePlan &plan, const EdgePcConfig &config,
+                          StageTimer *timer) const
+{
+    StageScope scope(timer, kStageNeighbor);
+    for (std::size_t i = 0; i < saBlocks.size(); ++i) {
+        const SaBlock &block = saBlocks[i];
+        FramePlan::Level &cur = plan.levels[i];
+        // The sampled centers are the next level's points.
+        const std::vector<Vec3> &queries = plan.levels[i + 1].positions;
+        const std::size_t k = block.conf.k;
+        if (config.approximate() &&
+            static_cast<int>(i) < config.optimizedNeighborLayers) {
+            if (!cur.structurized) {
+                // No structurization to reuse from the sampler: build
+                // one here (its cost counts against this stage).
+                cur.structur =
+                    MortonSampler(config.codeBits).structurize(cur.positions);
+                cur.structurized = true;
+            }
+            cur.neighbors = MortonWindowSearch(config.searchWindow)
+                                .search(cur.positions, cur.structur,
+                                        cur.sampleIndices, k);
+        } else if (block.conf.mode == NeighborMode::BallQuery) {
+            cur.neighbors =
+                BallQuery(block.conf.radius, cfg.fixedPointSearch)
+                    .search(queries, cur.positions, k);
+        } else {
+            cur.neighbors = BruteForceKnn(cfg.fixedPointSearch)
+                                .search(queries, cur.positions, k);
+        }
+        // The one delayed-aggregation decision per (cloud, block). The
+        // searchers clamp k to the candidate count, so it and every
+        // later step use the effective k.
+        cur.delayed = !block.conf.mlp.empty() &&
+                      nn::resolveDelayedAgg(
+                          cfg.delayedAggregation,
+                          nn::saDelayedFlopRatio(
+                              cur.positions.size(), cur.sampleIndices.size(),
+                              cur.neighbors.k, block.featDim));
+    }
+}
+
+std::vector<nn::Matrix>
+PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
+{
+    const std::size_t batch = plans.size();
+    std::vector<nn::Matrix> logits(batch);
+    if (batch == 0) {
+        return logits;
+    }
+    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    // feat[b][l]: cloud b's features on level l. The SA modules fill
+    // the levels downward; each FP module replaces its fine level's
+    // skip features with its output on the way back up.
+    std::vector<std::vector<nn::Matrix>> feat(
+        batch, std::vector<nn::Matrix>(saBlocks.size() + 1));
+    for (std::size_t b = 0; b < batch; ++b) {
+        feat[b][0] = std::move(plans[b]->input);
+    }
+    // Each cloud's rows in the current stacked stage.
+    std::vector<std::size_t> rows(batch);
 
     for (std::size_t i = 0; i < saBlocks.size(); ++i) {
-        runSaModule(i, config, timer, train);
+        SaBlock &block = saBlocks[i];
+        std::size_t total = 0;
+        bool any_delayed = false;
+        for (std::size_t b = 0; b < batch; ++b) {
+            const FramePlan::Level &level = plans[b]->levels[i];
+            rows[b] = level.sampleIndices.size() * level.neighbors.k;
+            total += rows[b];
+            any_delayed = any_delayed || level.delayed;
+        }
+        if (any_delayed && block.singleStage != nullptr) {
+            // Tier A: a delayed single-stage block pools before its one
+            // GEMM's (n*k) rows ever exist, so there is nothing to
+            // stack; every cloud runs alone.
+            StageScope scope(timer, kStageFeature);
+            for (std::size_t b = 0; b < batch; ++b) {
+                const FramePlan::Level &level = plans[b]->levels[i];
+                if (level.delayed) {
+                    feat[b][i + 1] = nn::delayedSaSingleStageInfer(
+                        level.positions, feat[b][i], level.sampleIndices,
+                        level.neighbors, block.singleStage->weights().value,
+                        block.singleStage->biases().value, engine);
+                    continue;
+                }
+                const nn::Matrix activated = block.mlp.forward(
+                    nn::groupWithRelativeCoords(level.positions, feat[b][i],
+                                                level.sampleIndices,
+                                                level.neighbors),
+                    false);
+                feat[b][i + 1] = nn::maxPoolRows(activated, 0, rows[b],
+                                                 level.neighbors.k);
+            }
+        } else {
+            nn::Matrix stacked;
+            std::size_t first_layer = 0;
+            std::size_t offset = 0;
+            if (any_delayed) {
+                // Tier B: every cloud's first-Linear output lands in its
+                // row range (delayed clouds via the unique-row GEMMs,
+                // eager ones via their grouped rows; the packed GEMM is
+                // row-independent), and the tail runs from layer 1.
+                StageScope scope(timer, kStageFeature);
+                for (std::size_t b = 0; b < batch; ++b) {
+                    const FramePlan::Level &level = plans[b]->levels[i];
+                    stackRows(
+                        stacked, total, offset,
+                        level.delayed
+                            ? nn::delayedSaFirstLinear(
+                                  level.positions, feat[b][i],
+                                  level.sampleIndices, level.neighbors,
+                                  block.firstLinear->weights().value,
+                                  block.firstLinear->biases().value, engine,
+                                  nullptr)
+                            : block.firstLinear->forward(
+                                  nn::groupWithRelativeCoords(
+                                      level.positions, feat[b][i],
+                                      level.sampleIndices, level.neighbors),
+                                  false));
+                    offset += rows[b];
+                }
+                first_layer = 1;
+            } else {
+                // Eager: group every cloud straight into its row range
+                // of the stack, so stacking costs no extra pass.
+                StageScope scope(timer, kStageGroup);
+                stacked = nn::Matrix(total, 3 + block.featDim);
+                for (std::size_t b = 0; b < batch; ++b) {
+                    const FramePlan::Level &level = plans[b]->levels[i];
+                    nn::groupWithRelativeCoordsInto(
+                        level.positions, feat[b][i], level.sampleIndices,
+                        level.neighbors,
+                        std::span<float>(
+                            stacked.data() + offset * stacked.cols(),
+                            rows[b] * stacked.cols()));
+                    offset += rows[b];
+                }
+            }
+            // The batched payoff: one tall GEMM per MLP stage, and each
+            // cloud's max-pool reads its row range in place.
+            StageScope scope(timer, kStageFeature);
+            const nn::Matrix activated = block.mlp.forwardSegmented(
+                std::move(stacked), rows, first_layer);
+            offset = 0;
+            for (std::size_t b = 0; b < batch; ++b) {
+                feat[b][i + 1] = nn::maxPoolRows(
+                    activated, offset, rows[b],
+                    plans[b]->levels[i].neighbors.k);
+                offset += rows[b];
+            }
+        }
+        if (isClassifier()) {
+            // No skip connections ahead: free the consumed level now —
+            // with several frames in flight, peak footprint matters.
+            for (std::size_t b = 0; b < batch; ++b) {
+                feat[b][i] = nn::Matrix{};
+            }
+        }
     }
 
-    if (isClassifier()) {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        const nn::Matrix pooled =
-            globalPool.forward(levels.back().saFeatures, train);
-        return head.forward(pooled, train);
-    }
-
-    fpFeatures.assign(levels.size(), nn::Matrix{});
-    fpFeatures.back() = levels.back().saFeatures;
+    nn::Matrix stacked;
     for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
-        runFpModule(m, config, timer, train);
+        const std::size_t fine = saBlocks.size() - 1 - m;
+        std::size_t total = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+            rows[b] = plans[b]->upsample[m].targets();
+            total += rows[b];
+        }
+        const std::size_t up_cols = feat[0][fine + 1].cols();
+        const std::size_t skip_cols = feat[0][fine].cols();
+        stacked = nn::Matrix(total, up_cols + skip_cols);
+        {
+            // Up-sampled features into the left columns and the skip
+            // features into the right columns of the stack: the concat
+            // costs no extra pass.
+            StageScope scope(timer, kStageGroup);
+            std::size_t offset = 0;
+            for (std::size_t b = 0; b < batch; ++b) {
+                float *base = stacked.data() + offset * stacked.cols();
+                nn::applyInterpolationInto(
+                    plans[b]->upsample[m], feat[b][fine + 1],
+                    std::span<float>(base, rows[b] * stacked.cols()),
+                    stacked.cols());
+                if (skip_cols > 0) {
+                    const nn::Matrix &skip = feat[b][fine];
+                    for (std::size_t r = 0; r < rows[b]; ++r) {
+                        const float *src = skip.data() + r * skip_cols;
+                        std::copy(src, src + skip_cols,
+                                  base + r * stacked.cols() + up_cols);
+                    }
+                }
+                feat[b][fine + 1] = nn::Matrix{};
+                feat[b][fine] = nn::Matrix{};
+                offset += rows[b];
+            }
+        }
+        StageScope scope(timer, kStageFeature);
+        stacked = fpBlocks[m].mlp.forwardSegmented(std::move(stacked), rows);
+        if (fine > 0) {
+            std::size_t offset = 0;
+            for (std::size_t b = 0; b < batch; ++b) {
+                feat[b][fine] = unstackRows(stacked, offset, rows[b]);
+                offset += rows[b];
+            }
+        }
     }
 
-    StageTimer dummy;
-    StageTimer::ScopedStage scope(timer ? *timer : dummy, kStageFeature);
-    return head.forward(fpFeatures[0], train);
+    // The head reads the finest FP output still stacked, or (for a
+    // classifier) each cloud's global max-pool.
+    StageScope scope(timer, kStageFeature);
+    if (isClassifier()) {
+        for (std::size_t b = 0; b < batch; ++b) {
+            const nn::Matrix &deepest = feat[b].back();
+            stackRows(stacked, batch, b,
+                      nn::maxPoolRows(deepest, 0, deepest.rows(),
+                                      deepest.rows()));
+            rows[b] = 1;
+        }
+    }
+    stacked = head.forwardSegmented(std::move(stacked), rows);
+    std::size_t offset = 0;
+    for (std::size_t b = 0; b < batch; ++b) {
+        logits[b] = unstackRows(stacked, offset, rows[b]);
+        offset += rows[b];
+    }
+    return logits;
 }
 
 nn::Matrix
 PointNetPP::infer(const PointCloud &cloud, const EdgePcConfig &config,
                   StageTimer *timer)
 {
-    return forward(cloud, config, timer, false);
+    FramePlan plan;
+    planSample(plan, cloud, config, timer);
+    planNeighbors(plan, config, timer);
+    FramePlan *const one[] = {&plan};
+    return std::move(execute(one, timer)[0]);
 }
 
 std::vector<nn::Matrix>
 PointNetPP::inferBatch(std::span<const PointCloud> clouds,
                        const EdgePcConfig &config, StageTimer *timer)
 {
-    if (clouds.size() <= 1) {
-        // Stacking a single cloud buys nothing; take the plain path.
-        std::vector<nn::Matrix> out;
-        for (const PointCloud &cloud : clouds) {
-            out.push_back(infer(cloud, config, timer));
-        }
-        return out;
+    std::vector<FramePlan> plans(clouds.size());
+    std::vector<FramePlan *> views(clouds.size());
+    for (std::size_t b = 0; b < clouds.size(); ++b) {
+        planSample(plans[b], clouds[b], config, timer);
+        planNeighbors(plans[b], config, timer);
+        views[b] = &plans[b];
     }
-    for (const PointCloud &cloud : clouds) {
-        if (cloud.empty()) {
-            raise(ErrorCode::EmptyCloud,
-                  "PointNetPP::inferBatch: empty cloud");
-        }
-        if (cloud.featureDim() != cfg.inputFeatureDim) {
-            raise(ErrorCode::ShapeMismatch,
-                  "PointNetPP::inferBatch: cloud feature dim %zu != "
-                  "model %zu",
-                  cloud.featureDim(), cfg.inputFeatureDim);
-        }
-    }
-
-    const std::size_t batch = clouds.size();
-    const std::size_t num_levels = cfg.sa.size() + 1;
-    // Per-cloud level states, advanced in lockstep. Geometry stages
-    // use the free-function grouping path rather than the
-    // GroupingLayer/InterpolateLayer members, so the training caches
-    // of the single-cloud path stay untouched.
-    std::vector<std::vector<LevelState>> st(
-        batch, std::vector<LevelState>(num_levels));
-    for (std::size_t b = 0; b < batch; ++b) {
-        st[b][0].positions = clouds[b].positions();
-        st[b][0].saFeatures =
-            nn::Matrix(clouds[b].size(), cfg.inputFeatureDim,
-                       std::vector<float>(clouds[b].features()));
-    }
-
-    std::vector<nn::Matrix> parts(batch);
-    std::vector<std::size_t> seg_rows(batch);
-    std::vector<std::size_t> k_eff(batch);
-    std::vector<NeighborLists> neigh(batch);
-
-    for (std::size_t i = 0; i < saBlocks.size(); ++i) {
-        SaBlock &block = saBlocks[i];
-        auto *lin0 = block.mlp.size() == 0
-                         ? nullptr
-                         : dynamic_cast<nn::Linear *>(block.mlp.layerAt(0));
-        auto *linrelu0 =
-            block.mlp.size() == 0
-                ? nullptr
-                : dynamic_cast<nn::LinearRelu *>(block.mlp.layerAt(0));
-        std::size_t total_rows = 0;
-        // The delayed-aggregation decision is per cloud with exactly
-        // the single-cloud formula, so each cloud's logits keep
-        // matching infer() whatever the batch composition.
-        std::vector<char> delayed(batch, 0);
-        bool any_delayed = false;
-        for (std::size_t b = 0; b < batch; ++b) {
-            LevelState &cur = st[b][i];
-            neigh[b] = saSampleAndSearch(i, config, timer, cur);
-            k_eff[b] = neigh[b].k;
-            seg_rows[b] = cur.sampleIndices.size() * neigh[b].k;
-            total_rows += seg_rows[b];
-            const double flop_ratio = nn::saDelayedFlopRatio(
-                cur.positions.size(), cur.sampleIndices.size(), k_eff[b],
-                cur.saFeatures.cols());
-            delayed[b] =
-                nn::resolveDelayedAgg(cfg.delayedAggregation,
-                                      flop_ratio) &&
-                        (lin0 != nullptr || linrelu0 != nullptr)
-                    ? 1
-                    : 0;
-            any_delayed = any_delayed || delayed[b] != 0;
-        }
-        if (any_delayed && linrelu0 != nullptr) {
-            // Single-stage BN-free block (classifier deepest): the
-            // fully delayed route never materializes a stacked matrix,
-            // so there is nothing to batch — run per cloud.
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            for (std::size_t b = 0; b < batch; ++b) {
-                LevelState &cur = st[b][i];
-                if (delayed[b] != 0) {
-                    st[b][i + 1].saFeatures =
-                        nn::delayedSaSingleStageInfer(
-                            cur.positions, cur.saFeatures,
-                            cur.sampleIndices, neigh[b],
-                            linrelu0->weights().value,
-                            linrelu0->biases().value,
-                            nn::GemmEngine::globalEngine());
-                    continue;
-                }
-                const nn::Matrix grouped = nn::groupWithRelativeCoords(
-                    cur.positions, cur.saFeatures, cur.sampleIndices,
-                    neigh[b]);
-                const nn::Matrix activated =
-                    block.mlp.forward(grouped, false);
-                st[b][i + 1].saFeatures = nn::maxPoolRows(
-                    activated, 0, seg_rows[b], k_eff[b]);
-            }
-        } else if (any_delayed) {
-            // Tier-B mixed batch: every cloud's first-Linear output
-            // lands in its row range (delayed clouds via the
-            // unique-row GEMMs, eager ones via grouped rows — the
-            // packed GEMM is row-independent, so each row is bit-exact
-            // with the cloud's single-cloud route), then the BN+ReLU
-            // tail runs segmented from layer 1.
-            nn::Matrix stacked(total_rows, lin0->outDim());
-            {
-                StageTimer dummy;
-                StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                              kStageFeature);
-                std::size_t offset = 0;
-                for (std::size_t b = 0; b < batch; ++b) {
-                    LevelState &cur = st[b][i];
-                    nn::Matrix pre;
-                    if (delayed[b] != 0) {
-                        pre = nn::delayedSaFirstLinear(
-                            cur.positions, cur.saFeatures,
-                            cur.sampleIndices, neigh[b],
-                            lin0->weights().value, lin0->biases().value,
-                            nn::GemmEngine::globalEngine(), nullptr);
-                    } else {
-                        const nn::Matrix grouped =
-                            nn::groupWithRelativeCoords(
-                                cur.positions, cur.saFeatures,
-                                cur.sampleIndices, neigh[b]);
-                        pre = lin0->forward(grouped, false);
-                    }
-                    std::copy(pre.data(), pre.data() + pre.numel(),
-                              stacked.data() + offset * stacked.cols());
-                    offset += seg_rows[b];
-                }
-            }
-            {
-                StageTimer dummy;
-                StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                              kStageFeature);
-                const nn::Matrix activated = block.mlp.forwardSegmented(
-                    std::move(stacked), seg_rows, 1);
-                std::size_t offset = 0;
-                for (std::size_t b = 0; b < batch; ++b) {
-                    st[b][i + 1].saFeatures = nn::maxPoolRows(
-                        activated, offset, seg_rows[b], k_eff[b]);
-                    offset += seg_rows[b];
-                }
-            }
-        } else {
-        // Group every cloud straight into its row range of the
-        // stacked batch: the stacking itself costs no extra pass.
-        nn::Matrix stacked(total_rows,
-                           3 + st[0][i].saFeatures.cols());
-        {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageGroup);
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                LevelState &cur = st[b][i];
-                nn::groupWithRelativeCoordsInto(
-                    cur.positions, cur.saFeatures, cur.sampleIndices,
-                    neigh[b],
-                    std::span<float>(stacked.data() +
-                                         offset * stacked.cols(),
-                                     seg_rows[b] * stacked.cols()));
-                offset += seg_rows[b];
-            }
-        }
-        {
-            // The batched payoff: one tall GEMM per MLP stage instead
-            // of `batch` skinny ones, and the per-cloud max-pool reads
-            // its row range of the stacked activation in place.
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            const nn::Matrix activated =
-                block.mlp.forwardSegmented(std::move(stacked), seg_rows);
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                st[b][i + 1].saFeatures = nn::maxPoolRows(
-                    activated, offset, seg_rows[b], k_eff[b]);
-                offset += seg_rows[b];
-            }
-        }
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-            const LevelState &cur = st[b][i];
-            LevelState &next = st[b][i + 1];
-            next.positions.resize(cur.sampleIndices.size());
-            for (std::size_t j = 0; j < cur.sampleIndices.size(); ++j) {
-                next.positions[j] = cur.positions[cur.sampleIndices[j]];
-            }
-        }
-    }
-
-    std::vector<nn::Matrix> logits(batch);
-    if (isClassifier()) {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        for (std::size_t b = 0; b < batch; ++b) {
-            nn::GlobalMaxPool pool;
-            parts[b] = pool.forward(st[b].back().saFeatures, false);
-            seg_rows[b] = 1;
-        }
-        const nn::Matrix out =
-            head.forwardSegmented(nn::concatRows(parts), seg_rows);
-        for (std::size_t b = 0; b < batch; ++b) {
-            logits[b] = nn::sliceRows(out, b, b + 1);
-        }
-        return logits;
-    }
-
-    std::vector<std::vector<nn::Matrix>> fp_feat(
-        batch, std::vector<nn::Matrix>(num_levels));
-    for (std::size_t b = 0; b < batch; ++b) {
-        fp_feat[b].back() = st[b].back().saFeatures;
-    }
-    std::vector<InterpolationPlan> plans(batch);
-    // Stacked output of the last (finest) FP module: it feeds the
-    // segmentation head still stacked, skipping a slice + re-concat.
-    nn::Matrix fp0_stacked;
-    for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
-        FpBlock &block = fpBlocks[m];
-        const std::size_t coarse = num_levels - 1 - m;
-        const std::size_t fine = coarse - 1;
-        std::size_t total_rows = 0;
-        for (std::size_t b = 0; b < batch; ++b) {
-            plans[b] = fpUpsamplePlan(fine, config, timer, st[b][fine],
-                                      st[b][coarse]);
-            seg_rows[b] = plans[b].targets();
-            total_rows += seg_rows[b];
-        }
-        const std::size_t up_cols = fp_feat[0][coarse].cols();
-        const std::size_t sa_cols = st[0][fine].saFeatures.cols();
-        // Upsample into the left columns and the skip features into
-        // the right columns of the stacked batch directly, replacing
-        // the per-cloud concatCols + concatRows passes.
-        nn::Matrix stacked(total_rows, up_cols + sa_cols);
-        {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageGroup);
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                float *base =
-                    stacked.data() + offset * stacked.cols();
-                nn::applyInterpolationInto(
-                    plans[b], fp_feat[b][coarse],
-                    std::span<float>(base,
-                                     seg_rows[b] * stacked.cols()),
-                    stacked.cols());
-                if (sa_cols > 0) {
-                    const nn::Matrix &skip = st[b][fine].saFeatures;
-                    for (std::size_t r = 0; r < seg_rows[b]; ++r) {
-                        const float *src = skip.data() + r * sa_cols;
-                        std::copy(src, src + sa_cols,
-                                  base + r * stacked.cols() + up_cols);
-                    }
-                }
-                offset += seg_rows[b];
-            }
-        }
-        {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            nn::Matrix out =
-                block.mlp.forwardSegmented(std::move(stacked), seg_rows);
-            if (fine == 0) {
-                fp0_stacked = std::move(out);
-                continue;
-            }
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                fp_feat[b][fine] = nn::sliceRows(out, offset,
-                                                 offset + seg_rows[b]);
-                offset += seg_rows[b];
-            }
-        }
-    }
-
-    StageTimer dummy;
-    StageTimer::ScopedStage scope(timer ? *timer : dummy, kStageFeature);
-    if (fp0_stacked.rows() == 0) {
-        // No FP module produced the finest level stacked (e.g. a
-        // headless FP configuration): stack the per-cloud features.
-        for (std::size_t b = 0; b < batch; ++b) {
-            parts[b] = std::move(fp_feat[b][0]);
-            seg_rows[b] = parts[b].rows();
-        }
-        fp0_stacked = nn::concatRows(parts);
-    }
-    const nn::Matrix out =
-        head.forwardSegmented(std::move(fp0_stacked), seg_rows);
-    std::size_t offset = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-        logits[b] = nn::sliceRows(out, offset, offset + seg_rows[b]);
-        offset += seg_rows[b];
-    }
-    return logits;
+    return execute(views, timer);
 }
-
-/**
- * Per-frame context handed between the staged executor's workers. All
- * members are frame-local heap state (no arena views, no references
- * into the model), so a frame may sit in a queue or run on any stage
- * worker while other frames occupy the other stages.
- */
-struct PointNetPP::StagedState : StagedFrame
-{
-    std::vector<LevelState> levels;
-    std::vector<NeighborLists> neighbors;
-    std::vector<InterpolationPlan> plans;
-
-    void reset() override
-    {
-        StagedFrame::reset();
-        levels.clear();
-        neighbors.clear();
-        plans.clear();
-    }
-};
 
 std::unique_ptr<StagedFrame>
 PointNetPP::makeStagedFrame()
 {
-    return std::make_unique<StagedState>();
+    return std::make_unique<FramePlan>();
 }
 
 void
 PointNetPP::stagedSample(StagedFrame &frame, const PointCloud &cloud,
                          const EdgePcConfig &config, StageTimer *timer)
 {
-    auto &st = static_cast<StagedState &>(frame);
-    if (cloud.empty()) {
-        raise(ErrorCode::EmptyCloud,
-              "PointNetPP::stagedSample: empty cloud");
-    }
-    if (cloud.featureDim() != cfg.inputFeatureDim) {
-        raise(ErrorCode::ShapeMismatch,
-              "PointNetPP::stagedSample: cloud feature dim %zu != "
-              "model %zu",
-              cloud.featureDim(), cfg.inputFeatureDim);
-    }
-    const std::size_t num_levels = cfg.sa.size() + 1;
-    st.levels.assign(num_levels, LevelState{});
-    st.neighbors.assign(cfg.sa.size(), NeighborLists{});
-    st.plans.assign(cfg.fp.size(), InterpolationPlan{});
-    st.levels[0].positions = cloud.positions();
-    st.levels[0].saFeatures =
-        nn::Matrix(cloud.size(), cfg.inputFeatureDim,
-                   std::vector<float>(cloud.features()));
-
-    // The whole sampling chain runs here: level i+1's positions are a
-    // pure gather of level i's sample indices, so no neighbor or
-    // feature result is ever needed to keep sampling.
-    for (std::size_t i = 0; i < saBlocks.size(); ++i) {
-        LevelState &cur = st.levels[i];
-        saSampleStage(i, config, timer, cur);
-        LevelState &next = st.levels[i + 1];
-        next.positions.resize(cur.sampleIndices.size());
-        for (std::size_t j = 0; j < cur.sampleIndices.size(); ++j) {
-            next.positions[j] = cur.positions[cur.sampleIndices[j]];
-        }
-    }
-
-    // FP up-sample plans read only positions / structurizations; the
-    // morton_up reuse condition (fine level under optimizedSampleLayers)
-    // implies the sampler above already built that structurization, so
-    // planning here is exactly the plan the sequential path computes.
-    for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
-        const std::size_t coarse = num_levels - 1 - m;
-        const std::size_t fine = coarse - 1;
-        st.plans[m] = fpUpsamplePlan(fine, config, timer,
-                                     st.levels[fine], st.levels[coarse]);
-    }
+    planSample(static_cast<FramePlan &>(frame), cloud, config, timer);
 }
 
 void
 PointNetPP::stagedNeighbor(StagedFrame &frame, const EdgePcConfig &config,
                            StageTimer *timer)
 {
-    auto &st = static_cast<StagedState &>(frame);
-    for (std::size_t i = 0; i < saBlocks.size(); ++i) {
-        st.neighbors[i] = saNeighborStage(i, config, timer, st.levels[i]);
-    }
+    planNeighbors(static_cast<FramePlan &>(frame), config, timer);
 }
 
 nn::Matrix
@@ -892,121 +606,87 @@ PointNetPP::stagedFeature(StagedFrame &frame, const EdgePcConfig &config,
                           StageTimer *timer)
 {
     (void)config;
-    auto &st = static_cast<StagedState &>(frame);
-    const std::size_t num_levels = st.levels.size();
+    FramePlan *const one[] = {&static_cast<FramePlan &>(frame)};
+    return std::move(execute(one, timer)[0]);
+}
 
+nn::Matrix
+PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
+                    StageTimer *timer, bool train)
+{
+    if (!train) {
+        return infer(cloud, config, timer);
+    }
+    FramePlan plan;
+    planSample(plan, cloud, config, timer);
+    planNeighbors(plan, config, timer);
+    trainMode = true;
+
+    // execute()'s compute for one plan, through the layers' training
+    // forwards so that backward() finds their caches.
+    std::vector<nn::Matrix> feat(plan.levels.size());
+    feat[0] = std::move(plan.input);
     for (std::size_t i = 0; i < saBlocks.size(); ++i) {
         SaBlock &block = saBlocks[i];
-        LevelState &cur = st.levels[i];
-        LevelState &next = st.levels[i + 1];
-        const NeighborLists &neighbors = st.neighbors[i];
-        const std::size_t k_eff = neighbors.k;
-        const std::size_t feat_dim = cur.saFeatures.cols();
-        const std::size_t rows = cur.sampleIndices.size() * k_eff;
-
-        // Same per-frame delayed-aggregation decision as runSaModule
-        // (inference mode), but without touching block.delayedActive:
-        // the training route must not observe serving traffic.
-        auto *lin0 =
-            block.mlp.size() == 0
-                ? nullptr
-                : dynamic_cast<nn::Linear *>(block.mlp.layerAt(0));
-        auto *linrelu0 =
-            block.mlp.size() == 0
-                ? nullptr
-                : dynamic_cast<nn::LinearRelu *>(block.mlp.layerAt(0));
-        const double flop_ratio = nn::saDelayedFlopRatio(
-            cur.positions.size(), cur.sampleIndices.size(), k_eff,
-            feat_dim);
-        const bool delayed =
-            nn::resolveDelayedAgg(cfg.delayedAggregation, flop_ratio) &&
-            (lin0 != nullptr || linrelu0 != nullptr);
-
-        if (delayed && linrelu0 != nullptr) {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            next.saFeatures = nn::delayedSaSingleStageInfer(
-                cur.positions, cur.saFeatures, cur.sampleIndices,
-                neighbors, linrelu0->weights().value,
-                linrelu0->biases().value,
-                nn::GemmEngine::globalEngine());
-        } else if (delayed) {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            nn::Matrix pre = nn::delayedSaFirstLinear(
-                cur.positions, cur.saFeatures, cur.sampleIndices,
-                neighbors, lin0->weights().value, lin0->biases().value,
-                nn::GemmEngine::globalEngine(), nullptr);
-            const nn::Matrix activated =
-                block.mlp.forwardFrom(1, std::move(pre), false);
-            next.saFeatures =
-                nn::maxPoolRows(activated, 0, rows, k_eff);
+        const FramePlan::Level &cur = plan.levels[i];
+        // A single-stage block's delayed route keeps nothing for
+        // backward, so training runs that block eager.
+        block.delayedActive = cur.delayed && block.firstLinear != nullptr;
+        block.pool = std::make_unique<nn::MaxPoolNeighbors>(cur.neighbors.k);
+        nn::Matrix activated;
+        if (block.delayedActive) {
+            StageScope scope(timer, kStageFeature);
+            activated = block.mlp.forwardFrom(
+                1,
+                nn::delayedSaFirstLinear(
+                    cur.positions, feat[i], cur.sampleIndices,
+                    cur.neighbors, block.firstLinear->weights().value,
+                    block.firstLinear->biases().value,
+                    nn::GemmEngine::globalEngine(), &block.delayedCache),
+                true);
         } else {
             nn::Matrix grouped;
             {
-                StageTimer dummy;
-                StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                              kStageGroup);
+                StageScope scope(timer, kStageGroup);
                 grouped = nn::groupWithRelativeCoords(
-                    cur.positions, cur.saFeatures, cur.sampleIndices,
-                    neighbors);
+                    cur.positions, nn::Matrix{}, cur.sampleIndices,
+                    cur.neighbors);
+                if (block.featDim > 0) {
+                    // The feature half goes through the gather layer,
+                    // whose backward scatters the gradient back.
+                    block.gather.setIndices(cur.neighbors.indices);
+                    grouped = nn::concatCols(
+                        grouped, block.gather.forward(feat[i], true));
+                }
             }
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageFeature);
-            const nn::Matrix activated =
-                block.mlp.forward(grouped, false);
-            next.saFeatures =
-                nn::maxPoolRows(activated, 0, rows, k_eff);
+            StageScope scope(timer, kStageFeature);
+            activated = block.mlp.forward(grouped, true);
         }
-        if (isClassifier()) {
-            // No skip connections ahead: free the consumed level now —
-            // with several frames in flight, peak footprint matters.
-            cur.saFeatures = nn::Matrix{};
-        }
+        StageScope scope(timer, kStageFeature);
+        feat[i + 1] = block.pool->forward(activated, true);
     }
 
     if (isClassifier()) {
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        nn::GlobalMaxPool pool;
-        const nn::Matrix pooled =
-            pool.forward(st.levels.back().saFeatures, false);
-        return head.forward(pooled, false);
+        StageScope scope(timer, kStageFeature);
+        return head.forward(globalPool.forward(feat.back(), true), true);
     }
-
-    std::vector<nn::Matrix> fp_feat(num_levels);
-    fp_feat.back() = std::move(st.levels.back().saFeatures);
     for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
         FpBlock &block = fpBlocks[m];
-        const std::size_t coarse = num_levels - 1 - m;
-        const std::size_t fine = coarse - 1;
-        const LevelState &fine_level = st.levels[fine];
+        const std::size_t fine = saBlocks.size() - 1 - m;
         nn::Matrix concat;
         {
-            StageTimer dummy;
-            StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                          kStageGroup);
-            const nn::Matrix up =
-                nn::applyInterpolation(st.plans[m], fp_feat[coarse]);
-            if (fine_level.saFeatures.cols() > 0) {
-                concat = nn::concatCols(up, fine_level.saFeatures);
-            } else {
-                concat = up;
+            StageScope scope(timer, kStageGroup);
+            block.interp.setPlan(std::move(plan.upsample[m]));
+            concat = block.interp.forward(feat[fine + 1], true);
+            if (feat[fine].cols() > 0) {
+                concat = nn::concatCols(concat, feat[fine]);
             }
         }
-        StageTimer dummy;
-        StageTimer::ScopedStage scope(timer ? *timer : dummy,
-                                      kStageFeature);
-        fp_feat[fine] = block.mlp.forward(concat, false);
+        StageScope scope(timer, kStageFeature);
+        feat[fine] = block.mlp.forward(concat, true);
     }
-
-    StageTimer dummy;
-    StageTimer::ScopedStage scope(timer ? *timer : dummy, kStageFeature);
-    return head.forward(fp_feat[0], false);
+    StageScope scope(timer, kStageFeature);
+    return head.forward(feat[0], true);
 }
 
 void
@@ -1016,7 +696,7 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("PointNetPP::backward without forward(train=true)");
     }
-    const std::size_t num_levels = levels.size();
+    const std::size_t num_levels = saBlocks.size() + 1;
 
     // Gradients w.r.t. each level's SA-output features.
     std::vector<nn::Matrix> grad_sa(num_levels);
@@ -1039,7 +719,7 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
             nn::Matrix grad_concat =
                 block.mlp.backward(grad_fp[fine]);
             const std::size_t up_cols =
-                grad_concat.cols() - levels[fine].saFeatures.cols();
+                grad_concat.cols() - saBlocks[fine].featDim;
             auto [up_grad, skip_grad] =
                 nn::splitCols(grad_concat, up_cols);
 
@@ -1068,21 +748,18 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
         if (block.delayedActive) {
             // Delayed route: the tail stops at layer 1 and the first
             // Linear's gradients come from the scatter/segment-sum
-            // formulation. Training never delays a LinearRelu-first
-            // block, so layer 0 is a plain Linear here.
+            // formulation.
             nn::Matrix pre_grad = block.mlp.backwardFrom(1, act_grad);
-            auto *lin0 =
-                static_cast<nn::Linear *>(block.mlp.layerAt(0));
             nn::Matrix feat_grad = nn::delayedSaFirstLinearBackward(
-                block.delayedCache, pre_grad, lin0->weights(),
-                lin0->biases(), nn::GemmEngine::globalEngine());
-            if (levels[i].groupedFeatureDim > 0) {
+                block.delayedCache, pre_grad, block.firstLinear->weights(),
+                block.firstLinear->biases(), nn::GemmEngine::globalEngine());
+            if (block.featDim > 0) {
                 accumulate(grad_sa[i], feat_grad);
             }
             continue;
         }
         nn::Matrix grouped_grad = block.mlp.backward(act_grad);
-        if (levels[i].groupedFeatureDim > 0) {
+        if (block.featDim > 0) {
             auto [rel_grad, feat_grad] = nn::splitCols(grouped_grad, 3);
             (void)rel_grad; // Coordinates carry no learnable gradient.
             accumulate(grad_sa[i], block.gather.backward(feat_grad));

@@ -130,7 +130,21 @@ struct PointNetPPConfig
                                                std::size_t num_classes);
 };
 
-/** PointNet++ with selectable baseline / EdgePC kernels. */
+/**
+ * PointNet++ with selectable baseline / EdgePC kernels.
+ *
+ * Inference is one route in two steps (DESIGN.md §14). Planning reads
+ * positions only: its sample half runs the whole sampling chain and
+ * every FP module's up-sampling plan, its neighbor half every SA
+ * module's neighbor search and delayed-aggregation decision. Execution
+ * then runs the feature compute of one plan or of a row-stacked batch
+ * of plans. infer() plans and executes one cloud, inferBatch() many,
+ * and the staged executor runs the two plan halves on its sample and
+ * neighbor workers and execution on its feature worker, with the plan
+ * as the staged frame. Inference writes no model member, so one
+ * frame's plan halves may run while another frame executes, and
+ * infer() may run between a training forward and its backward.
+ */
 class PointNetPP : public TrainableModel
 {
   public:
@@ -144,48 +158,38 @@ class PointNetPP : public TrainableModel
                      StageTimer *timer = nullptr) override;
 
     /**
-     * Lockstep batched inference: each cloud runs its own sample /
-     * neighbor-search / grouping stages (per-cloud geometry cannot be
-     * merged), but the shared-MLP feature compute runs once over the
-     * row-stacked batch via Sequential::forwardSegmented, so the
-     * packed GEMM sees a tall M instead of B skinny calls. BatchNorm
-     * segments keep per-cloud instance statistics, so each cloud's
-     * logits match single-cloud infer() up to GEMM-path float
-     * reassociation. Does not touch the training-state members
-     * (levels / fpFeatures / layer caches).
+     * Plans every cloud, then executes the plans together: each
+     * shared-MLP stage runs once over the row-stacked batch via
+     * Sequential::forwardSegmented, so the packed GEMM sees a tall M
+     * instead of B skinny calls. BatchNorm keeps per-cloud statistics
+     * and int8-capable layers run per cloud, so each cloud's logits
+     * equal its infer() logits bit for bit.
      */
     std::vector<nn::Matrix> inferBatch(std::span<const PointCloud> clouds,
                                        const EdgePcConfig &cfg,
                                        StageTimer *timer = nullptr) override;
 
-    /**
-     * Real three-way stage split for the staged executor
-     * (core/staged_pipeline.hpp). The key structural fact: every SA
-     * level's sample set depends only on positions, which derive from
-     * the previous level's sample indices — so the whole sampling
-     * chain (and the FP up-sample plans, which read only positions /
-     * structurizations) runs in the sample stage, all neighbor
-     * searches in the neighbor stage, and the gather + GEMM + pool +
-     * FP-apply + head in the feature stage. The feature stage uses
-     * the same stateless free-function route as inferBatch (never the
-     * gather/pool/interp layer members), so per-frame logits match
-     * sequential infer() and concurrent frames never share state.
-     */
     bool supportsStagedInfer() const override { return true; }
     std::unique_ptr<StagedFrame> makeStagedFrame() override;
+    /** The plan's sample half into the frame. */
     void stagedSample(StagedFrame &frame, const PointCloud &cloud,
                       const EdgePcConfig &config,
                       StageTimer *timer) override;
+    /** The plan's neighbor half. */
     void stagedNeighbor(StagedFrame &frame, const EdgePcConfig &config,
                         StageTimer *timer) override;
+    /** Executes the frame's plan. */
     nn::Matrix stagedFeature(StagedFrame &frame,
                              const EdgePcConfig &config,
                              StageTimer *timer) override;
 
     /**
-     * Forward pass keeping intermediates when @p train is true.
-     * Returns per-point logits (N x classes) for segmentation or a
-     * single-row logit matrix for classification.
+     * Forward pass. With @p train it plans like infer() and runs the
+     * same feature compute, keeping the layer caches backward() needs
+     * (a single-stage block takes the eager route, the only one with a
+     * backward); without, it is infer(). Returns per-point logits
+     * (N x classes) for segmentation or a single-row logit matrix for
+     * classification.
      */
     nn::Matrix forward(const PointCloud &cloud, const EdgePcConfig &cfg,
                        StageTimer *timer, bool train);
@@ -210,11 +214,18 @@ class PointNetPP : public TrainableModel
     struct SaBlock
     {
         SaConfig conf;
+        /** Feature channels C_i of the level the block groups. */
+        std::size_t featDim = 0;
         nn::Sequential mlp;
+        /** mlp's first layer when it is a plain Linear, which the
+            delayed route runs itself (over the unique points). */
+        nn::Linear *firstLinear = nullptr;
+        /** mlp's first layer when it is a fused LinearRelu: the block
+            is single-stage and its delayed route also pools first. */
+        nn::LinearRelu *singleStage = nullptr;
+        // Training caches (written by forward(train=true) only).
         nn::GroupingLayer gather;
         std::unique_ptr<nn::MaxPoolNeighbors> pool;
-        /** Route taken by the last training forward (backward follows
-            the same route over the same parameters). */
         bool delayedActive = false;
         nn::DelayedSaCache delayedCache;
     };
@@ -223,64 +234,33 @@ class PointNetPP : public TrainableModel
     {
         FpConfig conf;
         nn::Sequential mlp;
-        nn::InterpolateLayer interp;
+        nn::InterpolateLayer interp; ///< Training cache.
     };
 
-    /** Per-level activations saved across a forward pass. */
-    struct LevelState
-    {
-        std::vector<Vec3> positions;
-        nn::Matrix saFeatures; ///< Features after SA (level 0: input).
-        std::vector<std::uint32_t> sampleIndices;
-        Structurization structur;
-        bool mortonSampled = false;
-        std::size_t groupedFeatureDim = 0; ///< C_i fed to SA grouping.
-    };
+    /** One frame's plan, the staged frame (defined in the .cpp). */
+    struct FramePlan;
 
-    void runSaModule(std::size_t module, const EdgePcConfig &cfg,
-                     StageTimer *timer, bool train);
-    void runFpModule(std::size_t module, const EdgePcConfig &cfg,
-                     StageTimer *timer, bool train);
+    /** Plan, sample half (kStageSample): validate @p cloud, take its
+        positions and features, run the sampling chain and the FP
+        up-sampling plans. */
+    void planSample(FramePlan &plan, const PointCloud &cloud,
+                    const EdgePcConfig &config, StageTimer *timer) const;
 
-    /** Per-frame context of the staged split (defined in the .cpp). */
-    struct StagedState;
+    /** Plan, neighbor half (kStageNeighbor): every SA module's
+        neighbor lists and delayed-aggregation decision. */
+    void planNeighbors(FramePlan &plan, const EdgePcConfig &config,
+                       StageTimer *timer) const;
 
-    /** SA sample stage on @p cur: structurize + sample (or FPS),
-        filling cur.sampleIndices / structur / mortonSampled. */
-    void saSampleStage(std::size_t module, const EdgePcConfig &cfg,
-                       StageTimer *timer, LevelState &cur) const;
-
-    /** SA neighbor-search stage on @p cur (builds a structurization
-        itself when the sampler didn't leave one to reuse). */
-    NeighborLists saNeighborStage(std::size_t module,
-                                  const EdgePcConfig &cfg,
-                                  StageTimer *timer,
-                                  LevelState &cur) const;
-
-    /** SA sample + neighbor-search stages on @p cur (shared by the
-        single-cloud and batched paths; @p cur need not be a member
-        LevelState). */
-    NeighborLists saSampleAndSearch(std::size_t module,
-                                    const EdgePcConfig &cfg,
-                                    StageTimer *timer, LevelState &cur);
-
-    /** FP up-sampling plan for propagating level @p fine_index + 1
-        down to @p fine_index (shared by both paths). */
-    InterpolationPlan fpUpsamplePlan(std::size_t fine_index,
-                                     const EdgePcConfig &cfg,
-                                     StageTimer *timer,
-                                     const LevelState &fine_level,
-                                     const LevelState &coarse_level) const;
+    /** The feature compute of @p plans, row-stacked; one logits matrix
+        per plan. Consumes each plan's input features. */
+    std::vector<nn::Matrix> execute(std::span<FramePlan *const> plans,
+                                    StageTimer *timer);
 
     PointNetPPConfig cfg;
     std::vector<SaBlock> saBlocks;
     std::vector<FpBlock> fpBlocks;
     nn::Sequential head;
-    nn::GlobalMaxPool globalPool;
-
-    // Forward state.
-    std::vector<LevelState> levels;
-    std::vector<nn::Matrix> fpFeatures; ///< G_l per level.
+    nn::GlobalMaxPool globalPool; ///< Training cache (classifier).
     bool trainMode = false;
 };
 

@@ -48,11 +48,11 @@ class Layer
 
     /**
      * True when inference-mode forward() treats every row
-     * independently (row-wise Linear / activation layers).
+     * independently (row-wise fp32 Linear / activation layers).
      * Sequential::forwardSegmented runs such layers once over a whole
      * row-stacked batch of clouds (large-M GEMM), while layers with
-     * cross-row statistics (BatchNorm's per-cloud instance stats)
-     * fall back to per-segment execution.
+     * cross-row state (BatchNorm's per-cloud instance stats, the int8
+     * route's per-call activation scale) run per segment.
      */
     virtual bool rowIndependentInference() const { return false; }
 
@@ -110,7 +110,10 @@ class Linear : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
-    bool rowIndependentInference() const override { return true; }
+    bool rowIndependentInference() const override
+    {
+        return !quantGemmPossible(quantConfig);
+    }
     void setQuantMode(QuantMode mode) override { quantConfig = mode; }
 
     std::size_t inDim() const { return weight.value.rows(); }
@@ -150,7 +153,10 @@ class LinearRelu : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
-    bool rowIndependentInference() const override { return true; }
+    bool rowIndependentInference() const override
+    {
+        return !quantGemmPossible(quantConfig);
+    }
     void setQuantMode(QuantMode mode) override { quantConfig = mode; }
 
     std::size_t inDim() const { return weight.value.rows(); }
@@ -307,9 +313,9 @@ class Sequential : public Layer
      * input.rows()). Row-independent layers run once at full batch
      * height — this is where the packed GEMM gets its large-M shape —
      * while BatchNorm normalizes each segment with its own statistics,
-     * fused with the activation after it into one in-place pass, so
-     * the result matches per-cloud forward() exactly up to GEMM-path
-     * float reassociation.
+     * fused with the activation after it into one in-place pass, and
+     * any other layer (an int8-capable Linear) runs per segment, so
+     * each segment's rows equal its per-cloud forward() bit for bit.
      *
      * This is the one inference loop: forward(x, false) and
      * forwardFrom(first, x, false) run it as a single segment.

@@ -122,6 +122,14 @@ resolveQuantGemm(QuantMode config_mode, std::size_t m, std::size_t k)
     return m >= kQuantMinRows && k >= kQuantMinK;
 }
 
+bool
+quantGemmPossible(QuantMode config_mode)
+{
+    const QuantMode env = quantGemmMode();
+    return env == QuantMode::On ||
+           (env == QuantMode::Auto && config_mode != QuantMode::Off);
+}
+
 ActQuant
 computeActQuant(const float *x, std::size_t n)
 {

@@ -85,6 +85,15 @@ const char *quantGemmModeName();
  */
 bool resolveQuantGemm(QuantMode config_mode, std::size_t m, std::size_t k);
 
+/**
+ * True when resolveQuantGemm may pick the int8 route for a layer with
+ * config @p config_mode: the env override is On, or it is Auto and the
+ * config is not Off. Such a layer is not row-independent at inference:
+ * one activation scale spans all rows of a call, and Auto's row floor
+ * sees the call's height.
+ */
+bool quantGemmPossible(QuantMode config_mode);
+
 // ---- packed-panel layout constants (shared with gemm.cpp) ----
 
 /** Columns per quantized B panel (matches the fp32 kernel's NR). */

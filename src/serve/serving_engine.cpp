@@ -6,7 +6,6 @@
 
 #include "common/logging.hpp"
 #include "common/table.hpp"
-#include "nn/gemm.hpp"
 #include "obs/trace.hpp"
 #include "sampling/uniform_index_sampler.hpp"
 
@@ -19,16 +18,6 @@ namespace {
     deadline streams always win, while no-SLO streams stay FIFO
     against each other (same offset => ordered by arrival). */
 constexpr double kNoSloWindowMs = 1.0e7;
-
-/** Mirror of InferencePipeline::applyGemmMode for the batched path,
-    which calls the model directly. */
-void
-applyGemmMode(const EdgePcConfig &cfg)
-{
-    nn::GemmEngine::globalEngine().setMode(cfg.useTensorCores()
-                                               ? nn::GemmMode::Auto
-                                               : nn::GemmMode::Scalar);
-}
 
 } // namespace
 

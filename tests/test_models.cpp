@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "datasets/scenes.hpp"
 #include "datasets/shapes.hpp"
 #include "models/dgcnn.hpp"
 #include "models/pointnetpp.hpp"
+#include "nn/gemm.hpp"
+#include "nn/loss.hpp"
 #include "nn/quant.hpp"
 
 namespace edgepc {
@@ -135,6 +139,112 @@ TEST(PointNetPP, PaperScaleConfigConstructs)
     std::vector<nn::Parameter *> params;
     model.collectParameters(params);
     EXPECT_GT(params.size(), 40u);
+}
+
+// ---------------------------------------------------------------------
+// One geometry plan, two feature routes: the training forward keeps
+// its layer caches for backward but must compute exactly what
+// inference computes, and inference must leave those caches alone.
+// ---------------------------------------------------------------------
+
+/** Elements of @p a that differ from @p b bit for bit (a shape
+    mismatch counts every element). */
+std::size_t
+differingValues(const nn::Matrix &a, const nn::Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols()) {
+        return std::max(a.numel(), b.numel());
+    }
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < a.numel(); ++i) {
+        if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+            ++differing;
+        }
+    }
+    return differing;
+}
+
+TEST(PointNetPP, TrainingForwardMatchesInference)
+{
+    QuantOffGuard guard; // training always runs fp32
+    const nn::GemmMode gemm_mode = nn::GemmEngine::globalEngine().mode();
+    const PointCloud seg_cloud = makeCloud(256, 31);
+    const PointCloud cls_cloud = makeCloud(128, 32);
+    for (const nn::DelayedAggMode delayed :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On,
+          nn::DelayedAggMode::Auto}) {
+        for (const bool classifier : {false, true}) {
+            PointNetPPConfig mcfg =
+                classifier ? PointNetPPConfig::liteClassification(128, 8)
+                           : PointNetPPConfig::liteSegmentation(256, 5);
+            mcfg.delayedAggregation = delayed;
+            PointNetPP model(mcfg, 7);
+            const PointCloud &cloud = classifier ? cls_cloud : seg_cloud;
+            for (const EdgePcConfig &config :
+                 {EdgePcConfig::baseline(), EdgePcConfig::sn(),
+                  EdgePcConfig::snf()}) {
+                applyGemmMode(config); // as the pipelines do
+                const nn::Matrix inferred = model.infer(cloud, config);
+                const nn::Matrix trained =
+                    model.forward(cloud, config, nullptr, true);
+                EXPECT_EQ(differingValues(trained, inferred), 0u)
+                    << (classifier ? "classifier" : "segmentation")
+                    << " delayed mode " << static_cast<int>(delayed)
+                    << " variant " << variantName(config.variant);
+            }
+        }
+    }
+    nn::GemmEngine::globalEngine().setMode(gemm_mode);
+}
+
+TEST(PointNetPP, InferBetweenForwardAndBackwardKeepsGradients)
+{
+    QuantOffGuard guard;
+    const PointCloud cloud = makeCloud(256, 33);
+    const PointCloud other = makeCloud(192, 34);
+    std::vector<std::int32_t> labels(cloud.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = static_cast<std::int32_t>(i % 5);
+    }
+    const EdgePcConfig config = EdgePcConfig::sn();
+
+    // One training step's parameter gradients, with or without an
+    // inference call on another cloud between forward and backward.
+    auto step_gradients = [&](nn::DelayedAggMode delayed,
+                              bool infer_between) {
+        PointNetPPConfig mcfg = PointNetPPConfig::liteSegmentation(256, 5);
+        mcfg.delayedAggregation = delayed;
+        PointNetPP model(mcfg, 7);
+        std::vector<nn::Parameter *> params;
+        model.collectParameters(params);
+        for (nn::Parameter *p : params) {
+            p->zeroGrad();
+        }
+        const nn::Matrix logits =
+            model.forward(cloud, config, nullptr, true);
+        if (infer_between) {
+            model.infer(other, config);
+        }
+        model.backward(nn::softmaxCrossEntropy(logits, labels).gradLogits);
+        std::vector<nn::Matrix> grads;
+        for (const nn::Parameter *p : params) {
+            grads.push_back(p->grad);
+        }
+        return grads;
+    };
+
+    for (const nn::DelayedAggMode delayed :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On}) {
+        const std::vector<nn::Matrix> plain = step_gradients(delayed, false);
+        const std::vector<nn::Matrix> interleaved =
+            step_gradients(delayed, true);
+        ASSERT_EQ(plain.size(), interleaved.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            EXPECT_EQ(differingValues(interleaved[i], plain[i]), 0u)
+                << "parameter " << i << " delayed mode "
+                << static_cast<int>(delayed);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -25,10 +27,10 @@ namespace edgepc {
 namespace {
 
 /**
- * Pin the quantized GEMM route off for batch-vs-per-frame parity
- * tests: cross-stream micro-batching changes the GEMM row count, so
- * the dynamic per-tensor activation scale would differ between the
- * batched and per-frame runs and the logits would diverge by design.
+ * Pin the quantized GEMM route off for the fp32 batch-vs-per-frame
+ * parity tests (InferBatch.Int8MatchesPerFrame covers the int8 route,
+ * whose per-call activation scale is why int8 layers run per cloud
+ * inside a batch).
  */
 class QuantOffGuard
 {
@@ -84,6 +86,44 @@ logitsFinite(const nn::Matrix &logits)
         }
     }
     return logits.rows() > 0;
+}
+
+/** Elements of @p a that differ from @p b bit for bit (a shape
+    mismatch counts every element). */
+std::size_t
+differingLogits(const nn::Matrix &a, const nn::Matrix &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols()) {
+        return std::max(a.numel(), b.numel());
+    }
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < a.numel(); ++i) {
+        if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+            ++differing;
+        }
+    }
+    return differing;
+}
+
+/** Per-cloud infer() of every cloud, then inferBatch() of all of them:
+    each batched cloud must match its single-frame logits bit for bit. */
+void
+expectBatchMatchesPerFrame(PointNetPP &model,
+                           const std::vector<PointCloud> &clouds,
+                           const EdgePcConfig &cfg)
+{
+    std::vector<nn::Matrix> ref;
+    ref.reserve(clouds.size());
+    for (const PointCloud &cloud : clouds) {
+        ref.push_back(model.infer(cloud, cfg));
+    }
+    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
+
+    ASSERT_EQ(batched.size(), clouds.size());
+    for (std::size_t b = 0; b < clouds.size(); ++b) {
+        EXPECT_EQ(differingLogits(batched[b], ref[b]), 0u)
+            << "cloud " << b << " of " << ref[b].numel() << " logits";
+    }
 }
 
 /** Blocks the dispatcher inside the first frame's inference prolog so
@@ -286,65 +326,45 @@ TEST(InferBatch, MatchesPerFrameSegmentation)
 {
     QuantOffGuard guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
-    const std::vector<PointCloud> clouds = makeStream(3, 301);
-    const EdgePcConfig cfg = EdgePcConfig::sn();
-
-    std::vector<nn::Matrix> ref;
-    ref.reserve(clouds.size());
-    for (const PointCloud &cloud : clouds) {
-        ref.push_back(model.infer(cloud, cfg));
-    }
-    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-
-    ASSERT_EQ(batched.size(), clouds.size());
-    for (std::size_t b = 0; b < clouds.size(); ++b) {
-        ASSERT_EQ(batched[b].rows(), ref[b].rows());
-        ASSERT_EQ(batched[b].cols(), ref[b].cols());
-        for (std::size_t i = 0; i < ref[b].rows(); ++i) {
-            for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
-                    << "cloud " << b << " row " << i << " col " << c;
-            }
-        }
-    }
+    expectBatchMatchesPerFrame(model, makeStream(3, 301),
+                               EdgePcConfig::sn());
 }
 
 TEST(InferBatch, MatchesPerFrameClassification)
 {
     QuantOffGuard guard;
     PointNetPP model(PointNetPPConfig::liteClassification(kPoints, 4), 7);
-    const std::vector<PointCloud> clouds = makeStream(4, 302);
-    const EdgePcConfig cfg = EdgePcConfig::baseline();
-
-    std::vector<nn::Matrix> ref;
-    ref.reserve(clouds.size());
-    for (const PointCloud &cloud : clouds) {
-        ref.push_back(model.infer(cloud, cfg));
-    }
-    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-
-    ASSERT_EQ(batched.size(), clouds.size());
-    for (std::size_t b = 0; b < clouds.size(); ++b) {
-        ASSERT_EQ(batched[b].rows(), 1u);
-        ASSERT_EQ(batched[b].cols(), ref[b].cols());
-        for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-            EXPECT_NEAR(batched[b].at(0, c), ref[b].at(0, c), 5e-3);
-        }
-    }
+    expectBatchMatchesPerFrame(model, makeStream(4, 302),
+                               EdgePcConfig::baseline());
 }
 
-TEST(InferBatch, SingleCloudFallsBackToInfer)
+TEST(InferBatch, SingleCloudMatchesInfer)
 {
     PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
-    const std::vector<PointCloud> clouds = makeStream(1, 303);
-    const std::vector<nn::Matrix> batched =
-        model.inferBatch(clouds, EdgePcConfig::sn());
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_TRUE(logitsFinite(batched[0]));
+    expectBatchMatchesPerFrame(model, makeStream(1, 303),
+                               EdgePcConfig::sn());
+}
+
+TEST(InferBatch, Int8MatchesPerFrame)
+{
+    // The int8 route quantizes each GEMM call's activations with one
+    // per-tensor scale (and Auto's row floor sees the call's height),
+    // so a cloud's quantized layers must run on its rows alone even
+    // inside a batch. No QuantOffGuard: under EDGEPC_GEMM=int8 every
+    // layer quantizes, which this test must survive too.
+    for (const nn::QuantMode quant :
+         {nn::QuantMode::On, nn::QuantMode::Auto}) {
+        PointNetPPConfig mcfg =
+            PointNetPPConfig::liteSegmentation(kPoints, 5);
+        mcfg.quantizedInference = quant;
+        PointNetPP model(mcfg, 3);
+        expectBatchMatchesPerFrame(model, makeStream(3, 308),
+                                   EdgePcConfig::sn());
+    }
 }
 
 // Delayed aggregation (DESIGN.md §13) must stay transparent to the
-// serving micro-batch route: inferBatch decides delayed-vs-eager per
+// serving micro-batch route: the delayed-vs-eager decision is made per
 // cloud with the same formula as single-cloud infer, so batched and
 // per-frame logits must agree. Named Serving* so the TSan CI gate
 // runs these under the thread sanitizer.
@@ -355,56 +375,32 @@ TEST(ServingDelayedAgg, InferBatchMatchesPerFrameSegmentation)
     PointNetPPConfig mcfg = PointNetPPConfig::liteSegmentation(kPoints, 5);
     mcfg.delayedAggregation = nn::DelayedAggMode::On;
     PointNetPP model(mcfg, 3);
-    const std::vector<PointCloud> clouds = makeStream(3, 304);
-    const EdgePcConfig cfg = EdgePcConfig::sn();
-
-    std::vector<nn::Matrix> ref;
-    ref.reserve(clouds.size());
-    for (const PointCloud &cloud : clouds) {
-        ref.push_back(model.infer(cloud, cfg));
-    }
-    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-
-    ASSERT_EQ(batched.size(), clouds.size());
-    for (std::size_t b = 0; b < clouds.size(); ++b) {
-        ASSERT_EQ(batched[b].rows(), ref[b].rows());
-        ASSERT_EQ(batched[b].cols(), ref[b].cols());
-        for (std::size_t i = 0; i < ref[b].rows(); ++i) {
-            for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
-                    << "cloud " << b << " row " << i << " col " << c;
-            }
-        }
-    }
+    expectBatchMatchesPerFrame(model, makeStream(3, 304),
+                               EdgePcConfig::sn());
 }
 
 TEST(ServingDelayedAgg, InferBatchMatchesPerFrameClassification)
 {
     QuantOffGuard guard;
-    // The classifier's deepest SA stage is a single-stage BN-free
-    // block, so this also covers the fully-delayed (Tier A) per-cloud
-    // branch of the batched route.
     PointNetPPConfig mcfg = PointNetPPConfig::liteClassification(kPoints, 4);
     mcfg.delayedAggregation = nn::DelayedAggMode::On;
     PointNetPP model(mcfg, 7);
-    const std::vector<PointCloud> clouds = makeStream(4, 305);
-    const EdgePcConfig cfg = EdgePcConfig::baseline();
+    expectBatchMatchesPerFrame(model, makeStream(4, 305),
+                               EdgePcConfig::baseline());
+}
 
-    std::vector<nn::Matrix> ref;
-    ref.reserve(clouds.size());
-    for (const PointCloud &cloud : clouds) {
-        ref.push_back(model.infer(cloud, cfg));
-    }
-    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-
-    ASSERT_EQ(batched.size(), clouds.size());
-    for (std::size_t b = 0; b < clouds.size(); ++b) {
-        ASSERT_EQ(batched[b].rows(), 1u);
-        ASSERT_EQ(batched[b].cols(), ref[b].cols());
-        for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-            EXPECT_NEAR(batched[b].at(0, c), ref[b].at(0, c), 5e-3);
-        }
-    }
+TEST(ServingDelayedAgg, SingleStageBlockBatchMatchesPerFrame)
+{
+    QuantOffGuard guard;
+    // A one-stage deepest SA block is a BN-free Linear+ReLU before the
+    // global pool, so its delayed route pools first (Tier A) and runs
+    // per cloud inside the batch.
+    PointNetPPConfig mcfg = PointNetPPConfig::liteClassification(kPoints, 4);
+    mcfg.sa.back().mlp = {64};
+    mcfg.delayedAggregation = nn::DelayedAggMode::On;
+    PointNetPP model(mcfg, 7);
+    expectBatchMatchesPerFrame(model, makeStream(4, 309),
+                               EdgePcConfig::sn());
 }
 
 TEST(ServingDelayedAgg, MixedEagerAndDelayedBatchAgrees)
@@ -427,26 +423,7 @@ TEST(ServingDelayedAgg, MixedEagerAndDelayedBatchAgrees)
         options.points = 24; // small: low sample/neighbor counts
         clouds.push_back(makeScene(options, rng));
     }
-    const EdgePcConfig cfg = EdgePcConfig::baseline();
-
-    std::vector<nn::Matrix> ref;
-    ref.reserve(clouds.size());
-    for (const PointCloud &cloud : clouds) {
-        ref.push_back(model.infer(cloud, cfg));
-    }
-    const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-
-    ASSERT_EQ(batched.size(), clouds.size());
-    for (std::size_t b = 0; b < clouds.size(); ++b) {
-        ASSERT_EQ(batched[b].rows(), ref[b].rows());
-        ASSERT_EQ(batched[b].cols(), ref[b].cols());
-        for (std::size_t i = 0; i < ref[b].rows(); ++i) {
-            for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
-                    << "cloud " << b << " row " << i << " col " << c;
-            }
-        }
-    }
+    expectBatchMatchesPerFrame(model, clouds, EdgePcConfig::baseline());
 }
 
 // ----------------------------------------------------------- engine
