@@ -1,6 +1,7 @@
 #include "models/dgcnn.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -199,7 +200,21 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         features.at(i, 2) = p.z;
     }
 
-    ecOutputs.assign(ecBlocks.size(), nn::Matrix{});
+    // Every EdgeConv output lands in its column range of one
+    // n x sum(ecWidths) matrix: the embedding's input, and the left
+    // part of a segmentation head's.
+    const std::size_t concat_dim = std::accumulate(
+        cfg.ecWidths.begin(), cfg.ecWidths.end(), std::size_t{0});
+    nn::Matrix concat = nn::Matrix::forOverwrite(n, concat_dim);
+    std::size_t concat_offset = 0;
+    const auto append = [&](const nn::Matrix &out) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const float *src = out.data() + i * out.cols();
+            std::copy(src, src + out.cols(),
+                      concat.data() + i * concat_dim + concat_offset);
+        }
+        concat_offset += out.cols();
+    };
     StageTimer dummy;
     StageTimer &t = timer ? *timer : dummy;
 
@@ -235,8 +250,8 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
             const nn::Matrix activated =
                 block.mlp.forwardFrom(1, std::move(pre), train);
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            ecOutputs[m] = block.pool->forward(activated, train);
-            features = ecOutputs[m];
+            features = block.pool->forward(activated, train);
+            append(features);
             continue;
         }
 
@@ -251,26 +266,19 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
             const nn::Matrix activated = block.mlp.forward(edges, train);
             block.pool =
                 std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            ecOutputs[m] = block.pool->forward(activated, train);
+            features = block.pool->forward(activated, train);
+            append(features);
         }
-        features = ecOutputs[m];
     }
 
     StageTimer::ScopedStage scope(t, kStageFeature);
-    nn::Matrix concat = ecOutputs[0];
-    for (std::size_t m = 1; m < ecOutputs.size(); ++m) {
-        concat = nn::concatCols(concat, ecOutputs[m]);
-    }
-
     const nn::Matrix embedded = embedding.forward(concat, train);
     const nn::Matrix pooled = globalPool.forward(embedded, train);
 
     if (isClassifier()) {
         return head.forward(pooled, train);
     }
-    const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
-    const nn::Matrix head_in = nn::concatCols(concat, broadcast);
-    return head.forward(head_in, train);
+    return head.forward(nn::concatBroadcastRow(concat, pooled), train);
 }
 
 nn::Matrix
@@ -288,10 +296,8 @@ Dgcnn::backward(const nn::Matrix &grad_logits)
         panic("Dgcnn::backward without forward(train=true)");
     }
     const std::size_t num_ec = ecBlocks.size();
-    std::size_t concat_dim = 0;
-    for (const auto &out : ecOutputs) {
-        concat_dim += out.cols();
-    }
+    const std::size_t concat_dim = std::accumulate(
+        cfg.ecWidths.begin(), cfg.ecWidths.end(), std::size_t{0});
 
     nn::Matrix grad_concat(savedPoints, concat_dim);
     nn::Matrix grad_pooled;
@@ -320,7 +326,7 @@ Dgcnn::backward(const nn::Matrix &grad_logits)
     std::vector<nn::Matrix> grad_ec(num_ec);
     std::size_t offset = 0;
     for (std::size_t m = 0; m < num_ec; ++m) {
-        const std::size_t width = ecOutputs[m].cols();
+        const std::size_t width = cfg.ecWidths[m];
         grad_ec[m] = nn::Matrix(savedPoints, width);
         for (std::size_t r = 0; r < savedPoints; ++r) {
             const float *src =

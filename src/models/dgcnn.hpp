@@ -154,7 +154,6 @@ class Dgcnn : public TrainableModel
     nn::GlobalMaxPool globalPool;
 
     // Forward state for backward.
-    std::vector<nn::Matrix> ecOutputs;
     std::size_t savedPoints = 0;
     bool trainMode = false;
 };

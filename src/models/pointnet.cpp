@@ -91,11 +91,8 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (!cfg.segmentation) {
         return head.forward(pooled, train);
     }
-    savedPointFeatures = point_features;
-    const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
-    const nn::Matrix head_in =
-        nn::concatCols(point_features, broadcast);
-    return head.forward(head_in, train);
+    return head.forward(nn::concatBroadcastRow(point_features, pooled),
+                        train);
 }
 
 nn::Matrix
@@ -117,8 +114,7 @@ PointNet::backward(const nn::Matrix &grad_logits)
     nn::Matrix grad_point_features;
     nn::Matrix grad_pooled;
     if (cfg.segmentation) {
-        auto [local, broadcast] =
-            nn::splitCols(g, savedPointFeatures.cols());
+        auto [local, broadcast] = nn::splitCols(g, cfg.mlp.back());
         grad_point_features = std::move(local);
         grad_pooled = nn::Matrix(1, broadcast.cols());
         for (std::size_t r = 0; r < broadcast.rows(); ++r) {

@@ -72,7 +72,6 @@ class PointNet : public TrainableModel
     nn::GlobalMaxPool globalPool;
 
     // Forward state.
-    nn::Matrix savedPointFeatures;
     std::size_t savedPoints = 0;
     bool trainMode = false;
 };

@@ -53,7 +53,7 @@ stackRows(nn::Matrix &stacked, std::size_t total, std::size_t offset,
         return;
     }
     if (stacked.rows() != total) {
-        stacked = nn::Matrix(total, part.cols());
+        stacked = nn::Matrix::forOverwrite(total, part.cols());
     }
     std::copy(part.data(), part.data() + part.numel(),
               stacked.data() + offset * stacked.cols());
@@ -284,7 +284,7 @@ PointNetPP::planSample(FramePlan &plan, const PointCloud &cloud,
     plan.levels.assign(saBlocks.size() + 1, FramePlan::Level{});
     plan.levels[0].positions = cloud.positions();
     plan.input = nn::Matrix(cloud.size(), cfg.inputFeatureDim,
-                            std::vector<float>(cloud.features()));
+                            cloud.features());
 
     // The whole sampling chain runs here: level i+1's positions are a
     // pure gather of level i's samples, so sampling never waits for a
@@ -454,7 +454,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
                 // Eager: group every cloud straight into its row range
                 // of the stack, so stacking costs no extra pass.
                 StageScope scope(timer, kStageGroup);
-                stacked = nn::Matrix(total, 3 + block.featDim);
+                stacked = nn::Matrix::forOverwrite(total, 3 + block.featDim);
                 for (std::size_t b = 0; b < batch; ++b) {
                     const FramePlan::Level &level = plans[b]->levels[i];
                     nn::groupWithRelativeCoordsInto(
@@ -498,7 +498,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
         }
         const std::size_t up_cols = feat[0][fine + 1].cols();
         const std::size_t skip_cols = feat[0][fine].cols();
-        stacked = nn::Matrix(total, up_cols + skip_cols);
+        stacked = nn::Matrix::forOverwrite(total, up_cols + skip_cols);
         {
             // Up-sampled features into the left columns and the skip
             // features into the right columns of the stack: the concat

@@ -19,10 +19,6 @@ namespace edgepc {
 
 namespace {
 
-/// Candidates are masked against the current k-th distance in blocks of
-/// this many precomputed distances before touching the heap.
-constexpr std::size_t kMaskChunk = 256;
-
 /// Byte budget of one feature-space tile: its distance rows plus its
 /// centered query rows (DESIGN.md §16).
 constexpr std::size_t kFeatureTileBytes = std::size_t{1} << 20;
@@ -122,7 +118,7 @@ BruteForceKnn::search(std::span<const Vec3> queries,
         const ScratchArena::Frame qframe(arena);
         const std::span<float> dist = arena.alloc<float>(nc);
         const std::span<std::uint64_t> mask =
-            arena.alloc<std::uint64_t>(simd::maskWords(kMaskChunk));
+            arena.alloc<std::uint64_t>(simd::maskWords(kAdmitMaskChunk));
         if (use_fixed) {
             std::int16_t fqx = 0, fqy = 0, fqz = 0;
             fixed.quantizeQuery(queries[q], fqx, fqy, fqz);
@@ -133,7 +129,7 @@ BruteForceKnn::search(std::span<const Vec3> queries,
                               queries[q], dist.data());
         }
         KHeap heap(arena.alloc<KHeap::Key>(k));
-        admitMasked(heap, dist.data(), nc, mask.data(), kMaskChunk,
+        admitMasked(heap, dist.data(), nc, mask.data(), kAdmitMaskChunk,
                     [](std::size_t i) {
                         return static_cast<std::uint32_t>(i);
                     });
@@ -210,7 +206,7 @@ BruteForceKnn::searchFeatureSpace(std::span<const float> queries,
             const std::span<float> qnorm = arena.alloc<float>(rows);
             const std::span<float> dist = arena.alloc<float>(rows * nc);
             const std::span<std::uint64_t> mask =
-                arena.alloc<std::uint64_t>(simd::maskWords(kMaskChunk));
+                arena.alloc<std::uint64_t>(simd::maskWords(kAdmitMaskChunk));
             const std::span<KHeap::Key> keys = arena.alloc<KHeap::Key>(k);
             // EDGEPC_HOT: one query tile — center, GEMM, select.
             for (std::size_t i = 0; i < rows; ++i) {
@@ -241,7 +237,7 @@ BruteForceKnn::searchFeatureSpace(std::span<const float> queries,
                     v = sum <= 0.0f ? 0.0f : sum;
                 }
                 KHeap heap(keys);
-                admitMasked(heap, row.data(), nc, mask.data(), kMaskChunk,
+                admitMasked(heap, row.data(), nc, mask.data(), kAdmitMaskChunk,
                             [](std::size_t c) {
                                 return static_cast<std::uint32_t>(c);
                             });

@@ -119,6 +119,11 @@ class KHeap
     std::size_t worstSlot = 0;
 };
 
+/// Candidates are masked against the current k-th distance in blocks
+/// of this many precomputed distances before touching the heap; the
+/// usual chunk argument of admitMasked.
+inline constexpr std::size_t kAdmitMaskChunk = 256;
+
 /**
  * Admit a precomputed distance buffer into @p heap in index order,
  * prefiltering each @p chunk with batchBelowMask against the (possibly

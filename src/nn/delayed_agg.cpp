@@ -80,7 +80,7 @@ buildUnifiedRows(std::span<const Vec3> positions, const Matrix &features)
 {
     const std::size_t n = positions.size();
     const std::size_t feat_dim = features.empty() ? 0 : features.cols();
-    Matrix unified(n, 3 + feat_dim);
+    Matrix unified = Matrix::forOverwrite(n, 3 + feat_dim);
     parallelFor(0, n, [&](std::size_t i) {
         float *dst = unified.data() + i * (3 + feat_dim);
         dst[0] = positions[i].x;
@@ -99,7 +99,7 @@ Matrix
 buildCenterRows(std::span<const Vec3> positions,
                 std::span<const std::uint32_t> sample_indices)
 {
-    Matrix centers(sample_indices.size(), 3);
+    Matrix centers = Matrix::forOverwrite(sample_indices.size(), 3);
     for (std::size_t i = 0; i < sample_indices.size(); ++i) {
         const Vec3 p = positions[sample_indices[i]];
         centers.at(i, 0) = p.x;
@@ -113,7 +113,7 @@ buildCenterRows(std::span<const Vec3> positions,
 Matrix
 weightRowSlab(const Matrix &weight, std::size_t begin, std::size_t end)
 {
-    Matrix slab(end - begin, weight.cols());
+    Matrix slab = Matrix::forOverwrite(end - begin, weight.cols());
     std::copy(weight.data() + begin * weight.cols(),
               weight.data() + end * weight.cols(), slab.data());
     return slab;
@@ -273,7 +273,7 @@ delayedSaFirstLinear(std::span<const Vec3> positions,
     const Matrix w_pos = weightRowSlab(weight, 0, 3);
     const Matrix psi = engine.multiply(centers, w_pos);
 
-    Matrix pre(n * k, c_out);
+    Matrix pre = Matrix::forOverwrite(n * k, c_out);
     const float *phi_base = phi.data();
     const float *psi_base = psi.data();
     float *pre_base = pre.data();
@@ -365,7 +365,7 @@ delayedSaSingleStageInfer(std::span<const Vec3> positions,
     // with the max and ReLU is monotone, so no (n*k)-row matrix ever
     // exists — gatherMaxPoolInto pools the transformed unique rows
     // straight into the output.
-    Matrix out(n, c_out);
+    Matrix out = Matrix::forOverwrite(n, c_out);
     gatherMaxPoolInto(phi, neighbors,
                       std::span<float>(out.data(), out.numel()));
     const float *psi_base = psi.data();
@@ -416,7 +416,7 @@ delayedEdgeFirstLinear(const Matrix &features,
                                     engine);
     const Matrix phi = engine.multiply(features, w_diff);
 
-    Matrix pre(n * k, c_out);
+    Matrix pre = Matrix::forOverwrite(n * k, c_out);
     const float *phi_base = phi.data();
     const float *psi_base = psi.data();
     float *pre_base = pre.data();

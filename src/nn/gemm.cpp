@@ -1315,6 +1315,30 @@ gemmQuantizedPacked(const float *a, std::size_t m,
         0);
 }
 
+/**
+ * C = epilogue(0) for an empty reduction (k == 0): the product is 0, so
+ * every element is 0, bias or relu(bias), added exactly as the tile
+ * stores add it.
+ */
+void
+storeEmptyProduct(float *c, std::size_t m, std::size_t n,
+                  GemmEpilogue epilogue, const float *bias)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        float *crow = c + i * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            float v = 0.0f;
+            if (epilogue != GemmEpilogue::None) {
+                v += bias[j];
+                if (epilogue == GemmEpilogue::BiasRelu) {
+                    v = v > 0.0f ? v : 0.0f;
+                }
+            }
+            crow[j] = v;
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -1323,7 +1347,13 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
                 std::size_t n, GemmEpilogue epilogue, const float *bias,
                 bool accumulate)
 {
-    if (m == 0 || n == 0 || k == 0) {
+    if (m == 0 || n == 0) {
+        return;
+    }
+    if (k == 0) {
+        if (!accumulate) {
+            storeEmptyProduct(c, m, n, epilogue, bias);
+        }
         return;
     }
     EDGEPC_TRACE_SCOPE("gemm", "nn");
@@ -1452,7 +1482,7 @@ GemmEngine::multiply(const Matrix &a, const Matrix &b)
         fatal("GemmEngine::multiply: %zux%zu times %zux%zu", a.rows(),
               a.cols(), b.rows(), b.cols());
     }
-    Matrix c(a.rows(), b.cols());
+    Matrix c = Matrix::forOverwrite(a.rows(), b.cols());
     run(a.data(), false, b.data(), false, c.data(), a.rows(), a.cols(),
         b.cols(), GemmEpilogue::None, nullptr, false);
     return c;
@@ -1472,7 +1502,7 @@ GemmEngine::multiply(const Matrix &a, const Matrix &b,
               "width %zu",
               bias.rows(), bias.cols(), b.cols());
     }
-    Matrix c(a.rows(), b.cols());
+    Matrix c = Matrix::forOverwrite(a.rows(), b.cols());
     run(a.data(), false, b.data(), false, c.data(), a.rows(), a.cols(),
         b.cols(), epilogue,
         epilogue != GemmEpilogue::None ? bias.data() : nullptr, false);
@@ -1488,7 +1518,7 @@ GemmEngine::multiplyTransposed(const Matrix &a, const Matrix &b)
     }
     // C = A * B^T: the packing step reads B's rows directly, so no
     // transposed copy is ever materialized.
-    Matrix c(a.rows(), b.rows());
+    Matrix c = Matrix::forOverwrite(a.rows(), b.rows());
     run(a.data(), false, b.data(), true, c.data(), a.rows(), a.cols(),
         b.rows(), GemmEpilogue::None, nullptr, false);
     return c;
@@ -1503,7 +1533,7 @@ GemmEngine::multiplyLeftTransposed(const Matrix &a, const Matrix &b)
               a.rows(), a.cols(), b.rows(), b.cols());
     }
     // C = A^T * B: the packing step reads A's columns directly.
-    Matrix c(a.cols(), b.cols());
+    Matrix c = Matrix::forOverwrite(a.cols(), b.cols());
     run(a.data(), true, b.data(), false, c.data(), a.cols(), a.rows(),
         b.cols(), GemmEpilogue::None, nullptr, false);
     return c;
@@ -1532,13 +1562,17 @@ GemmEngine::gemmQuantized(const float *a, std::size_t m,
                           const QuantizedWeights &wq, float *c,
                           GemmEpilogue epilogue, const float *bias)
 {
-    if (m == 0 || wq.n == 0 || wq.k == 0) {
+    if (m == 0 || wq.n == 0) {
         return;
     }
     if (epilogue != GemmEpilogue::None && bias == nullptr) {
         raise(ErrorCode::InvalidArgument,
               "GemmEngine::gemmQuantized: bias epilogue requested "
               "without a bias vector");
+    }
+    if (wq.k == 0) {
+        storeEmptyProduct(c, m, wq.n, epilogue, bias);
+        return;
     }
     EDGEPC_TRACE_SCOPE("gemm-int8", "nn");
     static obs::Counter &flops =
@@ -1583,7 +1617,7 @@ GemmEngine::multiplyQuantized(const Matrix &a, const QuantizedWeights &wq,
               "match output width %zu",
               bias.rows(), bias.cols(), wq.n);
     }
-    Matrix c(a.rows(), wq.n);
+    Matrix c = Matrix::forOverwrite(a.rows(), wq.n);
     gemmQuantized(a.data(), a.rows(), wq, c.data(), epilogue,
                   epilogue != GemmEpilogue::None ? bias.data() : nullptr);
     return c;

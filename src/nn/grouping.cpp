@@ -33,7 +33,7 @@ gatherRowsInto(const Matrix &features,
 Matrix
 gatherRows(const Matrix &features, std::span<const std::uint32_t> indices)
 {
-    Matrix out(indices.size(), features.cols());
+    Matrix out = Matrix::forOverwrite(indices.size(), features.cols());
     gatherRowsInto(features, indices,
                    std::span<float>(out.data(), out.numel()));
     return out;
@@ -62,7 +62,7 @@ gatherLinear(const Matrix &features,
 
     const bool fuse_bias =
         bias.numel() > 0 && GemmEngine::fusedEpilogues();
-    Matrix out(m, c_out);
+    Matrix out = Matrix::forOverwrite(m, c_out);
     engine.gemm(gathered.data(), weight.data(), out.data(), m, c_in,
                 c_out, fuse_bias ? GemmEpilogue::Bias : GemmEpilogue::None,
                 fuse_bias ? bias.data() : nullptr);
@@ -114,7 +114,8 @@ gatherMaxPoolInto(const Matrix &features, const NeighborLists &neighbors,
 Matrix
 gatherMaxPool(const Matrix &features, const NeighborLists &neighbors)
 {
-    Matrix out(neighbors.queries(), features.cols());
+    Matrix out =
+        Matrix::forOverwrite(neighbors.queries(), features.cols());
     gatherMaxPoolInto(features, neighbors,
                       std::span<float>(out.data(), out.numel()));
     return out;
@@ -168,7 +169,8 @@ groupWithRelativeCoords(std::span<const Vec3> positions,
                         const NeighborLists &neighbors)
 {
     const std::size_t feat_dim = features.empty() ? 0 : features.cols();
-    Matrix out(sample_indices.size() * neighbors.k, 3 + feat_dim);
+    Matrix out = Matrix::forOverwrite(sample_indices.size() * neighbors.k,
+                                      3 + feat_dim);
     groupWithRelativeCoordsInto(positions, features, sample_indices,
                                 neighbors,
                                 std::span<float>(out.data(), out.numel()));
@@ -211,7 +213,8 @@ edgeFeaturesInto(const Matrix &features, const NeighborLists &neighbors,
 Matrix
 edgeFeatures(const Matrix &features, const NeighborLists &neighbors)
 {
-    Matrix out(neighbors.queries() * neighbors.k, 2 * features.cols());
+    Matrix out = Matrix::forOverwrite(neighbors.queries() * neighbors.k,
+                                      2 * features.cols());
     edgeFeaturesInto(features, neighbors,
                      std::span<float>(out.data(), out.numel()));
     return out;
@@ -224,7 +227,7 @@ applyInterpolation(const InterpolationPlan &plan,
     const std::size_t targets = plan.targets();
     const std::size_t c = source_features.cols();
 
-    Matrix out(targets, c);
+    Matrix out = Matrix::forOverwrite(targets, c);
     applyInterpolationInto(plan, source_features,
                            std::span<float>(out.data(), out.numel()), c);
     return out;

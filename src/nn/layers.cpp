@@ -240,7 +240,7 @@ BatchNorm::forward(const Matrix &input, bool train)
         fatal("BatchNorm::forward: feature dim %zu != configured %zu",
               cols, runningMean.size());
     }
-    Matrix out(rows, cols);
+    Matrix out = Matrix::forOverwrite(rows, cols);
     if (!train) {
         const std::size_t segment[] = {rows};
         inferSegments(input, out, segment, Activation{});
@@ -377,7 +377,7 @@ Matrix
 activationForward(const Matrix &input, Activation act, bool train,
                   std::vector<std::uint8_t> &mask)
 {
-    Matrix out(input.rows(), input.cols());
+    Matrix out = Matrix::forOverwrite(input.rows(), input.cols());
     activate(input.data(), out.data(), input.numel(), act);
     if (train) {
         const float *in = input.data();
@@ -563,7 +563,7 @@ Sequential::infer(const Matrix *borrowed, Matrix owned,
     // single pass, with no entry copy).
     auto epilogue = [&](const auto &step) {
         if (borrowed != nullptr) {
-            owned = Matrix(borrowed->rows(), borrowed->cols());
+            owned = Matrix::forOverwrite(borrowed->rows(), borrowed->cols());
             step(*borrowed, owned);
             borrowed = nullptr;
         } else {
@@ -612,7 +612,7 @@ Sequential::infer(const Matrix *borrowed, Matrix owned,
                       segment_rows[s], y.rows());
             }
             if (s == 0) {
-                out = Matrix(x.rows(), y.cols());
+                out = Matrix::forOverwrite(x.rows(), y.cols());
             }
             std::copy(y.data(), y.data() + y.numel(),
                       out.data() + offset * y.cols());
@@ -662,7 +662,7 @@ maxPoolRows(const Matrix &x, std::size_t begin, std::size_t rows,
               begin, begin + rows, x.rows(), k);
     }
     const std::size_t cols = x.cols();
-    Matrix out(rows / k, cols);
+    Matrix out = Matrix::forOverwrite(rows / k, cols);
     maxPoolGroups(x.data() + begin * cols, rows / k, k, cols, out.data());
     return out;
 }

@@ -12,12 +12,23 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 {
 }
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
-    : nRows(rows), nCols(cols), buf(std::move(data))
+Matrix::Matrix(std::size_t rows, std::size_t cols,
+               const std::vector<float> &data)
+    : nRows(rows), nCols(cols), buf(data.begin(), data.end())
 {
     if (buf.size() != rows * cols) {
         fatal("Matrix: data size %zu != %zu x %zu", buf.size(), rows, cols);
     }
+}
+
+Matrix
+Matrix::forOverwrite(std::size_t rows, std::size_t cols)
+{
+    Matrix m;
+    m.nRows = rows;
+    m.nCols = cols;
+    m.buf.resize(rows * cols);
+    return m;
 }
 
 void
@@ -71,7 +82,7 @@ concatCols(const Matrix &a, const Matrix &b)
     if (a.rows() != b.rows()) {
         fatal("concatCols: row mismatch (%zu vs %zu)", a.rows(), b.rows());
     }
-    Matrix out(a.rows(), a.cols() + b.cols());
+    Matrix out = Matrix::forOverwrite(a.rows(), a.cols() + b.cols());
     for (std::size_t r = 0; r < a.rows(); ++r) {
         float *dst = out.data() + r * out.cols();
         const float *ra = a.data() + r * a.cols();
@@ -88,8 +99,8 @@ splitCols(const Matrix &m, std::size_t left_cols)
     if (left_cols > m.cols()) {
         fatal("splitCols: left_cols %zu > cols %zu", left_cols, m.cols());
     }
-    Matrix left(m.rows(), left_cols);
-    Matrix right(m.rows(), m.cols() - left_cols);
+    Matrix left = Matrix::forOverwrite(m.rows(), left_cols);
+    Matrix right = Matrix::forOverwrite(m.rows(), m.cols() - left_cols);
     for (std::size_t r = 0; r < m.rows(); ++r) {
         const float *src = m.data() + r * m.cols();
         std::copy(src, src + left_cols, left.data() + r * left_cols);
@@ -114,7 +125,7 @@ concatRows(std::span<const Matrix> parts)
         }
         rows += part.rows();
     }
-    Matrix out(rows, cols);
+    Matrix out = Matrix::forOverwrite(rows, cols);
     float *dst = out.data();
     for (const Matrix &part : parts) {
         std::copy(part.data(), part.data() + part.numel(), dst);
@@ -130,22 +141,25 @@ sliceRows(const Matrix &m, std::size_t begin, std::size_t end)
         fatal("sliceRows: bad range [%zu, %zu) for %zu rows", begin, end,
               m.rows());
     }
-    Matrix out(end - begin, m.cols());
+    Matrix out = Matrix::forOverwrite(end - begin, m.cols());
     const float *src = m.data() + begin * m.cols();
     std::copy(src, src + out.numel(), out.data());
     return out;
 }
 
 Matrix
-broadcastRow(const Matrix &row, std::size_t copies)
+concatBroadcastRow(const Matrix &left, const Matrix &row)
 {
     if (row.rows() != 1) {
-        fatal("broadcastRow: expected a single row, got %zu", row.rows());
+        fatal("concatBroadcastRow: expected a single row, got %zu",
+              row.rows());
     }
-    Matrix out(copies, row.cols());
-    for (std::size_t r = 0; r < copies; ++r) {
-        std::copy(row.data(), row.data() + row.cols(),
-                  out.data() + r * row.cols());
+    Matrix out = Matrix::forOverwrite(left.rows(), left.cols() + row.cols());
+    for (std::size_t r = 0; r < left.rows(); ++r) {
+        float *dst = out.data() + r * out.cols();
+        const float *src = left.data() + r * left.cols();
+        std::copy(src, src + left.cols(), dst);
+        std::copy(row.data(), row.data() + row.cols(), dst + left.cols());
     }
     return out;
 }

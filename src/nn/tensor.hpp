@@ -11,7 +11,10 @@
 #define EDGEPC_NN_TENSOR_HPP
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,17 +22,55 @@
 namespace edgepc {
 namespace nn {
 
+/**
+ * std::allocator whose value-initialization default-initializes:
+ * `resize(n)` leaves new floats as they come from the heap instead of
+ * zero-filling them. Explicit fills (`vector(n, 0.0f)`) and copies
+ * construct as usual.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
 /** Row-major dense float matrix. */
 class Matrix
 {
   public:
+    using Storage = std::vector<float, DefaultInitAllocator<float>>;
+
     Matrix() = default;
 
     /** Zero-initialized rows x cols matrix. */
     Matrix(std::size_t rows, std::size_t cols);
 
-    /** Matrix adopting existing data (size must be rows * cols). */
-    Matrix(std::size_t rows, std::size_t cols, std::vector<float> data);
+    /** Matrix holding a copy of @p data (size must be rows * cols). */
+    Matrix(std::size_t rows, std::size_t cols, const std::vector<float> &data);
+
+    /**
+     * A rows x cols matrix whose elements are left as the allocator
+     * hands them out: not zeroed, and on a warm heap the bytes of some
+     * earlier matrix. Only for an output that its kernel writes in
+     * full before anything reads it (DESIGN.md §17); an accumulator
+     * or a partially written matrix needs Matrix(rows, cols).
+     */
+    static Matrix forOverwrite(std::size_t rows, std::size_t cols);
 
     std::size_t rows() const { return nRows; }
     std::size_t cols() const { return nCols; }
@@ -74,14 +115,14 @@ class Matrix
     /** Elementwise in-place scaling. */
     void scale(float factor);
 
-    /** Underlying storage (for serialization). */
-    std::vector<float> &storage() { return buf; }
-    const std::vector<float> &storage() const { return buf; }
+    /** Underlying storage. */
+    Storage &storage() { return buf; }
+    const Storage &storage() const { return buf; }
 
   private:
     std::size_t nRows = 0;
     std::size_t nCols = 0;
-    std::vector<float> buf;
+    Storage buf;
 };
 
 /** Column-wise concatenation: [a | b]; row counts must match. */
@@ -93,8 +134,11 @@ Matrix concatCols(const Matrix &a, const Matrix &b);
  */
 std::pair<Matrix, Matrix> splitCols(const Matrix &m, std::size_t left_cols);
 
-/** Repeat the single row of @p row @p copies times. */
-Matrix broadcastRow(const Matrix &row, std::size_t copies);
+/**
+ * [left | row broadcast to every row]: the single row of @p row
+ * appended to each row of @p left, in one pass.
+ */
+Matrix concatBroadcastRow(const Matrix &left, const Matrix &row);
 
 /**
  * Row-wise concatenation: stack the parts top to bottom; column

@@ -1,56 +1,41 @@
 #include "sampling/interpolation.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
+#include "common/scratch_arena.hpp"
 #include "common/thread_pool.hpp"
+#include "geometry/simd_distance.hpp"
+#include "neighbor/kheap.hpp"
 #include "obs/trace.hpp"
+#include "pointcloud/points_soa.hpp"
 
 namespace edgepc {
 
 namespace {
 
 /**
- * Turn per-target candidate (source index, squared distance) lists
- * into normalized inverse-distance weights written into the plan row.
+ * Turn a target's selected (distance, source) keys, ascending, into
+ * normalized inverse-distance weights written into the plan row. A
+ * row with fewer than k keys repeats its last one.
  */
 void
 writeRow(InterpolationPlan &plan, std::size_t target,
-         std::span<const std::pair<float, std::uint32_t>> best)
+         std::span<const KHeap::Key> best)
 {
     const std::size_t k = plan.k;
     constexpr float eps = 1e-8f;
     float weight_sum = 0.0f;
     for (std::size_t j = 0; j < k; ++j) {
-        const auto &cand = best[std::min(j, best.size() - 1)];
-        plan.indices[target * k + j] = cand.second;
-        const float w = 1.0f / (cand.first + eps);
+        const KHeap::Key cand = best[std::min(j, best.size() - 1)];
+        plan.indices[target * k + j] = KHeap::indexOf(cand);
+        const float w = 1.0f / (KHeap::distOf(cand) + eps);
         plan.weights[target * k + j] = w;
         weight_sum += w;
     }
     const float inv = 1.0f / weight_sum;
     for (std::size_t j = 0; j < k; ++j) {
         plan.weights[target * k + j] *= inv;
-    }
-}
-
-/** Keep the k smallest (distance, index) pairs, ascending by distance. */
-void
-insertCandidate(std::vector<std::pair<float, std::uint32_t>> &best,
-                std::size_t k, float dist, std::uint32_t idx)
-{
-    if (best.size() < k) {
-        best.emplace_back(dist, idx);
-        std::push_heap(best.begin(), best.end());
-        return;
-    }
-    if (dist < best.front().first) {
-        std::pop_heap(best.begin(), best.end());
-        best.back() = {dist, idx};
-        std::push_heap(best.begin(), best.end());
     }
 }
 
@@ -65,22 +50,35 @@ exactInterpolation(std::span<const Vec3> targets,
         raise(ErrorCode::EmptyCloud, "exactInterpolation: empty source set");
     }
     k = std::min(k, sources.size());
+    simd::recordDispatch();
 
     InterpolationPlan plan;
     plan.k = k;
     plan.indices.resize(targets.size() * k);
     plan.weights.resize(targets.size() * k);
 
+    // The SoA is built once on the calling thread; worker threads only
+    // read it (the task queue publication orders those reads).
+    ScratchArena &caller_arena = ScratchArena::local();
+    const ScratchArena::Frame frame(caller_arena);
+    const PointsSoA soa(sources, caller_arena);
+    const std::size_t ns = sources.size();
+
+    // EDGEPC_HOT: per-target scan — arena scratch only, no allocation.
     parallelFor(0, targets.size(), [&](std::size_t t) {
-        std::vector<std::pair<float, std::uint32_t>> best;
-        best.reserve(k + 1);
-        for (std::size_t s = 0; s < sources.size(); ++s) {
-            insertCandidate(best, k,
-                            squaredDistance(targets[t], sources[s]),
-                            static_cast<std::uint32_t>(s));
-        }
-        std::sort_heap(best.begin(), best.end());
-        writeRow(plan, t, best);
+        ScratchArena &arena = ScratchArena::local();
+        const ScratchArena::Frame tframe(arena);
+        const std::span<float> dist = arena.alloc<float>(ns);
+        const std::span<std::uint64_t> mask =
+            arena.alloc<std::uint64_t>(simd::maskWords(kAdmitMaskChunk));
+        simd::batchSqDist(soa.xs(), soa.ys(), soa.zs(), ns, targets[t],
+                          dist.data());
+        KHeap heap(arena.alloc<KHeap::Key>(k));
+        admitMasked(heap, dist.data(), ns, mask.data(), kAdmitMaskChunk,
+                    [](std::size_t i) {
+                        return static_cast<std::uint32_t>(i);
+                    });
+        writeRow(plan, t, heap.finish());
     });
     return plan;
 }
@@ -107,6 +105,7 @@ MortonUpsampler::plan(std::span<const Vec3> points,
     plan.indices.resize(total * k);
     plan.weights.resize(total * k);
 
+    // EDGEPC_HOT: per-target window scan — arena scratch only.
     parallelFor(0, total, [&](std::size_t t) {
         // Sorted position of the target and its own stride slot.
         const std::size_t j = s.rank[t];
@@ -122,15 +121,15 @@ MortonUpsampler::plan(std::span<const Vec3> points,
         const std::size_t hi =
             std::min(n - 1, q + static_cast<std::size_t>(halfWidth));
 
-        std::vector<std::pair<float, std::uint32_t>> best;
-        best.reserve(k + 1);
+        ScratchArena &arena = ScratchArena::local();
+        const ScratchArena::Frame frame(arena);
+        KHeap heap(arena.alloc<KHeap::Key>(k));
         for (std::size_t slot = lo; slot <= hi; ++slot) {
             const Vec3 &src = points[samples[slot]];
-            insertCandidate(best, k, squaredDistance(points[t], src),
-                            static_cast<std::uint32_t>(slot));
+            heap.push(squaredDistance(points[t], src),
+                      static_cast<std::uint32_t>(slot));
         }
-        std::sort_heap(best.begin(), best.end());
-        writeRow(plan, t, best);
+        writeRow(plan, t, heap.finish());
     });
     return plan;
 }

@@ -287,7 +287,7 @@ activateBothWays(Layer &layer, const std::vector<float> &in)
     const Matrix infer = layer.forward(x, false);
     const Matrix train = layer.forward(x, true);
     EXPECT_TRUE(sameBits(infer, train));
-    return infer.storage();
+    return {infer.data(), infer.data() + infer.numel()};
 }
 
 TEST(Epilogue, ReluEdgeValues)

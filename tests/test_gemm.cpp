@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/scratch_arena.hpp"
 #include "nn/gemm.hpp"
+#include "nn/quant.hpp"
 
 namespace edgepc {
 namespace nn {
@@ -475,6 +480,109 @@ TEST(GemmEpilogue, ModeNameMatchesToggle)
     GemmEngine::setFusedEpilogues(false);
     EXPECT_STREQ(GemmEngine::epilogueModeName(), "split");
     GemmEngine::setFusedEpilogues(saved);
+}
+
+// ---------------------------------------------------------------------
+// Empty reduction (k == 0)
+// ---------------------------------------------------------------------
+
+/** Frees an m x n matrix full of NaNs, so the next allocation of that
+    size most likely gets its dirty block back. */
+void
+dirtyHeap(std::size_t m, std::size_t n)
+{
+    Matrix dirt = Matrix::forOverwrite(m, n);
+    std::fill(dirt.data(), dirt.data() + dirt.numel(),
+              std::numeric_limits<float>::quiet_NaN());
+}
+
+/** epilogue(0 + bias) per column, as the tile stores compute it. */
+Matrix
+emptyProduct(std::size_t m, const Matrix &bias, GemmEpilogue epilogue)
+{
+    Matrix want(m, bias.cols());
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < bias.cols(); ++j) {
+            float v = 0.0f;
+            if (epilogue != GemmEpilogue::None) {
+                v += bias.at(0, j);
+                if (epilogue == GemmEpilogue::BiasRelu) {
+                    v = v > 0.0f ? v : 0.0f;
+                }
+            }
+            want.at(i, j) = v;
+        }
+    }
+    return want;
+}
+
+void
+expectSameBits(const Matrix &got, const Matrix &want)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+                  std::bit_cast<std::uint32_t>(want.data()[i]))
+            << "element " << i;
+    }
+}
+
+/**
+ * A product over an empty reduction is 0, so C must still hold the
+ * epilogue of 0 — 0, bias or relu(bias) — on every route, and an
+ * accumulating call must leave C alone. Row counts below and above the
+ * small-M cutoff, on both microkernel builds.
+ */
+TEST(GemmEngine, EmptyReductionWritesEpilogue)
+{
+    const std::size_t n = 19;
+    Matrix bias = randomMatrix(1, n, 9950);
+    bias.at(0, 0) = -0.0f;
+    bias.at(0, 1) = 0.0f;
+    const GemmEpilogue epilogues[] = {GemmEpilogue::None, GemmEpilogue::Bias,
+                                      GemmEpilogue::BiasRelu};
+    const GemmDispatchPath paths[] = {GemmDispatchPath::ForceScalar,
+                                      GemmDispatchPath::Auto};
+    const auto wq = buildQuantizedWeights(Matrix(0, n));
+    ASSERT_EQ(wq->k, 0u);
+    ASSERT_EQ(wq->n, n);
+    for (const GemmDispatchPath path : paths) {
+        const DispatchPathGuard guard(path);
+        GemmEngine engine(GemmMode::Fast);
+        for (const std::size_t m : {std::size_t{1}, std::size_t{7}}) {
+            const Matrix a(m, 0);
+            for (const GemmEpilogue epilogue : epilogues) {
+                SCOPED_TRACE(testing::Message()
+                             << "m " << m << " epilogue "
+                             << static_cast<int>(epilogue));
+                const Matrix want = emptyProduct(m, bias, epilogue);
+                dirtyHeap(m, n);
+                expectSameBits(engine.multiply(a, Matrix(0, n), epilogue,
+                                               bias),
+                               want);
+                dirtyHeap(m, n);
+                expectSameBits(
+                    engine.multiplyQuantized(a, *wq, epilogue, bias), want);
+            }
+            const Matrix zeros = emptyProduct(m, bias, GemmEpilogue::None);
+            dirtyHeap(m, n);
+            expectSameBits(engine.multiply(a, Matrix(0, n)), zeros);
+            dirtyHeap(m, n);
+            expectSameBits(engine.multiplyTransposed(a, Matrix(n, 0)),
+                           zeros);
+            dirtyHeap(m, n);
+            expectSameBits(
+                engine.multiplyLeftTransposed(Matrix(0, m), Matrix(0, n)),
+                zeros);
+
+            Matrix acc = randomMatrix(m, n, 9951);
+            const Matrix before = acc;
+            engine.multiplyLeftTransposedAdd(Matrix(0, m), Matrix(0, n),
+                                             acc);
+            expectSameBits(acc, before);
+        }
+    }
 }
 
 } // namespace

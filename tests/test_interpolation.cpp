@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "geometry/simd_distance.hpp"
 #include "nn/grouping.hpp"
 #include "sampling/interpolation.hpp"
 #include "sampling/morton_sampler.hpp"
@@ -157,6 +162,202 @@ TEST(MortonUpsampler, SampledPointsKeepOwnFeatureApproximately)
             }
         }
         EXPECT_TRUE(found_self) << "sample " << q;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Plan equality against the pair-heap scan
+// ---------------------------------------------------------------------
+
+using Candidate = std::pair<float, std::uint32_t>;
+
+/** The oracle's selection: a std::vector max-heap of (distance, index)
+    pairs fed in index order, the planners' scan before KHeap. */
+void
+oracleInsert(std::vector<Candidate> &best, std::size_t k, float dist,
+             std::uint32_t idx)
+{
+    if (best.size() < k) {
+        best.emplace_back(dist, idx);
+        std::push_heap(best.begin(), best.end());
+        return;
+    }
+    if (dist < best.front().first) {
+        std::pop_heap(best.begin(), best.end());
+        best.back() = {dist, idx};
+        std::push_heap(best.begin(), best.end());
+    }
+}
+
+void
+oracleWriteRow(InterpolationPlan &plan, std::size_t t,
+               std::vector<Candidate> &best)
+{
+    std::sort_heap(best.begin(), best.end());
+    const std::size_t k = plan.k;
+    float weight_sum = 0.0f;
+    for (std::size_t j = 0; j < k; ++j) {
+        const Candidate &cand = best[std::min(j, best.size() - 1)];
+        plan.indices[t * k + j] = cand.second;
+        const float w = 1.0f / (cand.first + 1e-8f);
+        plan.weights[t * k + j] = w;
+        weight_sum += w;
+    }
+    const float inv = 1.0f / weight_sum;
+    for (std::size_t j = 0; j < k; ++j) {
+        plan.weights[t * k + j] *= inv;
+    }
+}
+
+InterpolationPlan
+oracleExact(const std::vector<Vec3> &targets,
+            const std::vector<Vec3> &sources, std::size_t k)
+{
+    InterpolationPlan plan;
+    plan.k = std::min(k, sources.size());
+    plan.indices.resize(targets.size() * plan.k);
+    plan.weights.resize(targets.size() * plan.k);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        std::vector<Candidate> best;
+        for (std::size_t s = 0; s < sources.size(); ++s) {
+            oracleInsert(best, plan.k,
+                         squaredDistance(targets[t], sources[s]),
+                         static_cast<std::uint32_t>(s));
+        }
+        oracleWriteRow(plan, t, best);
+    }
+    return plan;
+}
+
+InterpolationPlan
+oracleMorton(const std::vector<Vec3> &points, const Structurization &s,
+             const std::vector<std::uint32_t> &samples,
+             std::size_t half_width, std::size_t k)
+{
+    const std::size_t total = points.size();
+    const std::size_t n = samples.size();
+    InterpolationPlan plan;
+    plan.k = std::min(k, n);
+    plan.indices.resize(total * plan.k);
+    plan.weights.resize(total * plan.k);
+    for (std::size_t t = 0; t < total; ++t) {
+        const std::size_t q = s.rank[t] * n / total;
+        const std::size_t lo = q >= half_width ? q - half_width : 0;
+        const std::size_t hi = std::min(n - 1, q + half_width);
+        std::vector<Candidate> best;
+        for (std::size_t slot = lo; slot <= hi; ++slot) {
+            oracleInsert(best, plan.k,
+                         squaredDistance(points[t], points[samples[slot]]),
+                         static_cast<std::uint32_t>(slot));
+        }
+        oracleWriteRow(plan, t, best);
+    }
+    return plan;
+}
+
+void
+expectSamePlan(const InterpolationPlan &got, const InterpolationPlan &want)
+{
+    ASSERT_EQ(got.k, want.k);
+    ASSERT_EQ(got.indices, want.indices);
+    ASSERT_EQ(got.weights.size(), want.weights.size());
+    for (std::size_t i = 0; i < got.weights.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.weights[i]),
+                  std::bit_cast<std::uint32_t>(want.weights[i]))
+            << "weight " << i;
+    }
+}
+
+/** Integer-grid points: every target between them is equidistant from
+    several sources, so ties decide the plan. */
+std::vector<Vec3>
+gridCloud(int side, float offset)
+{
+    std::vector<Vec3> pts;
+    for (int x = 0; x < side; ++x) {
+        for (int y = 0; y < side; ++y) {
+            for (int z = 0; z < side; ++z) {
+                pts.push_back({x + offset, y + offset, z + offset});
+            }
+        }
+    }
+    return pts;
+}
+
+/** Restores the batch-kernel dispatch override on scope exit. */
+class SimdPathGuard
+{
+  public:
+    explicit SimdPathGuard(simd::DispatchPath path)
+        : saved(simd::dispatchPath())
+    {
+        simd::setDispatchPath(path);
+    }
+    ~SimdPathGuard() { simd::setDispatchPath(saved); }
+
+  private:
+    simd::DispatchPath saved;
+};
+
+TEST(InterpolationPlanOracle, ExactMatchesPairHeapScan)
+{
+    std::vector<Vec3> dup = randomCloud(40, 50);
+    dup.insert(dup.end(), dup.begin(), dup.end()); // every point twice
+    const std::vector<Vec3> grid = gridCloud(4, 0.0f);
+    const std::vector<Vec3> half = gridCloud(4, 0.5f);
+    struct Case
+    {
+        const char *name;
+        std::vector<Vec3> targets;
+        std::vector<Vec3> sources;
+        std::size_t k;
+    };
+    const Case cases[] = {
+        {"distance ties", half, grid, 3},
+        {"targets on sources", grid, grid, 3},
+        {"duplicate sources", randomCloud(70, 51), dup, 3},
+        {"k > sources", randomCloud(20, 52), randomCloud(2, 53), 3},
+        {"one source", randomCloud(9, 54), randomCloud(1, 55), 3},
+        {"lane multiple + 1", randomCloud(33, 56), randomCloud(9, 57), 3},
+        {"mask chunk + 1", randomCloud(300, 58), randomCloud(257, 59), 3},
+        {"wide k", randomCloud(65, 60), randomCloud(513, 61), 16},
+    };
+    for (const simd::DispatchPath path :
+         {simd::DispatchPath::ForceScalar, simd::DispatchPath::Auto}) {
+        const SimdPathGuard guard(path);
+        for (const Case &c : cases) {
+            SCOPED_TRACE(c.name);
+            expectSamePlan(exactInterpolation(c.targets, c.sources, c.k),
+                           oracleExact(c.targets, c.sources, c.k));
+        }
+    }
+}
+
+TEST(InterpolationPlanOracle, MortonMatchesPairHeapScan)
+{
+    std::vector<Vec3> dup = randomCloud(100, 62);
+    dup.insert(dup.end(), dup.begin(), dup.end());
+    const struct
+    {
+        std::vector<Vec3> points;
+        std::size_t samples;
+        std::size_t halfWidth;
+        std::size_t k;
+    } cases[] = {
+        {gridCloud(5, 0.0f), 25, 2, 3},   // ties on the grid
+        {dup, 50, 2, 3},                  // duplicate points
+        {randomCloud(257, 63), 33, 2, 3}, // lane multiple + 1
+        {randomCloud(129, 64), 17, 1, 3}, // windows narrower than k
+        {randomCloud(40, 65), 2, 2, 3},   // k > samples
+    };
+    for (const auto &c : cases) {
+        MortonSampler sampler(32);
+        const Structurization s = sampler.structurize(c.points);
+        const std::vector<std::uint32_t> samples =
+            sampler.sampleStructurized(s, c.samples);
+        const MortonUpsampler upsampler(static_cast<int>(c.halfWidth), c.k);
+        expectSamePlan(upsampler.plan(c.points, s, samples),
+                       oracleMorton(c.points, s, samples, c.halfWidth, c.k));
     }
 }
 

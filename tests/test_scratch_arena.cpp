@@ -33,6 +33,7 @@
 #include "neighbor/morton_window.hpp"
 #include "nn/gemm.hpp"
 #include "sampling/fps.hpp"
+#include "sampling/interpolation.hpp"
 #include "sampling/morton_sampler.hpp"
 
 namespace {
@@ -489,6 +490,47 @@ TEST(ScratchArenaZeroAlloc, MortonWindowSteadyState)
     EXPECT_EQ(delta.grows, 0u);
     EXPECT_LE(delta.allocs, kPerCallAllocBudget);
     EXPECT_EQ(out.queries(), pts.size());
+}
+
+/**
+ * The up-sampling planners select with KHeap over arena keys, and the
+ * exact one scans an arena SoA of its sources: a warm call allocates
+ * only its plan's two vectors and one parallelFor's control block,
+ * however many targets it plans.
+ */
+TEST(ScratchArenaZeroAlloc, ExactInterpolationSteadyState)
+{
+    const auto targets = randomCloud(2048, 71);
+    const auto sources = randomCloud(kQueries, 72);
+    warmEveryThread([&] {
+        const auto ignored = exactInterpolation(targets, sources, 3);
+        static_cast<void>(ignored);
+    });
+    const SteadyState before = snapshot();
+    const auto plan = exactInterpolation(targets, sources, 3);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LE(delta.allocs, kPerCallAllocBudget);
+    EXPECT_EQ(plan.targets(), targets.size());
+}
+
+TEST(ScratchArenaZeroAlloc, MortonUpsamplerSteadyState)
+{
+    const auto pts = randomCloud(2048, 73);
+    MortonSampler sampler(32);
+    const Structurization s = sampler.structurize(pts);
+    const auto samples = sampler.sampleStructurized(s, kQueries);
+    const MortonUpsampler upsampler;
+    warmEveryThread([&] {
+        const auto ignored = upsampler.plan(pts, s, samples);
+        static_cast<void>(ignored);
+    });
+    const SteadyState before = snapshot();
+    const auto plan = upsampler.plan(pts, s, samples);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LE(delta.allocs, kPerCallAllocBudget);
+    EXPECT_EQ(plan.targets(), pts.size());
 }
 
 /**

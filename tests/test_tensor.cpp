@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nn/tensor.hpp"
 
 namespace edgepc {
@@ -79,12 +81,36 @@ TEST(Matrix, ConcatAndSplitRoundTrip)
     EXPECT_FLOAT_EQ(right.at(1, 0), 8.0f);
 }
 
-TEST(Matrix, BroadcastRow)
+TEST(Matrix, ConcatBroadcastRow)
 {
-    Matrix row(1, 2, {5, 6});
-    const Matrix out = broadcastRow(row, 3);
+    const Matrix left(3, 2, {1, 2, 3, 4, 5, 6});
+    const Matrix row(1, 2, {7, 8});
+    const Matrix out = concatBroadcastRow(left, row);
     EXPECT_EQ(out.rows(), 3u);
-    EXPECT_FLOAT_EQ(out.at(2, 1), 6.0f);
+    EXPECT_EQ(out.cols(), 4u);
+    EXPECT_EQ(out.storage(), concatCols(left, Matrix(3, 2, {7, 8, 7, 8,
+                                                            7, 8}))
+                                 .storage());
+}
+
+TEST(Matrix, ZeroFillSurvivesADirtyHeap)
+{
+    const Matrix raw = Matrix::forOverwrite(4, 3);
+    EXPECT_EQ(raw.rows(), 4u);
+    EXPECT_EQ(raw.cols(), 3u);
+    EXPECT_EQ(raw.numel(), 12u);
+    // The block a dirtied matrix frees is the likeliest one for the next
+    // allocation of its size; Matrix(rows, cols) must still read zero.
+    for (int round = 0; round < 4; ++round) {
+        {
+            Matrix dirty = Matrix::forOverwrite(64, 64);
+            std::fill(dirty.data(), dirty.data() + dirty.numel(), 1.0f);
+        }
+        const Matrix zeroed(64, 64);
+        const float *z = zeroed.data();
+        EXPECT_TRUE(std::all_of(z, z + zeroed.numel(),
+                                [](float v) { return v == 0.0f; }));
+    }
 }
 
 TEST(Parameter, InitAllocatesValueAndGrad)
