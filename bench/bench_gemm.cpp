@@ -10,7 +10,8 @@
  * exactly those shapes on both engine paths, plus the backward-pass
  * variants (A*B^T and A^T*B) and the bias-fused exactLinear entry
  * point, plus the eager/delayed A/B of the aggregation-block first
- * layer (DESIGN.md §13, flop_ratio reported per row), plus the int8
+ * layer and of the split head / FP first Linear (DESIGN.md §13,
+ * flop_ratio reported per row), plus the int8
  * quantized route (DESIGN.md §15) against the fp32 fast path on every
  * forward shape, and emits BENCH_gemm.json for the perf-diff CI step
  * against bench/baselines/BENCH_gemm.json.
@@ -21,6 +22,7 @@
  * wall-clock, so speedups can be read as compute or as bandwidth.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -105,6 +107,20 @@ const AggShape kEdgeAggShapes[] = {
     // DGCNN EdgeConv: every point is a center, k = 20 edges each.
     {"dgcnn_ec_agg", 1024, 1024, 20, 64, 64},
 };
+
+// The split first Linears (DESIGN.md §13) read the same fields as a
+// gather: `points` source rows, `samples` target rows, `k` sources per
+// target; `feat` is the concatenated input width.
+
+// DGCNN(p) head on W4: 2048 points read [C | 1 p] with |C| = 192 and
+// |p| = 1024 — a broadcast, one source row for every target.
+const AggShape kHeadSplitShape = {"dgcnn_head_bcast", 1, 2048, 1, 1216,
+                                  256};
+constexpr std::size_t kHeadLocalCols = 192;
+
+// PointNet++(s) last FP module on W1: 8192 targets interpolated from
+// 1024 sources, 128 up channels, no skip columns.
+const AggShape kFpSplitShape = {"pnpp_fp_interp", 1024, 8192, 3, 128, 128};
 
 /** Backward-pass shapes (the Linear::backward operand sizes). */
 const Shape kBackwardShapes[] = {
@@ -403,6 +419,91 @@ main(int argc, char **argv)
                                   [&] { static_cast<void>(delayed()); }),
                          s, delayed_flops, ratio);
         }
+    }
+
+    // Split first-Linear A/B (DESIGN.md §13): concat = build the
+    // concatenated head / FP input and run the Linear on it; split =
+    // the entry point the models call. flop_ratio is concat / split.
+    {
+        nn::GemmEngine fast(nn::GemmMode::Fast);
+        const AggShape &h = kHeadSplitShape;
+        const std::size_t global_cols = h.feat - kHeadLocalCols;
+        const nn::Matrix local =
+            randomMatrix(h.samples, kHeadLocalCols, rng);
+        const nn::Matrix global = randomMatrix(1, global_cols, rng);
+        const nn::Matrix weight = randomMatrix(h.feat, h.out, rng);
+        const nn::Matrix bias = randomMatrix(1, h.out, rng);
+        const double concat_flops = 2.0 * static_cast<double>(h.samples) *
+                                    static_cast<double>(h.feat) *
+                                    static_cast<double>(h.out);
+        const double split_flops =
+            2.0 *
+            (static_cast<double>(h.samples) *
+                 static_cast<double>(kHeadLocalCols) +
+             static_cast<double>(global_cols)) *
+            static_cast<double>(h.out);
+        const auto concat = [&] {
+            nn::Matrix input = nn::Matrix::forOverwrite(h.samples, h.feat);
+            for (std::size_t r = 0; r < h.samples; ++r) {
+                float *dst = input.data() + r * h.feat;
+                std::copy(local.data() + r * kHeadLocalCols,
+                          local.data() + (r + 1) * kHeadLocalCols, dst);
+                std::copy(global.data(), global.data() + global_cols,
+                          dst + kHeadLocalCols);
+            }
+            return nn::exactLinear(input, weight, bias, fast);
+        };
+        const auto split = [&] {
+            return nn::broadcastFirstLinear(local, global, weight, bias,
+                                            fast, nullptr);
+        };
+        static_cast<void>(concat());
+        static_cast<void>(split());
+        const double ratio = concat_flops / split_flops;
+        recordAggRow(report, std::string(h.tag) + "/concat",
+                     bestOfMs(repeats, [&] { static_cast<void>(concat()); }),
+                     h, concat_flops, ratio);
+        recordAggRow(report, std::string(h.tag) + "/split",
+                     bestOfMs(repeats, [&] { static_cast<void>(split()); }),
+                     h, split_flops, ratio);
+    }
+    {
+        nn::GemmEngine fast(nn::GemmMode::Fast);
+        const AggShape &f = kFpSplitShape;
+        const nn::Matrix coarse = randomMatrix(f.points, f.feat, rng);
+        const nn::Matrix skip(f.samples, 0);
+        InterpolationPlan plan;
+        plan.k = f.k;
+        plan.indices = randomSamples(rng, f.samples * f.k, f.points);
+        plan.weights.assign(f.samples * f.k, 1.0f / static_cast<float>(f.k));
+        const nn::Matrix weight = randomMatrix(f.feat, f.out, rng);
+        const nn::Matrix bias = randomMatrix(1, f.out, rng);
+        const double concat_flops = 2.0 * static_cast<double>(f.samples) *
+                                    static_cast<double>(f.feat) *
+                                    static_cast<double>(f.out);
+        const double split_flops = 2.0 * static_cast<double>(f.points) *
+                                   static_cast<double>(f.feat) *
+                                   static_cast<double>(f.out);
+        const std::size_t coarse_rows[] = {f.points};
+        const InterpolationPlan *const plans[] = {&plan};
+        const auto concat = [&] {
+            return nn::exactLinear(nn::applyInterpolation(plan, coarse),
+                                   weight, bias, fast);
+        };
+        const auto split = [&] {
+            return nn::interpolatedFirstLinear(coarse, coarse_rows, plans,
+                                               skip, weight, bias, fast,
+                                               nullptr);
+        };
+        static_cast<void>(concat());
+        static_cast<void>(split());
+        const double ratio = concat_flops / split_flops;
+        recordAggRow(report, std::string(f.tag) + "/concat",
+                     bestOfMs(repeats, [&] { static_cast<void>(concat()); }),
+                     f, concat_flops, ratio);
+        recordAggRow(report, std::string(f.tag) + "/split",
+                     bestOfMs(repeats, [&] { static_cast<void>(split()); }),
+                     f, split_flops, ratio);
     }
 
     for (const Shape &s : kBackwardShapes) {

@@ -84,11 +84,11 @@ Dgcnn::Dgcnn(DgcnnConfig config, std::uint64_t seed) : cfg(std::move(config))
     for (const std::size_t width : cfg.ecWidths) {
         // Linear + BN + LeakyReLU(0.2), as in the reference DGCNN.
         EcBlock block;
-        block.mlp.add(
-            std::make_unique<nn::Linear>(2 * feat_dim, width, rng));
+        auto first = std::make_unique<nn::Linear>(2 * feat_dim, width, rng);
+        block.firstLinear = first.get();
+        block.mlp.add(std::move(first));
         block.mlp.add(std::make_unique<nn::BatchNorm>(width));
         block.mlp.add(std::make_unique<nn::LeakyReLU>());
-        block.pool = std::make_unique<nn::MaxPoolNeighbors>(cfg.k);
         ecBlocks.push_back(std::move(block));
         feat_dim = width;
         concat_dim += width;
@@ -111,6 +111,7 @@ Dgcnn::Dgcnn(DgcnnConfig config, std::uint64_t seed) : cfg(std::move(config))
         head_in = width;
     }
     head.add(std::make_unique<nn::Linear>(head_in, cfg.numClasses, rng));
+    headFirstLinear = static_cast<nn::Linear *>(head.layerAt(0));
 
     // Propagate the int8-inference config to every Linear layer; the
     // per-call resolve (env > config > shape heuristic) happens inside
@@ -139,7 +140,8 @@ Dgcnn::name() const
 NeighborLists
 Dgcnn::searchNeighbors(std::size_t module, const EdgePcConfig &config,
                        std::span<const Vec3> positions,
-                       const nn::Matrix &features, NeighborCache &cache)
+                       const nn::Matrix &features,
+                       NeighborCache &cache) const
 {
     const std::size_t k = cfg.k;
     const int layer = static_cast<int>(module);
@@ -186,10 +188,13 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (cloud.empty()) {
         raise(ErrorCode::EmptyCloud, "Dgcnn::forward: empty cloud");
     }
-    trainMode = train;
     const std::size_t n = cloud.size();
-    savedPoints = n;
+    if (train) {
+        trainMode = true;
+        savedPoints = n;
+    }
     NeighborCache cache(config.reuseDistance);
+    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
 
     // Initial features: the coordinates.
     nn::Matrix features(n, 3);
@@ -201,8 +206,8 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     }
 
     // Every EdgeConv output lands in its column range of one
-    // n x sum(ecWidths) matrix: the embedding's input, and the left
-    // part of a segmentation head's.
+    // n x sum(ecWidths) matrix: the embedding's input, and the
+    // per-point half of a segmentation head's.
     const std::size_t concat_dim = std::accumulate(
         cfg.ecWidths.begin(), cfg.ecWidths.end(), std::size_t{0});
     nn::Matrix concat = nn::Matrix::forOverwrite(n, concat_dim);
@@ -233,42 +238,41 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         // Delayed aggregation (DESIGN.md §13): the first Linear splits
         // into per-point x_i and x_j − x_i terms, so it runs once per
         // unique point and the per-edge work is a gather + add.
-        auto *lin0 =
-            block.mlp.size() == 0
-                ? nullptr
-                : dynamic_cast<nn::Linear *>(block.mlp.layerAt(0));
-        block.delayedActive =
-            lin0 != nullptr &&
-            nn::resolveDelayedAgg(cfg.delayedAggregation,
-                                  nn::edgeDelayedFlopRatio(k_eff));
-        if (block.delayedActive) {
+        const bool delayed = nn::resolveDelayedAgg(
+            cfg.delayedAggregation, nn::edgeDelayedFlopRatio(k_eff));
+        nn::Matrix activated;
+        if (delayed) {
             StageTimer::ScopedStage scope(t, kStageFeature);
-            nn::Matrix pre = nn::delayedEdgeFirstLinear(
-                features, neighbors, lin0->weights().value,
-                lin0->biases().value, nn::GemmEngine::globalEngine(),
-                train ? &block.delayedCache : nullptr);
-            const nn::Matrix activated =
-                block.mlp.forwardFrom(1, std::move(pre), train);
+            activated = block.mlp.forwardFrom(
+                1,
+                nn::delayedEdgeFirstLinear(
+                    features, neighbors, block.firstLinear->weights().value,
+                    block.firstLinear->biases().value, engine,
+                    train ? &block.delayedCache : nullptr),
+                train);
+        } else {
+            nn::Matrix edges;
+            {
+                StageTimer::ScopedStage scope(t, kStageGroup);
+                if (train) {
+                    block.edge.setNeighbors(std::move(neighbors));
+                    edges = block.edge.forward(features, true);
+                } else {
+                    edges = nn::edgeFeatures(features, neighbors);
+                }
+            }
+            StageTimer::ScopedStage scope(t, kStageFeature);
+            activated = block.mlp.forward(edges, train);
+        }
+        StageTimer::ScopedStage scope(t, kStageFeature);
+        if (train) {
+            block.delayedActive = delayed;
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            features = block.pool->forward(activated, train);
-            append(features);
-            continue;
+            features = block.pool->forward(activated, true);
+        } else {
+            features = nn::maxPoolRows(activated, 0, activated.rows(), k_eff);
         }
-
-        nn::Matrix edges;
-        {
-            StageTimer::ScopedStage scope(t, kStageGroup);
-            block.edge.setNeighbors(std::move(neighbors));
-            edges = block.edge.forward(features, train);
-        }
-        {
-            StageTimer::ScopedStage scope(t, kStageFeature);
-            const nn::Matrix activated = block.mlp.forward(edges, train);
-            block.pool =
-                std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            features = block.pool->forward(activated, train);
-            append(features);
-        }
+        append(features);
     }
 
     StageTimer::ScopedStage scope(t, kStageFeature);
@@ -278,7 +282,15 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (isClassifier()) {
         return head.forward(pooled, train);
     }
-    return head.forward(nn::concatBroadcastRow(concat, pooled), train);
+    // The head reads [concat | 1 pooled] without building it: its
+    // first Linear runs split (DESIGN.md §13).
+    return head.forwardFrom(
+        1,
+        nn::broadcastFirstLinear(concat, pooled,
+                                 headFirstLinear->weights().value,
+                                 headFirstLinear->biases().value, engine,
+                                 train ? &headCache : nullptr),
+        train);
 }
 
 nn::Matrix
@@ -295,28 +307,22 @@ Dgcnn::backward(const nn::Matrix &grad_logits)
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("Dgcnn::backward without forward(train=true)");
     }
+    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
     const std::size_t num_ec = ecBlocks.size();
     const std::size_t concat_dim = std::accumulate(
         cfg.ecWidths.begin(), cfg.ecWidths.end(), std::size_t{0});
 
-    nn::Matrix grad_concat(savedPoints, concat_dim);
+    nn::Matrix grad_concat;
     nn::Matrix grad_pooled;
-
-    nn::Matrix g = head.backward(grad_logits);
     if (isClassifier()) {
-        grad_pooled = std::move(g);
+        grad_pooled = head.backward(grad_logits);
+        grad_concat = nn::Matrix(savedPoints, concat_dim);
     } else {
-        auto [concat_part, broadcast_part] = nn::splitCols(g, concat_dim);
-        grad_concat.add(concat_part);
-        // Sum the broadcast gradient back into the single global row.
-        grad_pooled = nn::Matrix(1, broadcast_part.cols());
-        for (std::size_t r = 0; r < broadcast_part.rows(); ++r) {
-            const float *row =
-                broadcast_part.data() + r * broadcast_part.cols();
-            for (std::size_t c = 0; c < broadcast_part.cols(); ++c) {
-                grad_pooled.at(0, c) += row[c];
-            }
-        }
+        auto [d_concat, d_pooled] = nn::broadcastFirstLinearBackward(
+            headCache, head.backwardFrom(1, grad_logits),
+            headFirstLinear->weights(), headFirstLinear->biases(), engine);
+        grad_concat = std::move(d_concat);
+        grad_pooled = std::move(d_pooled);
     }
 
     const nn::Matrix grad_embedded = globalPool.backward(grad_pooled);
@@ -348,11 +354,9 @@ Dgcnn::backward(const nn::Matrix &grad_logits)
             // formulation (which also folds in the edge layer's
             // endpoint scatter).
             gg = block.mlp.backwardFrom(1, gg);
-            auto *lin0 =
-                static_cast<nn::Linear *>(block.mlp.layerAt(0));
             gg = nn::delayedEdgeFirstLinearBackward(
-                block.delayedCache, gg, lin0->weights(), lin0->biases(),
-                nn::GemmEngine::globalEngine());
+                block.delayedCache, gg, block.firstLinear->weights(),
+                block.firstLinear->biases(), engine);
         } else {
             gg = block.mlp.backward(gg);
             gg = block.edge.backward(gg);

@@ -100,7 +100,14 @@ struct DgcnnConfig
     static DgcnnConfig liteSegmentation(std::size_t num_classes);
 };
 
-/** DGCNN with selectable baseline / EdgePC kernels. */
+/**
+ * DGCNN with selectable baseline / EdgePC kernels.
+ *
+ * Inference writes no model member: a frame's neighbor lists, pooling
+ * and delayed-aggregation decisions live in locals, so two threads may
+ * infer on one model at once, and infer() may run between a training
+ * forward and its backward.
+ */
 class Dgcnn : public TrainableModel
 {
   public:
@@ -109,7 +116,8 @@ class Dgcnn : public TrainableModel
     nn::Matrix infer(const PointCloud &cloud, const EdgePcConfig &cfg,
                      StageTimer *timer = nullptr) override;
 
-    /** Forward keeping intermediates when @p train is true. */
+    /** Forward; with @p train it runs infer()'s route and keeps the
+        layer caches backward() needs, without it is infer(). */
     nn::Matrix forward(const PointCloud &cloud, const EdgePcConfig &cfg,
                        StageTimer *timer, bool train);
 
@@ -131,8 +139,11 @@ class Dgcnn : public TrainableModel
   private:
     struct EcBlock
     {
-        nn::EdgeFeatureLayer edge;
         nn::Sequential mlp;
+        /** mlp's first layer, which the delayed route runs itself. */
+        nn::Linear *firstLinear = nullptr;
+        // Training caches (written by forward(train=true) only).
+        nn::EdgeFeatureLayer edge;
         std::unique_ptr<nn::MaxPoolNeighbors> pool;
         /** Route taken by the last training forward (backward follows
             the same route over the same parameters). */
@@ -145,15 +156,19 @@ class Dgcnn : public TrainableModel
                                   const EdgePcConfig &config,
                                   std::span<const Vec3> positions,
                                   const nn::Matrix &features,
-                                  NeighborCache &cache);
+                                  NeighborCache &cache) const;
 
     DgcnnConfig cfg;
     std::vector<EcBlock> ecBlocks;
     nn::Sequential embedding;
     nn::Sequential head;
-    nn::GlobalMaxPool globalPool;
+    /** head's first layer: a segmentation head runs it split over
+        [concat | 1 pooled] (DESIGN.md §13). */
+    nn::Linear *headFirstLinear = nullptr;
 
-    // Forward state for backward.
+    // Training caches (written by forward(train=true) only).
+    nn::GlobalMaxPool globalPool;
+    nn::BroadcastLinearCache headCache;
     std::size_t savedPoints = 0;
     bool trainMode = false;
 };

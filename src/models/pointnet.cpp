@@ -59,6 +59,7 @@ PointNet::PointNet(PointNetConfig config, std::uint64_t seed)
         head_in = width;
     }
     head.add(std::make_unique<nn::Linear>(head_in, cfg.numClasses, rng));
+    headFirstLinear = static_cast<nn::Linear *>(head.layerAt(0));
 }
 
 nn::Matrix
@@ -69,9 +70,11 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (cloud.empty()) {
         raise(ErrorCode::EmptyCloud, "PointNet::forward: empty cloud");
     }
-    trainMode = train;
     const std::size_t n = cloud.size();
-    savedPoints = n;
+    if (train) {
+        trainMode = true;
+        savedPoints = n;
+    }
 
     StageTimer dummy;
     StageTimer &t = timer ? *timer : dummy;
@@ -91,8 +94,16 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (!cfg.segmentation) {
         return head.forward(pooled, train);
     }
-    return head.forward(nn::concatBroadcastRow(point_features, pooled),
-                        train);
+    // The head reads [local | 1 global] without building it: its first
+    // Linear runs split (DESIGN.md §13).
+    return head.forwardFrom(
+        1,
+        nn::broadcastFirstLinear(point_features, pooled,
+                                 headFirstLinear->weights().value,
+                                 headFirstLinear->biases().value,
+                                 nn::GemmEngine::globalEngine(),
+                                 train ? &headCache : nullptr),
+        train);
 }
 
 nn::Matrix
@@ -109,21 +120,17 @@ PointNet::backward(const nn::Matrix &grad_logits)
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("PointNet::backward without forward(train=true)");
     }
-    nn::Matrix g = head.backward(grad_logits);
-
     nn::Matrix grad_point_features;
     nn::Matrix grad_pooled;
     if (cfg.segmentation) {
-        auto [local, broadcast] = nn::splitCols(g, cfg.mlp.back());
-        grad_point_features = std::move(local);
-        grad_pooled = nn::Matrix(1, broadcast.cols());
-        for (std::size_t r = 0; r < broadcast.rows(); ++r) {
-            for (std::size_t c = 0; c < broadcast.cols(); ++c) {
-                grad_pooled.at(0, c) += broadcast.at(r, c);
-            }
-        }
+        auto [d_local, d_global] = nn::broadcastFirstLinearBackward(
+            headCache, head.backwardFrom(1, grad_logits),
+            headFirstLinear->weights(), headFirstLinear->biases(),
+            nn::GemmEngine::globalEngine());
+        grad_point_features = std::move(d_local);
+        grad_pooled = std::move(d_global);
     } else {
-        grad_pooled = std::move(g);
+        grad_pooled = head.backward(grad_logits);
         grad_point_features =
             nn::Matrix(savedPoints, cfg.mlp.back());
     }

@@ -18,6 +18,7 @@
 #define EDGEPC_MODELS_POINTNET_HPP
 
 #include "models/model.hpp"
+#include "nn/delayed_agg.hpp"
 #include "nn/layers.hpp"
 
 namespace edgepc {
@@ -44,7 +45,11 @@ struct PointNetConfig
     static PointNetConfig segmentationConfig(std::size_t num_classes);
 };
 
-/** Vanilla PointNet. */
+/**
+ * Vanilla PointNet. Inference writes no model member, so two threads
+ * may infer on one model at once, and infer() may run between a
+ * training forward and its backward.
+ */
 class PointNet : public TrainableModel
 {
   public:
@@ -69,9 +74,13 @@ class PointNet : public TrainableModel
     PointNetConfig cfg;
     nn::Sequential pointMlp;
     nn::Sequential head;
-    nn::GlobalMaxPool globalPool;
+    /** head's first layer: a segmentation head runs it split over
+        [local | 1 global] (DESIGN.md §13). */
+    nn::Linear *headFirstLinear = nullptr;
 
-    // Forward state.
+    // Training caches (written by forward(train=true) only).
+    nn::GlobalMaxPool globalPool;
+    nn::BroadcastLinearCache headCache;
     std::size_t savedPoints = 0;
     bool trainMode = false;
 };

@@ -199,6 +199,10 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
     std::size_t carried = level_dims.back();
     const std::size_t num_levels = level_dims.size();
     for (std::size_t m = 0; m < cfg.fp.size(); ++m) {
+        if (cfg.fp[m].mlp.empty()) {
+            // NOLINTNEXTLINE(edgepc-R1): impossible configuration, not data
+            fatal("PointNetPP: fp module %zu has an empty mlp", m);
+        }
         FpBlock block;
         block.conf = cfg.fp[m];
         const std::size_t fine_level = num_levels - 2 - m;
@@ -207,6 +211,7 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
             block.mlp.addLinearBnRelu(in_dim, width, rng);
             in_dim = width;
         }
+        block.firstLinear = static_cast<nn::Linear *>(block.mlp.layerAt(0));
         carried = in_dim;
         fpBlocks.push_back(std::move(block));
     }
@@ -488,51 +493,49 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
         }
     }
 
+    // FP modules: the level being up-sampled stays row-stacked from one
+    // module to the next. Each module's first Linear runs split over
+    // [interp(F) | S] (DESIGN.md §13): the up-product once over every
+    // cloud's coarse rows, the skip product over the fine rows, and
+    // each cloud's plan adds its own interpolated rows.
     nn::Matrix stacked;
+    std::vector<std::size_t> coarse_rows(batch);
+    if (!isClassifier()) {
+        const std::size_t deepest = saBlocks.size();
+        std::size_t total = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+            coarse_rows[b] = feat[b][deepest].rows();
+            total += coarse_rows[b];
+        }
+        std::size_t offset = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+            stackRows(stacked, total, offset, std::move(feat[b][deepest]));
+            offset += coarse_rows[b];
+        }
+    }
+    std::vector<const InterpolationPlan *> upsample(batch);
     for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
+        FpBlock &block = fpBlocks[m];
         const std::size_t fine = saBlocks.size() - 1 - m;
         std::size_t total = 0;
         for (std::size_t b = 0; b < batch; ++b) {
-            rows[b] = plans[b]->upsample[m].targets();
+            upsample[b] = &plans[b]->upsample[m];
+            rows[b] = upsample[b]->targets();
             total += rows[b];
         }
-        const std::size_t up_cols = feat[0][fine + 1].cols();
-        const std::size_t skip_cols = feat[0][fine].cols();
-        stacked = nn::Matrix::forOverwrite(total, up_cols + skip_cols);
-        {
-            // Up-sampled features into the left columns and the skip
-            // features into the right columns of the stack: the concat
-            // costs no extra pass.
-            StageScope scope(timer, kStageGroup);
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                float *base = stacked.data() + offset * stacked.cols();
-                nn::applyInterpolationInto(
-                    plans[b]->upsample[m], feat[b][fine + 1],
-                    std::span<float>(base, rows[b] * stacked.cols()),
-                    stacked.cols());
-                if (skip_cols > 0) {
-                    const nn::Matrix &skip = feat[b][fine];
-                    for (std::size_t r = 0; r < rows[b]; ++r) {
-                        const float *src = skip.data() + r * skip_cols;
-                        std::copy(src, src + skip_cols,
-                                  base + r * stacked.cols() + up_cols);
-                    }
-                }
-                feat[b][fine + 1] = nn::Matrix{};
-                feat[b][fine] = nn::Matrix{};
-                offset += rows[b];
-            }
-        }
         StageScope scope(timer, kStageFeature);
-        stacked = fpBlocks[m].mlp.forwardSegmented(std::move(stacked), rows);
-        if (fine > 0) {
-            std::size_t offset = 0;
-            for (std::size_t b = 0; b < batch; ++b) {
-                feat[b][fine] = unstackRows(stacked, offset, rows[b]);
-                offset += rows[b];
-            }
+        nn::Matrix skip;
+        std::size_t offset = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+            stackRows(skip, total, offset, std::move(feat[b][fine]));
+            offset += rows[b];
         }
+        nn::Matrix pre = nn::interpolatedFirstLinear(
+            stacked, coarse_rows, upsample, skip,
+            block.firstLinear->weights().value,
+            block.firstLinear->biases().value, engine, nullptr);
+        stacked = block.mlp.forwardSegmented(std::move(pre), rows, 1);
+        coarse_rows = rows;
     }
 
     // The head reads the finest FP output still stacked, or (for a
@@ -673,17 +676,17 @@ PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
     for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
         FpBlock &block = fpBlocks[m];
         const std::size_t fine = saBlocks.size() - 1 - m;
-        nn::Matrix concat;
-        {
-            StageScope scope(timer, kStageGroup);
-            block.interp.setPlan(std::move(plan.upsample[m]));
-            concat = block.interp.forward(feat[fine + 1], true);
-            if (feat[fine].cols() > 0) {
-                concat = nn::concatCols(concat, feat[fine]);
-            }
-        }
+        const std::size_t coarse_rows[] = {feat[fine + 1].rows()};
+        const InterpolationPlan *const upsample[] = {&plan.upsample[m]};
         StageScope scope(timer, kStageFeature);
-        feat[fine] = block.mlp.forward(concat, true);
+        feat[fine] = block.mlp.forwardFrom(
+            1,
+            nn::interpolatedFirstLinear(
+                feat[fine + 1], coarse_rows, upsample, feat[fine],
+                block.firstLinear->weights().value,
+                block.firstLinear->biases().value,
+                nn::GemmEngine::globalEngine(), &block.cache),
+            true);
     }
     StageScope scope(timer, kStageFeature);
     return head.forward(feat[0], true);
@@ -716,15 +719,12 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
             const std::size_t fine = coarse - 1;
             FpBlock &block = fpBlocks[m];
 
-            nn::Matrix grad_concat =
-                block.mlp.backward(grad_fp[fine]);
-            const std::size_t up_cols =
-                grad_concat.cols() - saBlocks[fine].featDim;
-            auto [up_grad, skip_grad] =
-                nn::splitCols(grad_concat, up_cols);
-
-            const nn::Matrix coarse_grad =
-                block.interp.backward(up_grad);
+            auto [coarse_grad, skip_grad] =
+                nn::interpolatedFirstLinearBackward(
+                    block.cache, block.mlp.backwardFrom(1, grad_fp[fine]),
+                    block.firstLinear->weights(),
+                    block.firstLinear->biases(),
+                    nn::GemmEngine::globalEngine());
             if (coarse == num_levels - 1) {
                 accumulate(grad_sa[coarse], coarse_grad);
             } else {

@@ -60,7 +60,7 @@ struct SaConfig
 /** One FeaturePropagation module's hyper-parameters. */
 struct FpConfig
 {
-    /** Shared-MLP channel widths. */
+    /** Shared-MLP channel widths (at least one). */
     std::vector<std::size_t> mlp;
 };
 
@@ -234,7 +234,10 @@ class PointNetPP : public TrainableModel
     {
         FpConfig conf;
         nn::Sequential mlp;
-        nn::InterpolateLayer interp; ///< Training cache.
+        /** mlp's first layer, which runs split over [interp(F) | S]
+            (DESIGN.md §13). */
+        nn::Linear *firstLinear = nullptr;
+        nn::InterpolatedLinearCache cache; ///< Training cache.
     };
 
     /** One frame's plan, the staged frame (defined in the .cpp). */

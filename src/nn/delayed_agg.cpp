@@ -43,34 +43,56 @@ modeState()
     return state;
 }
 
-/** Broadcast-add @p bias over the rows of @p m (the split-epilogue
-    bias pass; the fused path adds it in the GEMM tile store). */
+/** Broadcast-add @p bias over the @p rows rows of @p m (the
+    split-epilogue bias pass; the fused path adds it in the GEMM tile
+    store). */
 void
-addBiasRows(Matrix &m, const Matrix &bias)
+addBiasRows(float *m, std::size_t rows, std::size_t cols,
+            const float *bias)
 {
-    const float *b = bias.data();
-    parallelFor(0, m.rows(), [&](std::size_t r) {
-        float *row = m.data() + r * m.cols();
-        for (std::size_t c = 0; c < m.cols(); ++c) {
-            row[c] += b[c];
+    parallelFor(0, rows, [&](std::size_t r) {
+        float *row = m + r * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+            row[c] += bias[c];
         }
     });
 }
 
-/** X * W (+ bias), honoring the process-wide epilogue-fusion toggle so
-    the delayed route sees the same EDGEPC_GEMM_EPILOGUE matrix as the
-    eager Linear::forward. */
+/** The @p rows x @p k matrix at @p a times rows [w_row, w_row + k) of
+    @p weight, plus @p bias (weight.cols() floats, or null), into
+    @p out — always on the fp32 GEMM, honoring the process-wide
+    epilogue-fusion toggle so the split routes see the same
+    EDGEPC_GEMM_EPILOGUE matrix as the eager Linear::forward. */
+void
+linearRowsInto(const float *a, std::size_t rows, std::size_t k,
+               const Matrix &weight, std::size_t w_row, const float *bias,
+               float *out, GemmEngine &engine)
+{
+    const std::size_t n = weight.cols();
+    const float *w = weight.data() + w_row * n;
+    if (bias != nullptr && GemmEngine::fusedEpilogues()) {
+        engine.gemm(a, w, out, rows, k, n, GemmEpilogue::Bias, bias);
+        return;
+    }
+    engine.gemm(a, w, out, rows, k, n);
+    if (bias != nullptr) {
+        addBiasRows(out, rows, n, bias);
+    }
+}
+
+/** X * W (+ bias) on the fp32 GEMM. */
 Matrix
 linearNoSave(const Matrix &x, const Matrix &weight, const Matrix &bias,
              GemmEngine &engine)
 {
-    if (bias.numel() > 0 && GemmEngine::fusedEpilogues()) {
-        return engine.multiply(x, weight, GemmEpilogue::Bias, bias);
+    if (x.cols() != weight.rows()) {
+        fatal("linearNoSave: %zux%zu times %zux%zu", x.rows(), x.cols(),
+              weight.rows(), weight.cols());
     }
-    Matrix out = engine.multiply(x, weight);
-    if (bias.numel() > 0) {
-        addBiasRows(out, bias);
-    }
+    Matrix out = Matrix::forOverwrite(x.rows(), weight.cols());
+    linearRowsInto(x.data(), x.rows(), x.cols(), weight, 0,
+                   bias.numel() > 0 ? bias.data() : nullptr, out.data(),
+                   engine);
     return out;
 }
 
@@ -157,6 +179,45 @@ segmentSumRows(const Matrix &grad_pre, std::size_t k)
     return out;
 }
 
+/** dG = interp^T(dY): each target row of @p grad_pre scattered onto
+    its plan sources with their weights (sequential: sources collide). */
+Matrix
+scatterInterpolation(const InterpolationPlan &plan, const Matrix &grad_pre,
+                     std::size_t source_rows)
+{
+    const std::size_t cols = grad_pre.cols();
+    const std::size_t k = plan.k;
+    Matrix out(source_rows, cols);
+    for (std::size_t t = 0; t < plan.targets(); ++t) {
+        const float *dy = grad_pre.data() + t * cols;
+        for (std::size_t j = 0; j < k; ++j) {
+            const float w = plan.weights[t * k + j];
+            float *dst =
+                out.data() + std::size_t(plan.indices[t * k + j]) * cols;
+            for (std::size_t c = 0; c < cols; ++c) {
+                dst[c] += w * dy[c];
+            }
+        }
+    }
+    return out;
+}
+
+/** The 1 x C column sums of @p m, in row order (as Linear::backward
+    sums its bias gradient). */
+Matrix
+columnSums(const Matrix &m)
+{
+    Matrix sums(1, m.cols());
+    float *s = sums.data();
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        const float *row = m.data() + r * m.cols();
+        for (std::size_t c = 0; c < m.cols(); ++c) {
+            s[c] += row[c];
+        }
+    }
+    return sums;
+}
+
 /** db += column sums of grad_pre (identical to Linear::backward). */
 void
 accumulateBiasGrad(const Matrix &grad_pre, Parameter &bias)
@@ -167,6 +228,19 @@ accumulateBiasGrad(const Matrix &grad_pre, Parameter &bias)
         for (std::size_t c = 0; c < grad_pre.cols(); ++c) {
             bg[c] += row[c];
         }
+    }
+}
+
+/** Rows [begin, begin + a.cols()) of @p grad += A^T B: the weight
+    gradient of a row slab. */
+void
+accumulateSlabGrad(const Matrix &a, const Matrix &b, Matrix &grad,
+                   std::size_t begin, GemmEngine &engine)
+{
+    const Matrix d = engine.multiplyLeftTransposed(a, b);
+    float *dst = grad.data() + begin * grad.cols();
+    for (std::size_t i = 0; i < d.numel(); ++i) {
+        dst[i] += d.data()[i];
     }
 }
 
@@ -487,6 +561,155 @@ delayedEdgeFirstLinearBackward(const DelayedEdgeCache &cache,
         engine.multiplyTransposed(d_psi, w_self_minus_diff);
     d_features.add(engine.multiplyTransposed(d_phi, w_diff));
     return d_features;
+}
+
+Matrix
+broadcastFirstLinear(const Matrix &local, const Matrix &global_row,
+                     const Matrix &weight, const Matrix &bias,
+                     GemmEngine &engine, BroadcastLinearCache *cache)
+{
+    const std::size_t c = local.cols();
+    const std::size_t p = global_row.cols();
+    if (global_row.rows() != 1) {
+        fatal("broadcastFirstLinear: expected a single global row, got %zu",
+              global_row.rows());
+    }
+    if (weight.rows() != c + p || bias.numel() != weight.cols()) {
+        fatal("broadcastFirstLinear: weight %zux%zu, bias %zu for "
+              "[%zu | %zu] inputs",
+              weight.rows(), weight.cols(), bias.numel(), c, p);
+    }
+    const std::size_t c_out = weight.cols();
+
+    // [C | 1 p] W + b = C W_top + (p W_bot + b): the row product is the
+    // bias of the n-row GEMM.
+    Matrix row = Matrix::forOverwrite(1, c_out);
+    linearRowsInto(global_row.data(), 1, p, weight, c, bias.data(),
+                   row.data(), engine);
+    Matrix pre = Matrix::forOverwrite(local.rows(), c_out);
+    linearRowsInto(local.data(), local.rows(), c, weight, 0, row.data(),
+                   pre.data(), engine);
+
+    if (cache != nullptr) {
+        cache->local = local;
+        cache->global = global_row;
+    }
+    return pre;
+}
+
+std::pair<Matrix, Matrix>
+broadcastFirstLinearBackward(const BroadcastLinearCache &cache,
+                             const Matrix &grad_pre, Parameter &weight,
+                             Parameter &bias, GemmEngine &engine)
+{
+    const std::size_t c = cache.local.cols();
+    const std::size_t p = cache.global.cols();
+
+    // Every row saw the same p, so its weight and input gradients only
+    // need the column sums of dY.
+    const Matrix sums = columnSums(grad_pre);
+    accumulateSlabGrad(cache.local, grad_pre, weight.grad, 0, engine);
+    accumulateSlabGrad(cache.global, sums, weight.grad, c, engine);
+    bias.grad.add(sums);
+
+    Matrix d_local = engine.multiplyTransposed(
+        grad_pre, weightRowSlab(weight.value, 0, c));
+    Matrix d_global = engine.multiplyTransposed(
+        sums, weightRowSlab(weight.value, c, c + p));
+    return {std::move(d_local), std::move(d_global)};
+}
+
+Matrix
+interpolatedFirstLinear(const Matrix &coarse,
+                        std::span<const std::size_t> coarse_rows,
+                        std::span<const InterpolationPlan *const> plans,
+                        const Matrix &skip, const Matrix &weight,
+                        const Matrix &bias, GemmEngine &engine,
+                        InterpolatedLinearCache *cache)
+{
+    const std::size_t up = coarse.cols();
+    const std::size_t skip_cols = skip.cols();
+    if (weight.rows() != up + skip_cols || bias.numel() != weight.cols()) {
+        fatal("interpolatedFirstLinear: weight %zux%zu, bias %zu for "
+              "[%zu | %zu] inputs",
+              weight.rows(), weight.cols(), bias.numel(), up, skip_cols);
+    }
+    if (coarse_rows.size() != plans.size()) {
+        fatal("interpolatedFirstLinear: %zu coarse row counts for %zu "
+              "plans",
+              coarse_rows.size(), plans.size());
+    }
+    if (cache != nullptr && plans.size() != 1) {
+        fatal("interpolatedFirstLinear: a training cache holds one cloud, "
+              "got %zu",
+              plans.size());
+    }
+    std::size_t coarse_total = 0;
+    std::size_t targets = 0;
+    for (std::size_t b = 0; b < plans.size(); ++b) {
+        coarse_total += coarse_rows[b];
+        targets += plans[b]->targets();
+    }
+    if (coarse_total != coarse.rows() || targets != skip.rows()) {
+        fatal("interpolatedFirstLinear: %zu coarse rows (want %zu), %zu "
+              "skip rows (want %zu)",
+              coarse.rows(), coarse_total, skip.rows(), targets);
+    }
+    const std::size_t c_out = weight.cols();
+
+    // [interp(F) | S] W + b = interp(F W_up) + (S W_skip + b): the
+    // up-product runs on the coarse rows, and each cloud's plan adds
+    // its interpolated rows onto its skip product.
+    Matrix up_product = Matrix::forOverwrite(coarse_total, c_out);
+    linearRowsInto(coarse.data(), coarse_total, up, weight, 0, nullptr,
+                   up_product.data(), engine);
+    Matrix pre = Matrix::forOverwrite(targets, c_out);
+    linearRowsInto(skip.data(), targets, skip_cols, weight, up,
+                   bias.data(), pre.data(), engine);
+    std::size_t coarse_offset = 0;
+    std::size_t offset = 0;
+    for (std::size_t b = 0; b < plans.size(); ++b) {
+        const std::size_t rows = plans[b]->targets();
+        addInterpolation(
+            *plans[b],
+            std::span<const float>(
+                up_product.data() + coarse_offset * c_out,
+                coarse_rows[b] * c_out),
+            c_out,
+            std::span<float>(pre.data() + offset * c_out, rows * c_out));
+        coarse_offset += coarse_rows[b];
+        offset += rows;
+    }
+
+    if (cache != nullptr) {
+        cache->coarse = coarse;
+        cache->skip = skip;
+        cache->plan = *plans[0];
+    }
+    return pre;
+}
+
+std::pair<Matrix, Matrix>
+interpolatedFirstLinearBackward(const InterpolatedLinearCache &cache,
+                                const Matrix &grad_pre, Parameter &weight,
+                                Parameter &bias, GemmEngine &engine)
+{
+    const std::size_t up = cache.coarse.cols();
+    const std::size_t skip_cols = cache.skip.cols();
+
+    // The up-product's gradient lives on the coarse rows: scatter dY
+    // back through the plan first, then both GEMMs run there.
+    const Matrix d_up =
+        scatterInterpolation(cache.plan, grad_pre, cache.coarse.rows());
+    accumulateSlabGrad(cache.coarse, d_up, weight.grad, 0, engine);
+    accumulateSlabGrad(cache.skip, grad_pre, weight.grad, up, engine);
+    accumulateBiasGrad(grad_pre, bias);
+
+    Matrix d_coarse =
+        engine.multiplyTransposed(d_up, weightRowSlab(weight.value, 0, up));
+    Matrix d_skip = engine.multiplyTransposed(
+        grad_pre, weightRowSlab(weight.value, up, up + skip_cols));
+    return {std::move(d_coarse), std::move(d_skip)};
 }
 
 } // namespace nn

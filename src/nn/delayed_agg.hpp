@@ -31,6 +31,27 @@
  * (max_j x_j) + c and ReLU is monotone — so inference can skip the
  * (n*k)-row matrix entirely via gatherMaxPoolInto.
  *
+ * The same reorder applies to the two gathers that feed a Linear with
+ * no BatchNorm in between, and there it is the only route:
+ *
+ *  - A segmentation head reads [C | 1 p]: per-point features next to
+ *    the broadcast global row p. With W = [W_top; W_bot]
+ *      [C | 1 p] W + b  =  C W_top + (p W_bot + b)
+ *    — one 1-row product that becomes the bias row of an n-row GEMM
+ *    over C alone, so the n x (|C| + |p|) input never exists.
+ *
+ *  - A PointNet++ FP module reads [interp(F) | S]: the coarse level's
+ *    features F interpolated to the fine rows, next to the skip
+ *    features S. Interpolation is a weighted sum of source rows, so
+ *    with W = [W_up; W_skip]
+ *      [interp(F) | S] W + b  =  interp(F W_up) + S W_skip + b
+ *    and the up-product runs on the coarse level's rows.
+ *
+ * Both split products always run on the fp32 GEMM (as the delayed
+ * first Linears do), so they are row-independent and run once over a
+ * row-stacked batch; the layers after them keep their own int8
+ * decision.
+ *
  * The delayed variants are checkpoint-compatible by construction: they
  * are alternative execution routes over the same Linear parameters, so
  * collectParameters order, shapes and serialized streams are identical
@@ -48,12 +69,14 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geometry/vec3.hpp"
 #include "neighbor/neighbor_search.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
+#include "sampling/interpolation.hpp"
 
 namespace edgepc {
 namespace nn {
@@ -197,6 +220,86 @@ Matrix delayedEdgeFirstLinearBackward(const DelayedEdgeCache &cache,
                                       const Matrix &grad_pre,
                                       Parameter &weight, Parameter &bias,
                                       GemmEngine &engine);
+
+/** Forward state the broadcast-head backward pass needs (train only). */
+struct BroadcastLinearCache
+{
+    Matrix local;  ///< n x |C|: the per-point rows.
+    Matrix global; ///< 1 x |p|: the broadcast row.
+};
+
+/**
+ * First Linear of a segmentation head over [C | 1 p], without building
+ * that matrix: the row product p W_bot + b is the bias of the n-row
+ * GEMM C W_top. W_top and W_bot are the first |C| and last |p| rows of
+ * @p weight, used in place. Equals Linear::forward on the
+ * concatenation up to float reassociation; always fp32.
+ *
+ * @param local n x |C| per-point features.
+ * @param global_row 1 x |p| broadcast row.
+ * @param weight (|C| + |p|) x C_out first-layer weight.
+ * @param bias 1 x C_out first-layer bias.
+ * @param cache When non-null, filled for the backward pass.
+ * @return n x C_out pre-activation rows.
+ */
+Matrix broadcastFirstLinear(const Matrix &local, const Matrix &global_row,
+                            const Matrix &weight, const Matrix &bias,
+                            GemmEngine &engine, BroadcastLinearCache *cache);
+
+/**
+ * Backward of broadcastFirstLinear. With s = colsum(dY) it accumulates
+ * dW_top += C^T dY, dW_bot += p^T s and db += s, and returns
+ * {dC = dY W_top^T, dp = s W_bot^T}.
+ */
+std::pair<Matrix, Matrix>
+broadcastFirstLinearBackward(const BroadcastLinearCache &cache,
+                             const Matrix &grad_pre, Parameter &weight,
+                             Parameter &bias, GemmEngine &engine);
+
+/** Forward state the FP first-Linear backward pass needs (train only). */
+struct InterpolatedLinearCache
+{
+    Matrix coarse; ///< n_c x |F|: the coarse features F.
+    Matrix skip;   ///< n x |S| skip features (|S| may be 0).
+    InterpolationPlan plan;
+};
+
+/**
+ * First Linear of a PointNet++ FP module over [interp(F) | S] for a
+ * row-stacked batch of clouds, without building that matrix: U = F W_up
+ * runs once over every cloud's coarse rows, S W_skip + b once over the
+ * fine rows, and each cloud's plan adds its interpolated rows of U
+ * onto its fine rows. W_up and W_skip are the first |F| and last |S|
+ * rows of @p weight, used in place. Equals Linear::forward on the
+ * concatenation up to float reassociation; always fp32, and each
+ * cloud's rows are the same whatever else is in the batch.
+ *
+ * @param coarse The clouds' coarse features, stacked (n_c rows).
+ * @param coarse_rows Each cloud's coarse row count (sums to n_c).
+ * @param plans Each cloud's up-sampling plan; its indices count from
+ *        the cloud's first coarse row.
+ * @param skip The clouds' skip features, stacked: one row per target
+ *        of the plans, |S| = weight.rows() - |F| columns (may be 0).
+ * @param cache When non-null (one cloud only), filled for backward.
+ * @return Stacked pre-activation rows, one per target.
+ */
+Matrix interpolatedFirstLinear(const Matrix &coarse,
+                               std::span<const std::size_t> coarse_rows,
+                               std::span<const InterpolationPlan *const> plans,
+                               const Matrix &skip, const Matrix &weight,
+                               const Matrix &bias, GemmEngine &engine,
+                               InterpolatedLinearCache *cache);
+
+/**
+ * Backward of interpolatedFirstLinear. It scatters dY back through the
+ * plan, dG = interp^T(dY), then accumulates dW_up += F^T dG,
+ * dW_skip += S^T dY and db += colsum(dY), and returns
+ * {dF = dG W_up^T, dS = dY W_skip^T} (dS has |S| columns).
+ */
+std::pair<Matrix, Matrix>
+interpolatedFirstLinearBackward(const InterpolatedLinearCache &cache,
+                                const Matrix &grad_pre, Parameter &weight,
+                                Parameter &bias, GemmEngine &engine);
 
 } // namespace nn
 } // namespace edgepc

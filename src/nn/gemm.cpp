@@ -1324,19 +1324,26 @@ void
 storeEmptyProduct(float *c, std::size_t m, std::size_t n,
                   GemmEpilogue epilogue, const float *bias)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        float *crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            float v = 0.0f;
-            if (epilogue != GemmEpilogue::None) {
-                v += bias[j];
-                if (epilogue == GemmEpilogue::BiasRelu) {
-                    v = v > 0.0f ? v : 0.0f;
+    // Parallel over rows: a PointNet++ FP module without skip columns
+    // stores its bias rows this way at full fine-level height.
+    ThreadPool::globalPool().parallelForChunked(
+        0, m,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                float *crow = c + i * n;
+                for (std::size_t j = 0; j < n; ++j) {
+                    float v = 0.0f;
+                    if (epilogue != GemmEpilogue::None) {
+                        v += bias[j];
+                        if (epilogue == GemmEpilogue::BiasRelu) {
+                            v = v > 0.0f ? v : 0.0f;
+                        }
+                    }
+                    crow[j] = v;
                 }
             }
-            crow[j] = v;
-        }
-    }
+        },
+        0);
 }
 
 } // namespace
@@ -1374,10 +1381,10 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
     // process-wide dispatch override only swaps the executed build.
     const bool fast = policyFast(k);
     if (fast) {
-        ++fastCalls;
+        fastCalls.fetch_add(1, std::memory_order_relaxed);
         fastPath.add(1);
     } else {
-        ++scalarCalls;
+        scalarCalls.fetch_add(1, std::memory_order_relaxed);
         scalarPath.add(1);
     }
     gemmPacked(a, a_transposed, b, b_transposed, c, m, k, n, epilogue,
@@ -1626,18 +1633,19 @@ GemmEngine::multiplyQuantized(const Matrix &a, const QuantizedWeights &wq,
 double
 GemmEngine::fastPathUtilization() const
 {
-    const std::uint64_t total = fastCalls + scalarCalls;
+    const std::uint64_t fast = fastPathCalls();
+    const std::uint64_t total = fast + scalarPathCalls();
     if (total == 0) {
         return 0.0;
     }
-    return static_cast<double>(fastCalls) / static_cast<double>(total);
+    return static_cast<double>(fast) / static_cast<double>(total);
 }
 
 void
 GemmEngine::resetStats()
 {
-    fastCalls = 0;
-    scalarCalls = 0;
+    fastCalls.store(0, std::memory_order_relaxed);
+    scalarCalls.store(0, std::memory_order_relaxed);
 }
 
 GemmEngine &

@@ -37,6 +37,7 @@
 #ifndef EDGEPC_NN_GEMM_HPP
 #define EDGEPC_NN_GEMM_HPP
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -157,10 +158,16 @@ class GemmEngine
     void setMode(GemmMode mode) { policy = mode; }
 
     /** Calls dispatched to the fast (tensor-core) path. */
-    std::uint64_t fastPathCalls() const { return fastCalls; }
+    std::uint64_t fastPathCalls() const
+    {
+        return fastCalls.load(std::memory_order_relaxed);
+    }
 
     /** Calls dispatched to the scalar (CUDA-core) path. */
-    std::uint64_t scalarPathCalls() const { return scalarCalls; }
+    std::uint64_t scalarPathCalls() const
+    {
+        return scalarCalls.load(std::memory_order_relaxed);
+    }
 
     /** Fraction of calls that used the fast path (utilization proxy). */
     double fastPathUtilization() const;
@@ -235,8 +242,10 @@ class GemmEngine
 
     GemmMode policy;
     std::size_t channelThreshold;
-    std::uint64_t fastCalls = 0;
-    std::uint64_t scalarCalls = 0;
+    // Relaxed atomics: threads inferring at once share the global
+    // engine, and the counts order nothing.
+    std::atomic<std::uint64_t> fastCalls{0};
+    std::atomic<std::uint64_t> scalarCalls{0};
 };
 
 /**

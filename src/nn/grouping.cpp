@@ -224,44 +224,33 @@ Matrix
 applyInterpolation(const InterpolationPlan &plan,
                    const Matrix &source_features)
 {
-    const std::size_t targets = plan.targets();
     const std::size_t c = source_features.cols();
-
-    Matrix out = Matrix::forOverwrite(targets, c);
-    applyInterpolationInto(plan, source_features,
-                           std::span<float>(out.data(), out.numel()), c);
+    Matrix out(plan.targets(), c);
+    addInterpolation(plan, source_features.storage(), c, out.storage());
     return out;
 }
 
 void
-applyInterpolationInto(const InterpolationPlan &plan,
-                       const Matrix &source_features,
-                       std::span<float> out, std::size_t out_stride)
+addInterpolation(const InterpolationPlan &plan,
+                 std::span<const float> source, std::size_t cols,
+                 std::span<float> out)
 {
     const std::size_t targets = plan.targets();
-    const std::size_t c = source_features.cols();
     const std::size_t k = plan.k;
-    if (out_stride < c) {
-        fatal("applyInterpolationInto: stride %zu < cols %zu",
-              out_stride, c);
+    if (out.size() < targets * cols) {
+        fatal("addInterpolation: buffer %zu < required %zu", out.size(),
+              targets * cols);
     }
-    if (targets > 0 &&
-        out.size() < (targets - 1) * out_stride + c) {
-        fatal("applyInterpolationInto: buffer %zu too small for %zu "
-              "rows of stride %zu",
-              out.size(), targets, out_stride);
-    }
-
+    const float *src_base = source.data();
     float *out_base = out.data();
+    // EDGEPC_HOT: FP up-sampling, k weighted source rows per target.
     parallelFor(0, targets, [&](std::size_t t) {
-        float *dst = out_base + t * out_stride;
-        std::fill(dst, dst + c, 0.0f);
+        float *dst = out_base + t * cols;
         for (std::size_t j = 0; j < k; ++j) {
-            const std::uint32_t src_idx = plan.indices[t * k + j];
             const float w = plan.weights[t * k + j];
             const float *src =
-                source_features.data() + std::size_t(src_idx) * c;
-            for (std::size_t d = 0; d < c; ++d) {
+                src_base + std::size_t(plan.indices[t * k + j]) * cols;
+            for (std::size_t d = 0; d < cols; ++d) {
                 dst[d] += w * src[d];
             }
         }
@@ -298,45 +287,6 @@ GroupingLayer::backward(const Matrix &grad_output)
         float *dst = grad_in.data() + std::size_t(idx[r]) * cols;
         for (std::size_t c = 0; c < cols; ++c) {
             dst[c] += src[c];
-        }
-    }
-    return grad_in;
-}
-
-// ---------------------------------------------------------------------
-// InterpolateLayer
-// ---------------------------------------------------------------------
-
-void
-InterpolateLayer::setPlan(InterpolationPlan new_plan)
-{
-    plan = std::move(new_plan);
-}
-
-Matrix
-InterpolateLayer::forward(const Matrix &input, bool train)
-{
-    if (train) {
-        savedRows = input.rows();
-    }
-    return applyInterpolation(plan, input);
-}
-
-Matrix
-InterpolateLayer::backward(const Matrix &grad_output)
-{
-    const std::size_t cols = grad_output.cols();
-    Matrix grad_in(savedRows, cols);
-    const std::size_t k = plan.k;
-    for (std::size_t t = 0; t < plan.targets(); ++t) {
-        const float *dy = grad_output.data() + t * cols;
-        for (std::size_t j = 0; j < k; ++j) {
-            const std::uint32_t src_idx = plan.indices[t * k + j];
-            const float w = plan.weights[t * k + j];
-            float *dst = grad_in.data() + std::size_t(src_idx) * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                dst[c] += w * dy[c];
-            }
         }
     }
     return grad_in;

@@ -118,23 +118,25 @@ void edgeFeaturesInto(const Matrix &features,
                       std::span<float> out);
 
 /**
- * Apply an interpolation plan: out[t] = sum_j w[t][j] * src[idx[t][j]].
- * This is the FP-module feature propagation (up-sampling apply).
+ * Apply an interpolation plan: out[t] = sum_j w[t][j] * src[idx[t][j]]
+ * (addInterpolation onto a zeroed matrix).
  */
 Matrix applyInterpolation(const InterpolationPlan &plan,
                           const Matrix &source_features);
 
 /**
- * applyInterpolation writing each target row into a caller-owned
- * row-major buffer whose rows are @p out_stride floats apart
- * (out_stride >= source cols). Only the first cols entries of each
- * row are written, so the upsampled features can land directly in the
- * left columns of a wider concatenated matrix.
+ * The interpolation kernel: out[t] += sum_j w[t][j] * source[idx[t][j]]
+ * for every target t, adding the k weighted rows in plan order onto
+ * what @p out holds. The FP modules' first Linear (nn/delayed_agg.hpp)
+ * adds the interpolated up-product onto its skip product with it, so
+ * the up-sampled features never exist as a matrix of their own.
+ *
+ * @param source Row-major source rows, @p cols floats each.
+ * @param out Row-major plan.targets() x @p cols rows.
  */
-void applyInterpolationInto(const InterpolationPlan &plan,
-                            const Matrix &source_features,
-                            std::span<float> out,
-                            std::size_t out_stride);
+void addInterpolation(const InterpolationPlan &plan,
+                      std::span<const float> source, std::size_t cols,
+                      std::span<float> out);
 
 /**
  * Differentiable gather layer. Set the indices, then forward gathers
@@ -153,23 +155,6 @@ class GroupingLayer : public Layer
 
   private:
     std::vector<std::uint32_t> idx;
-    std::size_t savedRows = 0;
-};
-
-/** Differentiable interpolation-apply layer. */
-class InterpolateLayer : public Layer
-{
-  public:
-    InterpolateLayer() = default;
-
-    /** Plan to apply on the next forward (copied). */
-    void setPlan(InterpolationPlan plan);
-
-    Matrix forward(const Matrix &input, bool train) override;
-    Matrix backward(const Matrix &grad_output) override;
-
-  private:
-    InterpolationPlan plan;
     std::size_t savedRows = 0;
 };
 

@@ -321,8 +321,9 @@ class Sequential : public Layer
      * forwardFrom(first, x, false) run it as a single segment.
      *
      * @param first_layer Skip layers [0, first_layer): the delayed
-     *        aggregation route runs the first Linear itself (over the
-     *        unique rows, pre-gather) and feeds the combined
+     *        aggregation and split first-Linear routes (DESIGN.md §13)
+     *        run the first Linear themselves (before the gather,
+     *        broadcast or interpolation) and feed the combined
      *        pre-activations to the remaining tail.
      */
     Matrix forwardSegmented(Matrix input,
@@ -334,7 +335,8 @@ class Sequential : public Layer
 
     /**
      * forward() starting at layer @p first: runs layers
-     * [first, size()) on @p input — the delayed-aggregation tail pass.
+     * [first, size()) on @p input — the tail pass of the delayed and
+     * split first-Linear routes.
      * Callers that own the input move it in, so inference updates it
      * in place.
      */

@@ -147,23 +147,6 @@ sliceRows(const Matrix &m, std::size_t begin, std::size_t end)
     return out;
 }
 
-Matrix
-concatBroadcastRow(const Matrix &left, const Matrix &row)
-{
-    if (row.rows() != 1) {
-        fatal("concatBroadcastRow: expected a single row, got %zu",
-              row.rows());
-    }
-    Matrix out = Matrix::forOverwrite(left.rows(), left.cols() + row.cols());
-    for (std::size_t r = 0; r < left.rows(); ++r) {
-        float *dst = out.data() + r * out.cols();
-        const float *src = left.data() + r * left.cols();
-        std::copy(src, src + left.cols(), dst);
-        std::copy(row.data(), row.data() + row.cols(), dst + left.cols());
-    }
-    return out;
-}
-
 void
 Parameter::init(std::size_t rows, std::size_t cols)
 {

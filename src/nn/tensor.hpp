@@ -135,12 +135,6 @@ Matrix concatCols(const Matrix &a, const Matrix &b);
 std::pair<Matrix, Matrix> splitCols(const Matrix &m, std::size_t left_cols);
 
 /**
- * [left | row broadcast to every row]: the single row of @p row
- * appended to each row of @p left, in one pass.
- */
-Matrix concatBroadcastRow(const Matrix &left, const Matrix &row);
-
-/**
  * Row-wise concatenation: stack the parts top to bottom; column
  * counts must match (empty parts list yields an empty matrix).
  */

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/scratch_arena.hpp"
-#include "common/thread_pool.hpp"
 #include "geometry/simd_distance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,9 +11,8 @@
 
 namespace edgepc {
 
-FarthestPointSampler::FarthestPointSampler(std::uint32_t start_index,
-                                           bool parallel_update)
-    : startIndex(start_index), parallelUpdate(parallel_update)
+FarthestPointSampler::FarthestPointSampler(std::uint32_t start_index)
+    : startIndex(start_index)
 {
 }
 
@@ -57,22 +55,13 @@ FarthestPointSampler::sample(std::span<const Vec3> points, std::size_t n)
         const Vec3 last = points[current];
 
         // Relax distances against the newly selected point; this O(N)
-        // update per selection is the quadratic-time core of FPS. The
-        // padded range is processed too: pad coordinates are huge, so
-        // min() leaves the -1 sentinel lanes untouched.
-        if (parallelUpdate && total >= 4096) {
-            ThreadPool::globalPool().parallelForChunked(
-                0, padded,
-                [&](std::size_t lo, std::size_t hi) {
-                    simd::batchMinUpdate(soa.xs() + lo, soa.ys() + lo,
-                                         soa.zs() + lo, hi - lo, last,
-                                         dist.data() + lo);
-                },
-                0);
-        } else {
-            simd::batchMinUpdate(soa.xs(), soa.ys(), soa.zs(), padded,
-                                 last, dist.data());
-        }
+        // update per selection is the quadratic-time core of FPS. It
+        // runs on the calling thread: one pool launch per step costs
+        // more than the update itself. The padded range is processed
+        // too: pad coordinates are huge, so min() leaves the -1
+        // sentinel lanes untouched.
+        simd::batchMinUpdate(soa.xs(), soa.ys(), soa.zs(), padded, last,
+                             dist.data());
         dist[current] = 0.0f;
 
         // Pick the point with the maximum distance to the selected set

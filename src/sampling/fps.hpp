@@ -24,11 +24,8 @@ class FarthestPointSampler : public Sampler
      * @param start_index Index of the first selected point. The paper
      *        picks it randomly; common implementations use 0. Defaults
      *        to 0 for determinism.
-     * @param parallel_update Update the distance array on the thread
-     *        pool (the only parallelism FPS admits).
      */
-    explicit FarthestPointSampler(std::uint32_t start_index = 0,
-                                  bool parallel_update = true);
+    explicit FarthestPointSampler(std::uint32_t start_index = 0);
 
     std::vector<std::uint32_t> sample(std::span<const Vec3> points,
                                       std::size_t n) override;
@@ -37,7 +34,6 @@ class FarthestPointSampler : public Sampler
 
   private:
     std::uint32_t startIndex;
-    bool parallelUpdate;
 };
 
 } // namespace edgepc

@@ -438,6 +438,205 @@ TEST(DelayedAggregation, SingleStageInferMatchesEagerAcrossDispatchMatrix)
 }
 
 // ---------------------------------------------------------------------
+// Split first Linears over a broadcast row and an interpolation: the
+// reference builds the concatenated input explicitly and runs the real
+// Linear layer on it.
+// ---------------------------------------------------------------------
+
+/** The real Linear layer on @p weight / @p bias, inference forward. */
+nn::Matrix
+referenceLinear(const nn::Matrix &input, const nn::Matrix &weight,
+                const nn::Matrix &bias)
+{
+    Rng rng(1);
+    nn::Linear lin(weight.rows(), weight.cols(), rng);
+    lin.weights().value = weight;
+    lin.biases().value = bias;
+    return lin.forward(input, false);
+}
+
+struct BroadcastProblem
+{
+    nn::Matrix local;
+    nn::Matrix global;
+    nn::Matrix weight;
+    nn::Matrix bias;
+};
+
+BroadcastProblem
+makeBroadcastProblem(std::uint64_t seed, std::size_t n, std::size_t c,
+                     std::size_t p, std::size_t c_out)
+{
+    Rng rng(seed);
+    BroadcastProblem b;
+    b.local = randomMatrix(rng, n, c);
+    b.global = randomMatrix(rng, 1, p);
+    b.weight = randomMatrix(rng, c + p, c_out);
+    b.weight.scale(0.5f);
+    b.bias = randomMatrix(rng, 1, c_out);
+    return b;
+}
+
+void
+expectBroadcastParity(const BroadcastProblem &b, const DispatchCase &c)
+{
+    // [C | 1 p], built row by row.
+    const std::size_t width = b.local.cols() + b.global.cols();
+    nn::Matrix concat(b.local.rows(), width);
+    for (std::size_t r = 0; r < b.local.rows(); ++r) {
+        for (std::size_t j = 0; j < b.local.cols(); ++j) {
+            concat.at(r, j) = b.local.at(r, j);
+        }
+        for (std::size_t j = 0; j < b.global.cols(); ++j) {
+            concat.at(r, b.local.cols() + j) = b.global.at(0, j);
+        }
+    }
+    const nn::Matrix split = nn::broadcastFirstLinear(
+        b.local, b.global, b.weight, b.bias, nn::GemmEngine::globalEngine(),
+        nullptr);
+    expectNear(referenceLinear(concat, b.weight, b.bias), split, c.tol,
+               c.tag);
+}
+
+TEST(SplitFirstLinear, BroadcastMatchesConcatAcrossDispatchMatrix)
+{
+    DispatchGuard guard;
+    const BroadcastProblem wide = makeBroadcastProblem(501, 37, 11, 9, 13);
+    const BroadcastProblem one_row = makeBroadcastProblem(502, 1, 6, 10, 7);
+    const BroadcastProblem thin = makeBroadcastProblem(503, 20, 1, 3, 5);
+    for (const DispatchCase &c : dispatchMatrix()) {
+        applyCase(c);
+        expectBroadcastParity(wide, c);
+        expectBroadcastParity(one_row, c);
+        expectBroadcastParity(thin, c);
+    }
+}
+
+struct InterpProblem
+{
+    nn::Matrix coarse;
+    nn::Matrix skip;
+    InterpolationPlan plan;
+    nn::Matrix weight;
+    nn::Matrix bias;
+};
+
+InterpProblem
+makeInterpProblem(std::uint64_t seed, std::size_t sources,
+                  std::size_t targets, std::size_t k, std::size_t up,
+                  std::size_t skip_cols, std::size_t c_out)
+{
+    Rng rng(seed);
+    InterpProblem p;
+    p.coarse = randomMatrix(rng, sources, up);
+    p.skip = skip_cols > 0 ? randomMatrix(rng, targets, skip_cols)
+                           : nn::Matrix(targets, 0);
+    p.plan.k = k;
+    for (std::size_t t = 0; t < targets; ++t) {
+        float sum = 0.0f;
+        for (std::size_t j = 0; j < k; ++j) {
+            p.plan.indices.push_back(
+                static_cast<std::uint32_t>(rng.nextBelow(sources)));
+            p.plan.weights.push_back(rng.uniform(0.1f, 1.0f));
+            sum += p.plan.weights.back();
+        }
+        for (std::size_t j = 0; j < k; ++j) {
+            p.plan.weights[t * k + j] /= sum;
+        }
+    }
+    p.weight = randomMatrix(rng, up + skip_cols, c_out);
+    p.weight.scale(0.5f);
+    p.bias = randomMatrix(rng, 1, c_out);
+    return p;
+}
+
+nn::Matrix
+splitInterp(const InterpProblem &p)
+{
+    const std::size_t coarse_rows[] = {p.coarse.rows()};
+    const InterpolationPlan *const plans[] = {&p.plan};
+    return nn::interpolatedFirstLinear(p.coarse, coarse_rows, plans, p.skip,
+                                       p.weight, p.bias,
+                                       nn::GemmEngine::globalEngine(),
+                                       nullptr);
+}
+
+void
+expectInterpParity(const InterpProblem &p, const DispatchCase &c)
+{
+    // [interp(F) | S], the interpolation summed by a plain loop.
+    const std::size_t up = p.coarse.cols();
+    const std::size_t targets = p.plan.targets();
+    const std::size_t k = p.plan.k;
+    nn::Matrix concat(targets, up + p.skip.cols());
+    for (std::size_t t = 0; t < targets; ++t) {
+        for (std::size_t j = 0; j < k; ++j) {
+            const float w = p.plan.weights[t * k + j];
+            const std::uint32_t src = p.plan.indices[t * k + j];
+            for (std::size_t d = 0; d < up; ++d) {
+                concat.at(t, d) += w * p.coarse.at(src, d);
+            }
+        }
+        for (std::size_t d = 0; d < p.skip.cols(); ++d) {
+            concat.at(t, up + d) = p.skip.at(t, d);
+        }
+    }
+    expectNear(referenceLinear(concat, p.weight, p.bias), splitInterp(p),
+               c.tol, c.tag);
+}
+
+TEST(SplitFirstLinear, InterpolationMatchesConcatAcrossDispatchMatrix)
+{
+    DispatchGuard guard;
+    const InterpProblem with_skip = makeInterpProblem(601, 9, 33, 3, 10, 7,
+                                                      12);
+    const InterpProblem no_skip = makeInterpProblem(602, 8, 29, 3, 13, 0, 9);
+    const InterpProblem k_one = makeInterpProblem(603, 6, 17, 1, 5, 4, 8);
+    const InterpProblem one_target = makeInterpProblem(604, 5, 1, 3, 6, 3,
+                                                       7);
+    InterpProblem duplicates = makeInterpProblem(605, 7, 21, 3, 8, 5, 6);
+    for (std::size_t t = 0; t < 21; ++t) {
+        // Pad-style rows: one source repeated (weights keep summing
+        // to one).
+        duplicates.plan.indices[t * 3 + 1] = duplicates.plan.indices[t * 3];
+        duplicates.plan.indices[t * 3 + 2] = duplicates.plan.indices[t * 3];
+    }
+    for (const DispatchCase &c : dispatchMatrix()) {
+        applyCase(c);
+        expectInterpParity(with_skip, c);
+        expectInterpParity(no_skip, c);
+        expectInterpParity(k_one, c);
+        expectInterpParity(one_target, c);
+        expectInterpParity(duplicates, c);
+    }
+}
+
+TEST(SplitFirstLinear, StackedInterpolationRowsEqualPerCloud)
+{
+    // Two clouds with different coarse and fine row counts, stacked:
+    // each cloud's rows must equal its own call bit for bit.
+    DispatchGuard guard;
+    InterpProblem a = makeInterpProblem(701, 6, 19, 3, 9, 5, 11);
+    InterpProblem b = makeInterpProblem(702, 11, 40, 3, 9, 5, 11);
+    b.weight = a.weight;
+    b.bias = a.bias;
+    for (const DispatchCase &c : dispatchMatrix()) {
+        applyCase(c);
+        const nn::Matrix coarse_parts[] = {a.coarse, b.coarse};
+        const nn::Matrix skip_parts[] = {a.skip, b.skip};
+        const std::size_t coarse_rows[] = {a.coarse.rows(), b.coarse.rows()};
+        const InterpolationPlan *const plans[] = {&a.plan, &b.plan};
+        const nn::Matrix stacked = nn::interpolatedFirstLinear(
+            nn::concatRows(coarse_parts), coarse_rows, plans,
+            nn::concatRows(skip_parts), a.weight, a.bias,
+            nn::GemmEngine::globalEngine(), nullptr);
+        const nn::Matrix parts[] = {splitInterp(a), splitInterp(b)};
+        EXPECT_EQ(stacked.storage(), nn::concatRows(parts).storage())
+            << c.tag;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Mode resolution and FLOP-ratio heuristics.
 // ---------------------------------------------------------------------
 

@@ -149,8 +149,6 @@ TEST(FatalPathsDeathTest, MatrixShapeChecks)
     EXPECT_DEATH(nn::concatCols(nn::Matrix(1, 1), nn::Matrix(2, 1)),
                  "row mismatch");
     EXPECT_DEATH(nn::splitCols(nn::Matrix(1, 2), 5), "left_cols");
-    EXPECT_DEATH(nn::concatBroadcastRow(nn::Matrix(2, 2), nn::Matrix(2, 2)),
-                 "single row");
 }
 
 TEST(FatalPathsDeathTest, PointCloudConsistencyChecks)

@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+
 #include "common/rng.hpp"
 #include "datasets/shapes.hpp"
 #include "models/dgcnn.hpp"
 #include "models/pointnetpp.hpp"
+#include "nn/delayed_agg.hpp"
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
 
@@ -284,6 +289,151 @@ TEST(GradCheck, DelayedBlocksForcedFastGemm)
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
     checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath::ForceFast);
+}
+
+// The split first Linears (DESIGN.md §13) reformulate the head's and
+// the FP modules' first-Linear backward on the un-concatenated inputs.
+// Their output is linear in every input, so with the loss
+// L = sum(pre * R) for a fixed random R the central difference of each
+// entry is exact up to rounding: check every entry.
+
+/** sum(pre * r) in double. */
+double
+weightedSum(const nn::Matrix &pre, const nn::Matrix &r)
+{
+    double sum = 0.0;
+    for (std::size_t i = 0; i < pre.numel(); ++i) {
+        sum += static_cast<double>(pre.data()[i]) * r.data()[i];
+    }
+    return sum;
+}
+
+nn::Matrix
+randomMatrix(Rng &rng, std::size_t rows, std::size_t cols)
+{
+    nn::Matrix m(rows, cols);
+    for (std::size_t i = 0; i < m.numel(); ++i) {
+        m.data()[i] = rng.normal();
+    }
+    return m;
+}
+
+/** Every entry of @p x: the central difference of @p loss against
+    @p analytic. */
+void
+expectEntryGradients(nn::Matrix &x, const nn::Matrix &analytic,
+                     const std::function<double()> &loss, const char *what)
+{
+    ASSERT_EQ(x.rows(), analytic.rows()) << what;
+    ASSERT_EQ(x.cols(), analytic.cols()) << what;
+    constexpr float eps = 0.05f;
+    for (std::size_t j = 0; j < x.numel(); ++j) {
+        const float saved = x.data()[j];
+        x.data()[j] = saved + eps;
+        const double lp = loss();
+        x.data()[j] = saved - eps;
+        const double lm = loss();
+        x.data()[j] = saved;
+        const double numeric = (lp - lm) / (2.0 * eps);
+        const double a = analytic.data()[j];
+        EXPECT_NEAR(a, numeric, 2e-3 * std::max({1.0, std::abs(a)}))
+            << what << " entry " << j;
+    }
+}
+
+void
+checkSplitFirstLinearsUnderDispatchPath(nn::GemmDispatchPath path)
+{
+    const nn::GemmDispatchPath saved = nn::GemmEngine::dispatchPath();
+    nn::GemmEngine::setDispatchPath(path);
+    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    Rng rng(17);
+
+    {
+        // Head: [C | 1 p] W + b.
+        nn::Matrix local = randomMatrix(rng, 6, 4);
+        nn::Matrix global = randomMatrix(rng, 1, 5);
+        nn::Parameter weight;
+        nn::Parameter bias;
+        weight.init(9, 7);
+        bias.init(1, 7);
+        weight.value = randomMatrix(rng, 9, 7);
+        bias.value = randomMatrix(rng, 1, 7);
+        const nn::Matrix r = randomMatrix(rng, 6, 7);
+        auto loss = [&] {
+            return weightedSum(
+                nn::broadcastFirstLinear(local, global, weight.value,
+                                         bias.value, engine, nullptr),
+                r);
+        };
+        nn::BroadcastLinearCache cache;
+        nn::broadcastFirstLinear(local, global, weight.value, bias.value,
+                                 engine, &cache);
+        auto [d_local, d_global] = nn::broadcastFirstLinearBackward(
+            cache, r, weight, bias, engine);
+        expectEntryGradients(weight.value, weight.grad, loss, "head dW");
+        expectEntryGradients(bias.value, bias.grad, loss, "head db");
+        expectEntryGradients(local, d_local, loss, "head dC");
+        expectEntryGradients(global, d_global, loss, "head dp");
+    }
+    for (const std::size_t skip_cols : {std::size_t{3}, std::size_t{0}}) {
+        // FP: [interp(F) | S] W + b, with and without skip columns;
+        // duplicate sources in the plan collide in the scatter.
+        nn::Matrix coarse = randomMatrix(rng, 4, 5);
+        nn::Matrix skip = randomMatrix(rng, 7, skip_cols);
+        InterpolationPlan plan;
+        plan.k = 3;
+        for (std::size_t t = 0; t < 7; ++t) {
+            const std::uint32_t first =
+                static_cast<std::uint32_t>(rng.nextBelow(4));
+            plan.indices.insert(plan.indices.end(),
+                                {first, first,
+                                 static_cast<std::uint32_t>(
+                                     rng.nextBelow(4))});
+            plan.weights.insert(plan.weights.end(), {0.5f, 0.2f, 0.3f});
+        }
+        nn::Parameter weight;
+        nn::Parameter bias;
+        weight.init(5 + skip_cols, 6);
+        bias.init(1, 6);
+        weight.value = randomMatrix(rng, 5 + skip_cols, 6);
+        bias.value = randomMatrix(rng, 1, 6);
+        const nn::Matrix r = randomMatrix(rng, 7, 6);
+        const std::size_t coarse_rows[] = {4};
+        const InterpolationPlan *const plans[] = {&plan};
+        auto loss = [&] {
+            return weightedSum(
+                nn::interpolatedFirstLinear(coarse, coarse_rows, plans, skip,
+                                            weight.value, bias.value, engine,
+                                            nullptr),
+                r);
+        };
+        nn::InterpolatedLinearCache cache;
+        nn::interpolatedFirstLinear(coarse, coarse_rows, plans, skip,
+                                    weight.value, bias.value, engine,
+                                    &cache);
+        auto [d_coarse, d_skip] = nn::interpolatedFirstLinearBackward(
+            cache, r, weight, bias, engine);
+        expectEntryGradients(weight.value, weight.grad, loss, "fp dW");
+        expectEntryGradients(bias.value, bias.grad, loss, "fp db");
+        expectEntryGradients(coarse, d_coarse, loss, "fp dF");
+        expectEntryGradients(skip, d_skip, loss, "fp dS");
+    }
+    nn::GemmEngine::setDispatchPath(saved);
+}
+
+TEST(GradCheck, SplitFirstLinearsForcedScalarGemm)
+{
+    checkSplitFirstLinearsUnderDispatchPath(
+        nn::GemmDispatchPath::ForceScalar);
+}
+
+TEST(GradCheck, SplitFirstLinearsForcedFastGemm)
+{
+    if (!nn::GemmEngine::fastKernelAvailable()) {
+        GTEST_SKIP() << "no AVX2+FMA on this host";
+    }
+    checkSplitFirstLinearsUnderDispatchPath(nn::GemmDispatchPath::ForceFast);
 }
 
 TEST(GradCheck, DgcnnSegmentationWithApproximations)

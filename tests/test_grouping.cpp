@@ -139,26 +139,6 @@ TEST(Grouping, GroupingLayerBackwardScatters)
     EXPECT_FLOAT_EQ(dx.at(2, 0), 30.0f);
 }
 
-TEST(Grouping, InterpolateLayerForwardBackward)
-{
-    InterpolationPlan plan;
-    plan.k = 2;
-    plan.indices = {0, 1};
-    plan.weights = {0.25f, 0.75f};
-    InterpolateLayer layer;
-    layer.setPlan(plan);
-
-    Matrix src(2, 1, {4, 8});
-    const Matrix out = layer.forward(src, true);
-    ASSERT_EQ(out.rows(), 1u);
-    EXPECT_FLOAT_EQ(out.at(0, 0), 0.25f * 4 + 0.75f * 8);
-
-    Matrix dy(1, 1, {1.0f});
-    const Matrix dx = layer.backward(dy);
-    EXPECT_FLOAT_EQ(dx.at(0, 0), 0.25f);
-    EXPECT_FLOAT_EQ(dx.at(1, 0), 0.75f);
-}
-
 TEST(Grouping, EdgeFeatureLayerBackward)
 {
     EdgeFeatureLayer layer;

@@ -1,15 +1,17 @@
-/** @file Integration tests for the PointNet++ and DGCNN models. */
+/** @file Integration tests for the PointNet++, DGCNN and PointNet models. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "datasets/scenes.hpp"
 #include "datasets/shapes.hpp"
 #include "models/dgcnn.hpp"
+#include "models/pointnet.hpp"
 #include "models/pointnetpp.hpp"
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
@@ -90,16 +92,42 @@ TEST(PointNetPP, ApproximateConfigAlsoRuns)
     expectFinite(logits);
 }
 
+/** Pins the process-wide delayed-aggregation mode for its lifetime. */
+class ScopedDelayedAgg
+{
+  public:
+    explicit ScopedDelayedAgg(nn::DelayedAggMode mode)
+        : saved(nn::delayedAggMode())
+    {
+        nn::setDelayedAggMode(mode);
+    }
+    ~ScopedDelayedAgg() { nn::setDelayedAggMode(saved); }
+
+  private:
+    nn::DelayedAggMode saved;
+};
+
 TEST(PointNetPP, StageTimerCoversAllStages)
 {
     const PointCloud cloud = makeCloud(512, 4);
     PointNetPP model(PointNetPPConfig::liteSegmentation(512, 5), 7);
-    StageTimer timer;
-    model.infer(cloud, EdgePcConfig::baseline(), &timer);
-    EXPECT_GT(timer.total(kStageSample), 0.0);
-    EXPECT_GT(timer.total(kStageNeighbor), 0.0);
-    EXPECT_GT(timer.total(kStageGroup), 0.0);
-    EXPECT_GT(timer.total(kStageFeature), 0.0);
+    // The group stage times the eager SA grouping. On the delayed route
+    // every gather (SA neighborhoods and FP interpolations alike) runs
+    // inside a first Linear (DESIGN.md §13), so the stage stays empty.
+    for (const nn::DelayedAggMode mode :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On}) {
+        const ScopedDelayedAgg pin(mode);
+        StageTimer timer;
+        model.infer(cloud, EdgePcConfig::baseline(), &timer);
+        EXPECT_GT(timer.total(kStageSample), 0.0);
+        EXPECT_GT(timer.total(kStageNeighbor), 0.0);
+        EXPECT_GT(timer.total(kStageFeature), 0.0);
+        if (mode == nn::DelayedAggMode::Off) {
+            EXPECT_GT(timer.total(kStageGroup), 0.0);
+        } else {
+            EXPECT_EQ(timer.total(kStageGroup), 0.0);
+        }
+    }
 }
 
 TEST(PointNetPP, MortonSamplingFasterOnLargeClouds)
@@ -244,6 +272,192 @@ TEST(PointNetPP, InferBetweenForwardAndBackwardKeepsGradients)
                 << "parameter " << i << " delayed mode "
                 << static_cast<int>(delayed);
         }
+    }
+}
+
+TEST(Dgcnn, TrainingForwardMatchesInference)
+{
+    QuantOffGuard guard; // training always runs fp32
+    const nn::GemmMode gemm_mode = nn::GemmEngine::globalEngine().mode();
+    const PointCloud cloud = makeCloud(96, 35);
+    for (const nn::DelayedAggMode delayed :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On,
+          nn::DelayedAggMode::Auto}) {
+        for (const bool classifier : {false, true}) {
+            DgcnnConfig mcfg = classifier
+                                   ? DgcnnConfig::liteClassification(8)
+                                   : DgcnnConfig::liteSegmentation(5);
+            mcfg.delayedAggregation = delayed;
+            Dgcnn model(mcfg, 7);
+            for (const EdgePcConfig &config :
+                 {EdgePcConfig::baseline(), EdgePcConfig::sn(),
+                  EdgePcConfig::snf()}) {
+                applyGemmMode(config); // as the pipelines do
+                const nn::Matrix inferred = model.infer(cloud, config);
+                const nn::Matrix trained =
+                    model.forward(cloud, config, nullptr, true);
+                EXPECT_EQ(differingValues(trained, inferred), 0u)
+                    << (classifier ? "classifier" : "segmentation")
+                    << " delayed mode " << static_cast<int>(delayed)
+                    << " variant " << variantName(config.variant);
+            }
+        }
+    }
+    nn::GemmEngine::globalEngine().setMode(gemm_mode);
+}
+
+TEST(PointNet, TrainingForwardMatchesInference)
+{
+    QuantOffGuard guard;
+    const nn::GemmMode gemm_mode = nn::GemmEngine::globalEngine().mode();
+    const PointCloud cloud = makeCloud(96, 36);
+    for (const bool segmentation : {true, false}) {
+        PointNet model(segmentation
+                           ? PointNetConfig::segmentationConfig(5)
+                           : PointNetConfig::classification(8),
+                       7);
+        for (const EdgePcConfig &config :
+             {EdgePcConfig::baseline(), EdgePcConfig::sn(),
+              EdgePcConfig::snf()}) {
+            applyGemmMode(config);
+            const nn::Matrix inferred = model.infer(cloud, config);
+            const nn::Matrix trained =
+                model.forward(cloud, config, nullptr, true);
+            EXPECT_EQ(differingValues(trained, inferred), 0u)
+                << (segmentation ? "segmentation" : "classifier")
+                << " variant " << variantName(config.variant);
+        }
+    }
+    nn::GemmEngine::globalEngine().setMode(gemm_mode);
+}
+
+/** One training step's parameter gradients on @p cloud, with or
+    without an inference call on @p other between forward and
+    backward. */
+std::vector<nn::Matrix>
+stepGradients(TrainableModel &model, const PointCloud &cloud,
+              const PointCloud *other, const EdgePcConfig &config)
+{
+    std::vector<nn::Parameter *> params;
+    model.collectParameters(params);
+    for (nn::Parameter *p : params) {
+        p->zeroGrad();
+    }
+    std::vector<std::int32_t> labels(cloud.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = static_cast<std::int32_t>(i % model.numClasses());
+    }
+    const nn::Matrix logits = model.forward(cloud, config, nullptr, true);
+    if (other != nullptr) {
+        model.infer(*other, config);
+    }
+    model.backward(nn::softmaxCrossEntropy(logits, labels).gradLogits);
+    std::vector<nn::Matrix> grads;
+    for (const nn::Parameter *p : params) {
+        grads.push_back(p->grad);
+    }
+    return grads;
+}
+
+void
+expectSameGradients(const std::vector<nn::Matrix> &a,
+                    const std::vector<nn::Matrix> &b, const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(differingValues(a[i], b[i]), 0u)
+            << what << " parameter " << i;
+    }
+}
+
+TEST(Dgcnn, InferBetweenForwardAndBackwardKeepsGradients)
+{
+    QuantOffGuard guard;
+    const PointCloud cloud = makeCloud(96, 37);
+    const PointCloud other = makeCloud(72, 38);
+    const EdgePcConfig config = EdgePcConfig::sn();
+    for (const nn::DelayedAggMode delayed :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On}) {
+        DgcnnConfig mcfg = DgcnnConfig::liteSegmentation(5);
+        mcfg.delayedAggregation = delayed;
+        Dgcnn plain_model(mcfg, 7);
+        Dgcnn interleaved_model(mcfg, 7);
+        expectSameGradients(
+            stepGradients(interleaved_model, cloud, &other, config),
+            stepGradients(plain_model, cloud, nullptr, config),
+            delayed == nn::DelayedAggMode::On ? "delayed" : "eager");
+    }
+}
+
+TEST(PointNet, InferBetweenForwardAndBackwardKeepsGradients)
+{
+    QuantOffGuard guard;
+    const PointCloud cloud = makeCloud(96, 39);
+    const PointCloud other = makeCloud(72, 40);
+    const EdgePcConfig config = EdgePcConfig::baseline();
+    PointNet plain_model(PointNetConfig::segmentationConfig(5), 7);
+    PointNet interleaved_model(PointNetConfig::segmentationConfig(5), 7);
+    expectSameGradients(
+        stepGradients(interleaved_model, cloud, &other, config),
+        stepGradients(plain_model, cloud, nullptr, config), "segmentation");
+}
+
+// Inference writes no model member, so two threads may infer on one
+// model at once. Named ConcurrentInfer* so the TSan CI gate runs it
+// under the thread sanitizer.
+
+/** Two threads infer every cloud on @p model at once, twice each;
+    every output must equal the serial infer() bit for bit. */
+void
+expectConcurrentInferMatchesSerial(PointCloudModel &model,
+                                   const std::vector<PointCloud> &clouds,
+                                   const EdgePcConfig &config)
+{
+    std::vector<nn::Matrix> serial;
+    for (const PointCloud &cloud : clouds) {
+        serial.push_back(model.infer(cloud, config));
+    }
+    std::vector<std::vector<nn::Matrix>> outputs(2);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t round = 0; round < 2; ++round) {
+                for (std::size_t c = 0; c < clouds.size(); ++c) {
+                    // The threads walk the clouds in opposite orders.
+                    const std::size_t i = t == 0 ? c : clouds.size() - 1 - c;
+                    outputs[t].push_back(model.infer(clouds[i], config));
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads) {
+        thread.join();
+    }
+    for (std::size_t t = 0; t < 2; ++t) {
+        ASSERT_EQ(outputs[t].size(), 2 * clouds.size());
+        for (std::size_t j = 0; j < outputs[t].size(); ++j) {
+            const std::size_t c = j % clouds.size();
+            const std::size_t i = t == 0 ? c : clouds.size() - 1 - c;
+            EXPECT_EQ(differingValues(outputs[t][j], serial[i]), 0u)
+                << "thread " << t << " output " << j;
+        }
+    }
+}
+
+TEST(ConcurrentInfer, DgcnnAndPointNetMatchSerial)
+{
+    QuantOffGuard guard;
+    const std::vector<PointCloud> clouds = {makeCloud(96, 41),
+                                            makeCloud(128, 42),
+                                            makeCloud(80, 43)};
+    {
+        Dgcnn model(DgcnnConfig::partSegmentation(6), 7);
+        expectConcurrentInferMatchesSerial(model, clouds, EdgePcConfig::snf());
+    }
+    {
+        PointNet model(PointNetConfig::segmentationConfig(5), 7);
+        expectConcurrentInferMatchesSerial(model, clouds,
+                                           EdgePcConfig::baseline());
     }
 }
 

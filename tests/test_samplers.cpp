@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/rng.hpp"
@@ -85,12 +86,38 @@ TEST(Fps, ClampsOversizedRequest)
     EXPECT_EQ(fps.sample(pts, 100).size(), 10u);
 }
 
-TEST(Fps, ParallelAndSerialUpdatesAgree)
+/** The oracle: FPS as a plain loop over squared distances (mul + add
+    in x, y, z order, as the distance kernels compute them) with a
+    first-occurrence argmax. */
+std::vector<std::uint32_t>
+naiveFps(const std::vector<Vec3> &pts, std::size_t n)
 {
-    const auto pts = randomCloud(5000, 34);
-    FarthestPointSampler serial(0, false);
-    FarthestPointSampler parallel(0, true);
-    EXPECT_EQ(serial.sample(pts, 64), parallel.sample(pts, 64));
+    std::vector<float> dist(pts.size(), std::numeric_limits<float>::max());
+    std::vector<std::uint32_t> selected = {0};
+    while (selected.size() < n) {
+        const Vec3 last = pts[selected.back()];
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const float dx = pts[i].x - last.x;
+            const float dy = pts[i].y - last.y;
+            const float dz = pts[i].z - last.z;
+            dist[i] = std::min(dist[i], dx * dx + dy * dy + dz * dz);
+        }
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < pts.size(); ++i) {
+            if (dist[i] > dist[best]) {
+                best = i;
+            }
+        }
+        selected.push_back(static_cast<std::uint32_t>(best));
+    }
+    return selected;
+}
+
+TEST(Fps, MatchesNaiveFpsOnLargeCloud)
+{
+    const auto pts = randomCloud(8192, 34);
+    FarthestPointSampler fps(0);
+    EXPECT_EQ(fps.sample(pts, 1024), naiveFps(pts, 1024));
 }
 
 TEST(RandomSampler, DistinctAndDeterministic)

@@ -363,6 +363,33 @@ TEST(InferBatch, Int8MatchesPerFrame)
     }
 }
 
+TEST(InferBatch, MixedSizesMatchPerFrame)
+{
+    // Clouds of different sizes: their levels, and so each FP module's
+    // coarse and fine row counts, differ inside one batch, and every
+    // cloud must still get its own interpolated up-product. Int8 off
+    // and on (no QuantOffGuard, as in Int8MatchesPerFrame).
+    std::vector<PointCloud> clouds;
+    Rng rng(310);
+    for (const std::size_t points :
+         {kPoints, std::size_t{30}, std::size_t{8}, std::size_t{57}}) {
+        SceneOptions options;
+        options.points = points;
+        clouds.push_back(makeScene(options, rng));
+    }
+    for (const nn::QuantMode quant :
+         {nn::QuantMode::Off, nn::QuantMode::On}) {
+        PointNetPPConfig mcfg =
+            PointNetPPConfig::liteSegmentation(kPoints, 5);
+        mcfg.quantizedInference = quant;
+        PointNetPP model(mcfg, 3);
+        for (const EdgePcConfig &config :
+             {EdgePcConfig::baseline(), EdgePcConfig::sn()}) {
+            expectBatchMatchesPerFrame(model, clouds, config);
+        }
+    }
+}
+
 // Delayed aggregation (DESIGN.md §13) must stay transparent to the
 // serving micro-batch route: the delayed-vs-eager decision is made per
 // cloud with the same formula as single-cloud infer, so batched and

@@ -81,18 +81,6 @@ TEST(Matrix, ConcatAndSplitRoundTrip)
     EXPECT_FLOAT_EQ(right.at(1, 0), 8.0f);
 }
 
-TEST(Matrix, ConcatBroadcastRow)
-{
-    const Matrix left(3, 2, {1, 2, 3, 4, 5, 6});
-    const Matrix row(1, 2, {7, 8});
-    const Matrix out = concatBroadcastRow(left, row);
-    EXPECT_EQ(out.rows(), 3u);
-    EXPECT_EQ(out.cols(), 4u);
-    EXPECT_EQ(out.storage(), concatCols(left, Matrix(3, 2, {7, 8, 7, 8,
-                                                            7, 8}))
-                                 .storage());
-}
-
 TEST(Matrix, ZeroFillSurvivesADirtyHeap)
 {
     const Matrix raw = Matrix::forOverwrite(4, 3);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate: build the concurrency-sensitive targets with
-# -fsanitize=thread and run the thread-pool + robust-pipeline suites
-# plus the chaos stream. Both CI's tsan job and the local
+# -fsanitize=thread and run the thread-pool + robust-pipeline suites,
+# two threads inferring on one model (ConcurrentInfer), plus the chaos
+# stream. Both CI's tsan job and the local
 # `cmake --build build --target tsan` convenience target run exactly
 # this script, so the two invocations cannot drift apart.
 #
@@ -27,7 +28,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 \
 suppressions=$(pwd)/tools/ci/tsan.supp"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-    -R 'ThreadPool|RobustPipeline|ObsConcurrency|ScratchArena|Serving|BoundedQueue|StagedPipeline|Epilogue|FeatureKnn'
+    -R 'ThreadPool|RobustPipeline|ObsConcurrency|ScratchArena|Serving|BoundedQueue|StagedPipeline|Epilogue|FeatureKnn|ConcurrentInfer'
 
 # The chaos stream exercises watchdog + fault injector + degradation
 # ladder end to end.
