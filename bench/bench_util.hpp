@@ -172,14 +172,12 @@ class BenchReport
         // Every report records which distance-kernel build it measured
         // ("avx2-fma" or "scalar") so perf diffs across machines or
         // EDGEPC_SIMD settings compare like with like. Same for the
-        // GEMM microkernel build and epilogue-fusion mode (EDGEPC_GEMM
-        // / EDGEPC_GEMM_EPILOGUE).
+        // GEMM microkernel build (EDGEPC_GEMM).
         configStr["simd_path"] = simd::activePathName();
         configStr["simd_fixed"] = simd::fixedPointModeName();
         configStr["gemm_path"] = nn::GemmEngine::activeKernelName();
         configStr["gemm_quant"] = nn::quantGemmModeName();
         configStr["gemm_int8_kernel"] = nn::GemmEngine::int8KernelName();
-        configStr["gemm_epilogue"] = nn::GemmEngine::epilogueModeName();
         configStr["delayed_agg"] = nn::delayedAggModeName();
         configStr["pipeline"] = pipelineModeName();
     }

@@ -53,7 +53,7 @@ main(int argc, char **argv)
     std::size_t points = 2048;
     bool chaos = false;
     std::string trace_path;
-    PipelineMode pipeline_mode = PipelineMode::Auto;
+    PipelineMode pipeline_mode = pipelineMode();
 
     int positional = 0;
     for (int a = 1; a < argc; ++a) {

@@ -22,11 +22,12 @@
  * (the response futures, per-stream counters and stream health must
  * all reconcile).
  *
- * With --pipeline on|off|auto the engine's inter-frame staged
- * executor is forced on, off, or left to auto-resolve: when on, a
- * dispatch round with >= 2 staged-capable frames overlaps frame t+1's
- * structurization with frame t's neighbor search and GEMM, and the
- * per-stream tables report how many frames took the pipelined path.
+ * With --pipeline on|off|auto the process-wide EDGEPC_PIPELINE mode
+ * (setPipelineMode) is forced on, off, or left to auto-resolve: when
+ * on, a dispatch round with >= 2 frames overlaps frame t+1's
+ * structurization with frame t's neighbor search and GEMM on the
+ * staged executor, and the per-stream tables report how many frames
+ * took the pipelined path.
  *
  * Usage: serve_streams [--streams N] [--frames N] [--points N]
  *                      [--chaos] [--trace OUT.json]
@@ -66,7 +67,7 @@ main(int argc, char **argv)
     std::size_t points = 512;
     bool chaos = false;
     std::string trace_path;
-    PipelineMode pipeline_mode = PipelineMode::Auto;
+    PipelineMode pipeline_mode = pipelineMode();
 
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--chaos") == 0) {
@@ -116,6 +117,7 @@ main(int argc, char **argv)
     if (!trace_path.empty()) {
         obs::Tracer::global().setEnabled(true);
     }
+    setPipelineMode(pipeline_mode);
 
     std::cout << "Serving " << streams << " concurrent streams of "
               << frames << " frames x " << points
@@ -128,7 +130,6 @@ main(int argc, char **argv)
 
     serve::ServingOptions eopts;
     eopts.maxBatch = streams;
-    eopts.pipeline = pipeline_mode;
     eopts.streamDefaults.queueCapacity = 8;
     eopts.streamDefaults.backpressure =
         serve::BackpressurePolicy::DropOldest;

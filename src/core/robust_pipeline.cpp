@@ -4,7 +4,6 @@
 #include <deque>
 #include <ostream>
 #include <utility>
-#include <vector>
 
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -281,15 +280,6 @@ RobustPipeline::processStream(std::span<const PointCloud> frames,
         double sanitizeMs = 0.0;
     };
     std::deque<Pending> pending;
-    // Frames that failed on the executor; retried down the ladder
-    // only after the drain (the sequential model path may share
-    // per-layer state with the staged workers).
-    struct Retry
-    {
-        std::size_t index = 0;
-        RobustFrameResult out;
-    };
-    std::vector<Retry> retries;
     std::size_t served = 0;
 
     auto collectOne = [&]() EDGEPC_REQUIRES(streamRole) {
@@ -303,15 +293,19 @@ RobustPipeline::processStream(std::span<const PointCloud> frames,
         out.frameMs = p.sanitizeMs + r.wallMs;
         if (r.failed) {
             // One failed attempt, same bookkeeping as the in-process
-            // ladder; the serial retry continues from the escalated
-            // level after the drain.
+            // ladder, then the sequential ladder from the escalated
+            // level right here, while later frames stay in flight.
             stats.countError(r.error);
             stats.bump(stats.retries);
             out.error = r.error;
             cleanStreak = 0;
             level.store(std::min(p.lvl + 1, kLadderLevels - 1),
                         std::memory_order_relaxed);
-            retries.push_back({p.index, std::move(out)});
+            Timer retry_wall;
+            runLadder(out);
+            out.frameMs += retry_wall.elapsedMs();
+            served += out.hasLogits() ? 1 : 0;
+            sink(p.index, std::move(out));
             return;
         }
 
@@ -406,16 +400,6 @@ RobustPipeline::processStream(std::span<const PointCloud> frames,
     // Drain: every accepted frame resolves before we return.
     while (stagedExec->inFlight() > 0) {
         collectOne();
-    }
-
-    // Serial ladder retries for executor-failed frames (the executor
-    // is idle now, so the stateful sequential path is safe).
-    for (Retry &retry : retries) {
-        Timer retry_wall;
-        runLadder(retry.out);
-        retry.out.frameMs += retry_wall.elapsedMs();
-        served += retry.out.hasLogits() ? 1 : 0;
-        sink(retry.index, std::move(retry.out));
     }
     return served;
 }

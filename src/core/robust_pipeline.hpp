@@ -218,11 +218,11 @@ class RobustPipeline
      * Process a stream of frames with the same fault-tolerance
      * guarantees as per-frame process(), overlapping stages across
      * frames on the staged executor when resolvePipeline() allows
-     * (EDGEPC_PIPELINE; single frames and Off mode fall back to
-     * process()). Every frame — accepted, repaired, degraded, or
-     * dropped — resolves through @p sink exactly once; the call
-     * returns only after the executor has fully drained, so no frame
-     * is ever left in flight.
+     * (EDGEPC_PIPELINE; single frames, Off mode and models without a
+     * stage split fall back to process()). Every frame — accepted,
+     * repaired, degraded, or dropped — resolves through @p sink
+     * exactly once; the call returns only after the executor has
+     * fully drained, so no frame is ever left in flight.
      *
      * Semantics under overlap:
      *  - Sanitize, the chaos/latency prolog, and the ladder-level
@@ -232,13 +232,13 @@ class RobustPipeline
      *    miss escalates the ladder exactly like process() (frames
      *    cannot be cancelled mid-kernel in either mode).
      *  - A frame that fails on the executor is retried down the
-     *    ladder serially after the drain (the sequential model path
-     *    may share state with the staged workers, so retries never
-     *    overlap them); its sink call is deferred until the retry
-     *    resolves.
+     *    ladder sequentially when it is collected, on the caller (or
+     *    watchdog) thread, while later frames stay in flight; the
+     *    retry's wall time adds to its frameMs.
      *  - Sink order is completion order: sanitize-dropped frames
-     *    resolve at submit, retried frames resolve last. Use
-     *    @p frame_index to re-associate.
+     *    resolve at submit, every other frame (retried or not) at its
+     *    collect, in submit order. Use @p frame_index to
+     *    re-associate.
      *
      * Same single-caller contract as process().
      *

@@ -78,14 +78,16 @@ pipelineModeName()
 bool
 resolvePipeline(const PointCloudModel &model, std::size_t frames)
 {
+    if (frames < 2 || !model.supportsStagedInfer()) {
+        return false;
+    }
     switch (pipelineMode()) {
     case PipelineMode::Off:
         return false;
     case PipelineMode::On:
-        return frames >= 2;
+        return true;
     case PipelineMode::Auto:
-        return frames >= 2 && model.supportsStagedInfer() &&
-               ThreadPool::globalPool().concurrency() >= 4;
+        return ThreadPool::globalPool().concurrency() >= 4;
     }
     return false;
 }
@@ -274,8 +276,8 @@ StagedPipeline::featureWorker()
         m.featureDepth.set(static_cast<std::int64_t>(featureQ.depth()));
         if (!slot->failed) {
             EDGEPC_TRACE_SCOPE("staged.feature", "pipeline");
-            // Only this worker runs GEMMs in staged mode, so the
-            // per-frame config decides the engine mode here.
+            // The frame's GEMMs run on this worker, so its config sets
+            // the engine mode here.
             applyGemmMode(slot->cfg);
             try {
                 slot->logits = model.stagedFeature(*slot->state,

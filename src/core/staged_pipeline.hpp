@@ -13,11 +13,11 @@
  * frame still crosses every stage serially.
  *
  * Dispatch mirrors EDGEPC_SIMD / EDGEPC_GEMM: EDGEPC_PIPELINE=on|off|
- * auto (default auto = staged when the model has a real stage split
- * and the host has cores to overlap on), echoed as config.pipeline in
- * the BENCH json. InferencePipeline::runBatch, RobustPipeline::
- * processStream and the ServingEngine dispatch path all route through
- * resolvePipeline().
+ * auto (default auto = staged when the host has cores to overlap on),
+ * echoed as config.pipeline in the BENCH json. Only a model with a
+ * real stage split takes the staged route, in every mode.
+ * InferencePipeline::runBatch, RobustPipeline::processStream and the
+ * ServingEngine dispatch path all route through resolvePipeline().
  */
 
 #ifndef EDGEPC_CORE_STAGED_PIPELINE_HPP
@@ -61,9 +61,9 @@ const char *pipelineModeName(PipelineMode mode);
 
 /**
  * Should a @p frames -frame run of @p model take the staged executor?
- * Off: never. On: whenever there is anything to overlap (>= 2
- * frames). Auto: additionally requires a model with a real stage
- * split and >= 4 hardware threads (3 stage workers + kernel
+ * Never for a single frame or for a model without a real stage split
+ * (supportsStagedInfer()). Otherwise Off: never. On: always. Auto:
+ * only with >= 4 hardware threads (3 stage workers + kernel
  * parallelism) — on smaller hosts the stage hops cost more than the
  * overlap returns.
  */
@@ -96,10 +96,11 @@ struct StagedFrameResult
  *
  * Threading contract: trySubmit() and collect() must be called by one
  * logical caller (callerRole); the stage workers are internal. The
- * model is driven concurrently ONLY through its staged* entry points,
- * which by contract touch frame-local state — the feature stage,
- * where models may fall back to whole-frame infer(), runs on exactly
- * one worker. Destroying the executor drains in-flight frames.
+ * model is driven through its staged* entry points, which by contract
+ * touch frame-local state, so the caller may run the model's infer()
+ * while frames are in flight. A model without a stage split fails
+ * every frame with InvalidArgument. Destroying the executor drains
+ * in-flight frames.
  */
 class StagedPipeline
 {

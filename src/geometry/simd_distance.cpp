@@ -242,17 +242,6 @@ scalarSqDist(const float *xs, const float *ys, const float *zs,
 }
 
 void
-scalarSqDistGather(const float *xs, const float *ys, const float *zs,
-                   const std::uint32_t *idx, std::size_t n, const Vec3 &q,
-                   float *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t j = idx[i];
-        out[i] = squaredDistance({xs[j], ys[j], zs[j]}, q);
-    }
-}
-
-void
 scalarMinUpdate(const float *xs, const float *ys, const float *zs,
                 std::size_t n, const Vec3 &q, float *dist)
 {
@@ -371,27 +360,6 @@ avx2SqDist(const float *xs, const float *ys, const float *zs,
         _mm256_storeu_ps(out + i, d);
     }
     scalarSqDist(xs + i, ys + i, zs + i, n - i, q, out + i);
-}
-
-__attribute__((target("avx2,fma"))) void
-avx2SqDistGather(const float *xs, const float *ys, const float *zs,
-                 const std::uint32_t *idx, std::size_t n, const Vec3 &q,
-                 float *out)
-{
-    const __m256 qx = _mm256_set1_ps(q.x);
-    const __m256 qy = _mm256_set1_ps(q.y);
-    const __m256 qz = _mm256_set1_ps(q.z);
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        const __m256i ind = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(idx + i));
-        const __m256 d = sqDist8(_mm256_i32gather_ps(xs, ind, 4),
-                                 _mm256_i32gather_ps(ys, ind, 4),
-                                 _mm256_i32gather_ps(zs, ind, 4), qx, qy,
-                                 qz);
-        _mm256_storeu_ps(out + i, d);
-    }
-    scalarSqDistGather(xs, ys, zs, idx + i, n - i, q, out + i);
 }
 
 __attribute__((target("avx2,fma"))) void
@@ -581,18 +549,6 @@ batchSqDist(const float *xs, const float *ys, const float *zs,
         avx2SqDist(xs, ys, zs, n, q, out);
     } else {
         scalarSqDist(xs, ys, zs, n, q, out);
-    }
-}
-
-void
-batchSqDistGather(const float *xs, const float *ys, const float *zs,
-                  const std::uint32_t *idx, std::size_t n, const Vec3 &q,
-                  float *out)
-{
-    if (usingSimd()) {
-        avx2SqDistGather(xs, ys, zs, idx, n, q, out);
-    } else {
-        scalarSqDistGather(xs, ys, zs, idx, n, q, out);
     }
 }
 

@@ -3,7 +3,7 @@
  * Runtime-dispatched batch distance kernels over SoA point data.
  *
  * These are the 8-lane AVX2 workhorses behind FPS, brute-force k-NN,
- * ball query, grid query and the Morton window search. Dispatch
+ * ball query and the Morton window search. Dispatch
  * follows the GemmEngine pattern: a single __builtin_cpu_supports
  * check picks the AVX2+FMA build at runtime, with a scalar fallback
  * compiled for the baseline ISA. The path can be forced (setter or
@@ -83,14 +83,6 @@ void batchSqDist(const float *xs, const float *ys, const float *zs,
                  std::size_t n, const Vec3 &q, float *out);
 
 /**
- * Gather flavor: out[i] = |p_{idx[i]} - q|^2 for i in [0, n). Used by
- * the voxel-grid searcher whose candidate lists are index vectors.
- */
-void batchSqDistGather(const float *xs, const float *ys, const float *zs,
-                       const std::uint32_t *idx, std::size_t n,
-                       const Vec3 &q, float *out);
-
-/**
  * dist[i] = min(dist[i], |p_i - q|^2) for i in [0, n) — the FPS
  * min-distance relaxation pass.
  */
@@ -124,7 +116,7 @@ maskWords(std::size_t n)
  * [0, n); returns the number of set bits. Unused tail bits of the last
  * word are zero, so callers can iterate set lanes with countr_zero in
  * O(hits) instead of scanning a byte per lane — the in-ball test of
- * ball/grid query.
+ * ball query.
  */
 std::size_t batchRadiusMask(const float *dist, std::size_t n, float r2,
                             std::uint64_t *mask);

@@ -2,15 +2,12 @@
  * @file
  * Uniform voxel grid binning points by cell.
  *
- * Used for (1) the occupancy/structuredness statistics of Sec 4, and
- * (2) the grid-based neighbor-search baseline the paper cites among the
- * related non-approximate approaches (cuNSearch/FRNN style).
+ * Used for the occupancy/structuredness statistics of Sec 4.
  */
 
 #ifndef EDGEPC_GEOMETRY_VOXEL_GRID_HPP
 #define EDGEPC_GEOMETRY_VOXEL_GRID_HPP
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -56,35 +53,6 @@ class VoxelGrid
     void forEachCandidate(const Vec3 &center, float radius,
                           const std::function<void(std::uint32_t)> &fn)
         const;
-
-    /**
-     * Like forEachCandidate(), but invokes @p fn once per non-empty
-     * voxel with the whole index span, visiting cells in the same
-     * deterministic order. Lets callers run batch (SIMD) kernels over
-     * each cell instead of paying an indirect call per point.
-     */
-    template <typename Fn>
-    void forEachCandidateSpan(const Vec3 &center, float radius,
-                              Fn &&fn) const
-    {
-        std::int64_t cx, cy, cz;
-        coordsOf(center, cx, cy, cz);
-        const auto reach =
-            static_cast<std::int64_t>(std::ceil(radius * invCell));
-        for (std::int64_t dz = -reach; dz <= reach; ++dz) {
-            for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-                for (std::int64_t dx = -reach; dx <= reach; ++dx) {
-                    const auto it =
-                        cells.find(keyOf(cx + dx, cy + dy, cz + dz));
-                    if (it == cells.end()) {
-                        continue;
-                    }
-                    fn(std::span<const std::uint32_t>(
-                        it->second.data(), it->second.size()));
-                }
-            }
-        }
-    }
 
     /** Point indexes in the voxel containing @p p (empty if none). */
     std::span<const std::uint32_t> voxelPoints(const Vec3 &p) const;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/config.hpp"
 #include "nn/tensor.hpp"
@@ -37,11 +38,7 @@ class StagedFrame
     virtual ~StagedFrame() = default;
 
     /** Drop per-frame payloads so a pooled frame can be reused. */
-    virtual void reset() { fallbackCloud = PointCloud(); }
-
-    /** Frame copy used by the default whole-frame-infer fallback
-        (models with a real stage split ignore it). */
-    PointCloud fallbackCloud;
+    virtual void reset() {}
 };
 
 /** Abstract point-cloud CNN. */
@@ -87,12 +84,10 @@ class PointCloudModel
     }
 
     /**
-     * True when the model implements a real three-way stage split for
-     * the staged executor (core/staged_pipeline.hpp). The default
-     * staged* implementations below fall back to whole-frame infer()
-     * inside the feature stage, which is always correct (the staged
-     * executor calls the feature stage from a single thread at a
-     * time) but overlaps nothing.
+     * True when the model implements the three-way stage split below
+     * for the staged executor (core/staged_pipeline.hpp); only such a
+     * model takes the staged route (resolvePipeline). A model without
+     * a split keeps the defaults, which raise InvalidArgument.
      */
     virtual bool supportsStagedInfer() const { return false; }
 
@@ -108,15 +103,15 @@ class PointCloudModel
      * only @p frame and stateless kernels; distinct frames may be in
      * different stages concurrently, and a later frame runs this
      * stage while an earlier one runs stagedNeighbor/stagedFeature.
-     * The default keeps the cloud for the feature-stage fallback.
      */
     virtual void stagedSample(StagedFrame &frame, const PointCloud &cloud,
                               const EdgePcConfig &cfg, StageTimer *timer)
     {
+        (void)frame;
+        (void)cloud;
         (void)cfg;
         (void)timer;
-        frame.reset();
-        frame.fallbackCloud = cloud;
+        raiseNoStagedSplit();
     }
 
     /** Staged stage 2 of 3 — neighbor search (kStageNeighbor seam). */
@@ -126,19 +121,21 @@ class PointCloudModel
         (void)frame;
         (void)cfg;
         (void)timer;
+        raiseNoStagedSplit();
     }
 
     /**
      * Staged stage 3 of 3 — group + feature compute (kStageGroup /
-     * kStageFeature seams); returns the frame's logits. The staged
-     * executor serializes calls to this stage, so the default may run
-     * the (stateful) whole-frame infer() safely.
+     * kStageFeature seams); returns the frame's logits.
      */
     virtual nn::Matrix stagedFeature(StagedFrame &frame,
                                      const EdgePcConfig &cfg,
                                      StageTimer *timer)
     {
-        return infer(frame.fallbackCloud, cfg, timer);
+        (void)frame;
+        (void)cfg;
+        (void)timer;
+        raiseNoStagedSplit();
     }
 
     /** Model name for reports. */
@@ -157,6 +154,14 @@ class PointCloudModel
     virtual void collectBuffers(std::vector<std::vector<float> *> &out)
     {
         (void)out;
+    }
+
+  private:
+    [[noreturn]] void raiseNoStagedSplit() const
+    {
+        raise(ErrorCode::InvalidArgument,
+              "%s has no staged split (supportsStagedInfer() is false)",
+              name().c_str());
     }
 };
 

@@ -43,41 +43,18 @@ modeState()
     return state;
 }
 
-/** Broadcast-add @p bias over the @p rows rows of @p m (the
-    split-epilogue bias pass; the fused path adds it in the GEMM tile
-    store). */
-void
-addBiasRows(float *m, std::size_t rows, std::size_t cols,
-            const float *bias)
-{
-    parallelFor(0, rows, [&](std::size_t r) {
-        float *row = m + r * cols;
-        for (std::size_t c = 0; c < cols; ++c) {
-            row[c] += bias[c];
-        }
-    });
-}
-
 /** The @p rows x @p k matrix at @p a times rows [w_row, w_row + k) of
-    @p weight, plus @p bias (weight.cols() floats, or null), into
-    @p out — always on the fp32 GEMM, honoring the process-wide
-    epilogue-fusion toggle so the split routes see the same
-    EDGEPC_GEMM_EPILOGUE matrix as the eager Linear::forward. */
+    @p weight, plus @p bias (weight.cols() floats, or null) in the
+    GEMM epilogue, into @p out — always on the fp32 GEMM. */
 void
 linearRowsInto(const float *a, std::size_t rows, std::size_t k,
                const Matrix &weight, std::size_t w_row, const float *bias,
                float *out, GemmEngine &engine)
 {
     const std::size_t n = weight.cols();
-    const float *w = weight.data() + w_row * n;
-    if (bias != nullptr && GemmEngine::fusedEpilogues()) {
-        engine.gemm(a, w, out, rows, k, n, GemmEpilogue::Bias, bias);
-        return;
-    }
-    engine.gemm(a, w, out, rows, k, n);
-    if (bias != nullptr) {
-        addBiasRows(out, rows, n, bias);
-    }
+    engine.gemm(a, weight.data() + w_row * n, out, rows, k, n,
+                bias != nullptr ? GemmEpilogue::Bias : GemmEpilogue::None,
+                bias);
 }
 
 /** X * W (+ bias) on the fp32 GEMM. */

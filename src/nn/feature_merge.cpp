@@ -17,19 +17,10 @@ exactLinear(const Matrix &input, const Matrix &weight, const Matrix &bias,
         fatal("exactLinear: input C %zu != weight rows %zu", input.cols(),
               weight.rows());
     }
-    if (bias.numel() > 0 && GemmEngine::fusedEpilogues()) {
+    if (bias.numel() > 0) {
         return engine.multiply(input, weight, GemmEpilogue::Bias, bias);
     }
-    Matrix out = engine.multiply(input, weight);
-    if (bias.numel() > 0) {
-        parallelFor(0, out.rows(), [&](std::size_t r) {
-            float *row = out.data() + r * out.cols();
-            for (std::size_t c = 0; c < out.cols(); ++c) {
-                row[c] += bias.at(0, c);
-            }
-        });
-    }
-    return out;
+    return engine.multiply(input, weight);
 }
 
 Matrix
@@ -63,14 +54,12 @@ mergedLinear(const Matrix &input, const Matrix &weight, const Matrix &bias,
         }
     }
 
-    // With epilogue fusion the bias rides along in the GEMM store (and
-    // gets replicated with the group rows); otherwise a final sweep
-    // adds it.
-    const bool fuse_bias =
-        bias.numel() > 0 && GemmEngine::fusedEpilogues();
+    // The bias rides along in the GEMM store (and gets replicated with
+    // the group rows).
+    const bool has_bias = bias.numel() > 0;
     const GemmEpilogue ep =
-        fuse_bias ? GemmEpilogue::Bias : GemmEpilogue::None;
-    const float *bias_ptr = fuse_bias ? bias.data() : nullptr;
+        has_bias ? GemmEpilogue::Bias : GemmEpilogue::None;
+    const float *bias_ptr = has_bias ? bias.data() : nullptr;
 
     // Full groups go through the wide GEMM (the row-major layout makes
     // the merge itself a free reinterpretation of the buffer).
@@ -102,14 +91,6 @@ mergedLinear(const Matrix &input, const Matrix &weight, const Matrix &bias,
                   out.data() + tail_start * c_out);
     }
 
-    if (bias.numel() > 0 && !fuse_bias) {
-        parallelFor(0, out.rows(), [&](std::size_t r) {
-            float *row = out.data() + r * c_out;
-            for (std::size_t col = 0; col < c_out; ++col) {
-                row[col] += bias.at(0, col);
-            }
-        });
-    }
     return out;
 }
 

@@ -96,32 +96,6 @@ pathState()
     return state;
 }
 
-bool
-initialFusedFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_GEMM_EPILOGUE");
-    if (env == nullptr) {
-        return true;
-    }
-    const std::string_view v(env);
-    if (v == "split") {
-        return false;
-    }
-    if (v != "fused") {
-        warn("EDGEPC_GEMM_EPILOGUE=%s not understood (want fused|split); "
-             "using fused",
-             env);
-    }
-    return true;
-}
-
-std::atomic<bool> &
-fusedState()
-{
-    static std::atomic<bool> state{initialFusedFromEnv()};
-    return state;
-}
-
 /** Whether a call the policy sent to the fast (or scalar) path runs the
  *  AVX2+FMA build under the process-wide dispatch override. */
 bool
@@ -1394,7 +1368,7 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
 bool
 GemmEngine::policyFast(std::size_t k) const
 {
-    switch (policy) {
+    switch (mode()) {
       case GemmMode::Scalar:
         return false;
       case GemmMode::Fast:
@@ -1705,24 +1679,6 @@ GemmEngine::int8KernelName()
         return "scalar-int8";
     }
     return int8Available() ? "avx2-int8" : "scalar-int8";
-}
-
-bool
-GemmEngine::fusedEpilogues()
-{
-    return fusedState().load(std::memory_order_relaxed);
-}
-
-void
-GemmEngine::setFusedEpilogues(bool fused)
-{
-    fusedState().store(fused, std::memory_order_relaxed);
-}
-
-const char *
-GemmEngine::epilogueModeName()
-{
-    return fusedEpilogues() ? "fused" : "split";
 }
 
 } // namespace nn

@@ -29,9 +29,7 @@
  * EDGEPC_GEMM=scalar|fast|auto environment variable (read once at
  * startup) or GemmEngine::setDispatchPath() force either microkernel
  * build process-wide for A/B runs and bit-exactness tests, without
- * touching the per-engine CUDA/Tensor-core policy. The
- * EDGEPC_GEMM_EPILOGUE=fused|split variable (or setFusedEpilogues())
- * toggles epilogue fusion for the layers that adopt it.
+ * touching the per-engine CUDA/Tensor-core policy.
  */
 
 #ifndef EDGEPC_NN_GEMM_HPP
@@ -154,8 +152,11 @@ class GemmEngine
                        const QuantizedWeights &wq, float *c,
                        GemmEpilogue epilogue, const float *bias);
 
-    GemmMode mode() const { return policy; }
-    void setMode(GemmMode mode) { policy = mode; }
+    GemmMode mode() const { return policy.load(std::memory_order_relaxed); }
+    void setMode(GemmMode mode)
+    {
+        policy.store(mode, std::memory_order_relaxed);
+    }
 
     /** Calls dispatched to the fast (tensor-core) path. */
     std::uint64_t fastPathCalls() const
@@ -211,20 +212,6 @@ class GemmEngine
      */
     static const char *int8KernelName();
 
-    // ---- process-wide epilogue fusion toggle
-
-    /**
-     * Whether layers should fuse bias/ReLU epilogues into the GEMM
-     * store (default true; EDGEPC_GEMM_EPILOGUE=split disables it for
-     * A/B runs). The GEMM itself always honours an explicit epilogue
-     * argument — this toggle only steers the call sites.
-     */
-    static bool fusedEpilogues();
-    static void setFusedEpilogues(bool fused);
-
-    /** "fused" or "split" — echoed as config.gemm_epilogue. */
-    static const char *epilogueModeName();
-
   private:
     /**
      * Shared core: policy resolution, counters, then the packed
@@ -240,10 +227,13 @@ class GemmEngine
     /** The policy's fast/scalar decision for reduction @p k. */
     bool policyFast(std::size_t k) const;
 
-    GemmMode policy;
-    std::size_t channelThreshold;
     // Relaxed atomics: threads inferring at once share the global
-    // engine, and the counts order nothing.
+    // engine, and neither the policy nor the counts order anything.
+    // Each inference route stores its configuration's policy before
+    // its GEMMs run (core/config applyGemmMode), so a retry on one
+    // thread and the staged feature worker both write it.
+    std::atomic<GemmMode> policy;
+    std::size_t channelThreshold;
     std::atomic<std::uint64_t> fastCalls{0};
     std::atomic<std::uint64_t> scalarCalls{0};
 };

@@ -60,20 +60,11 @@ gatherLinear(const Matrix &features,
     std::span<float> gathered = arena.alloc<float>(m * c_in);
     gatherRowsInto(features, indices, gathered);
 
-    const bool fuse_bias =
-        bias.numel() > 0 && GemmEngine::fusedEpilogues();
+    const bool has_bias = bias.numel() > 0;
     Matrix out = Matrix::forOverwrite(m, c_out);
     engine.gemm(gathered.data(), weight.data(), out.data(), m, c_in,
-                c_out, fuse_bias ? GemmEpilogue::Bias : GemmEpilogue::None,
-                fuse_bias ? bias.data() : nullptr);
-    if (bias.numel() > 0 && !fuse_bias) {
-        parallelFor(0, m, [&](std::size_t r) {
-            float *row = out.data() + r * c_out;
-            for (std::size_t c = 0; c < c_out; ++c) {
-                row[c] += bias.at(0, c);
-            }
-        });
-    }
+                c_out, has_bias ? GemmEpilogue::Bias : GemmEpilogue::None,
+                has_bias ? bias.data() : nullptr);
     return out;
 }
 

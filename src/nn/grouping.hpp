@@ -46,7 +46,7 @@ void gatherRowsInto(const Matrix &features,
 /**
  * Gather + Linear in one step: the neighbor rows are gathered into a
  * thread-local ScratchArena buffer that feeds the packed GEMM
- * directly (with the bias fused into the epilogue when enabled), so
+ * directly (with the bias fused into the epilogue), so
  * the gathered activation matrix never exists as a heap allocation.
  *
  * @param features Source feature rows (N x C).

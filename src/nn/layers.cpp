@@ -41,29 +41,14 @@ Linear::forward(const Matrix &input, bool train)
         resolveQuantGemm(quantConfig, input.rows(), input.cols())) {
         // Int8 inference route: cached quantized panels, dynamic
         // activation scales, dequant+bias fused into the tile store.
-        // (The quant route always fuses its epilogue — the int32
-        // accumulators must be rescaled while hot regardless of the
-        // EDGEPC_GEMM_EPILOGUE toggle, which governs fp32 only.)
         auto wq = quantCache.get(weight.value);
         return gemm().multiplyQuantized(input, *wq, GemmEpilogue::Bias,
                                         bias.value);
     }
-    Matrix out;
-    if (GemmEngine::fusedEpilogues()) {
-        // Bias is added in the GEMM epilogue: one pass over the
-        // output instead of a second sweep.
-        out = gemm().multiply(input, weight.value, GemmEpilogue::Bias,
-                              bias.value);
-    } else {
-        out = gemm().multiply(input, weight.value);
-        const float *b = bias.value.data();
-        parallelFor(0, out.rows(), [&](std::size_t r) {
-            float *row = out.data() + r * out.cols();
-            for (std::size_t c = 0; c < out.cols(); ++c) {
-                row[c] += b[c];
-            }
-        });
-    }
+    // Bias is added in the GEMM epilogue: one pass over the output
+    // instead of a second sweep.
+    Matrix out = gemm().multiply(input, weight.value, GemmEpilogue::Bias,
+                                 bias.value);
     if (train) {
         savedInput = input;
     }
@@ -130,21 +115,8 @@ LinearRelu::forward(const Matrix &input, bool train)
                                         GemmEpilogue::BiasRelu,
                                         bias.value);
     }
-    Matrix out;
-    if (GemmEngine::fusedEpilogues()) {
-        out = gemm().multiply(input, weight.value, GemmEpilogue::BiasRelu,
-                              bias.value);
-    } else {
-        out = gemm().multiply(input, weight.value);
-        const float *b = bias.value.data();
-        parallelFor(0, out.rows(), [&](std::size_t r) {
-            float *row = out.data() + r * out.cols();
-            for (std::size_t c = 0; c < out.cols(); ++c) {
-                const float v = row[c] + b[c];
-                row[c] = v > 0.0f ? v : 0.0f;
-            }
-        });
-    }
+    Matrix out = gemm().multiply(input, weight.value,
+                                 GemmEpilogue::BiasRelu, bias.value);
     if (train) {
         savedInput = input;
         // The pre-activation is positive exactly where the output is,

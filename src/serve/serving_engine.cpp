@@ -122,7 +122,6 @@ ServingEngine::ServingEngine(PointCloudModel &model_, EdgePcConfig cfg,
     const std::size_t max_batch = std::max<std::size_t>(1, opts.maxBatch);
     batchStreams.resize(max_batch);
     batchScratch.resize(max_batch);
-    batchClouds.resize(max_batch);
     dispatcher = std::thread([this] { dispatchLoop(); });
 }
 
@@ -393,7 +392,8 @@ ServingEngine::executeBatch(std::size_t count)
         executeSingle(*batchStreams[0], batchScratch[0]);
         return;
     }
-    EDGEPC_TRACE_SCOPE("serve.batch", "serve");
+    const bool staged = resolvePipeline(model, count);
+    EDGEPC_TRACE_SCOPE(staged ? "serve.pipeline" : "serve.batch", "serve");
     const double dispatch_ms = epoch.elapsedMs();
     const int lvl = batchStreams[0]->robust->ladderLevel();
     const EdgePcConfig cfg_lvl =
@@ -405,7 +405,14 @@ ServingEngine::executeBatch(std::size_t count)
     {
         bool ok = false;
         bool repaired = false;
+        /** The live frame got no logits from the route. */
+        bool failed = false;
+        /** Submit-to-completion wall time on the staged executor. The
+            batch route leaves it 0: it trades the per-frame watchdog
+            for throughput. */
+        double stagedMs = 0.0;
         EdgePcError error;
+        nn::Matrix logits;
     };
     std::vector<Slot> slots(count);
     std::vector<PointCloud> live_clouds;
@@ -414,29 +421,25 @@ ServingEngine::executeBatch(std::size_t count)
     live_at.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         StreamState &s = *batchStreams[i];
-        batchClouds[i] = batchScratch[i].cloud;
+        PointCloud cloud = batchScratch[i].cloud;
         Result<SanitizeReport> rep =
-            sanitizeCloud(batchClouds[i], s.opts.robust.sanitizer);
+            sanitizeCloud(cloud, s.opts.robust.sanitizer);
         if (!rep.ok()) {
             slots[i].error = rep.error();
             continue;
         }
         slots[i].ok = true;
         slots[i].repaired = rep.value().repaired();
-        if (lvl >= 2 &&
-            batchClouds[i].size() > s.opts.robust.degradedPointBudget) {
-            batchClouds[i] = batchClouds[i].select(
-                UniformIndexSampler::stridePositions(
-                    batchClouds[i].size(),
-                    s.opts.robust.degradedPointBudget));
+        if (lvl >= 2 && cloud.size() > s.opts.robust.degradedPointBudget) {
+            cloud = cloud.select(UniformIndexSampler::stridePositions(
+                cloud.size(), s.opts.robust.degradedPointBudget));
         }
         live_at.push_back(i);
-        live_clouds.push_back(std::move(batchClouds[i]));
+        live_clouds.push_back(std::move(cloud));
     }
 
-    // Chaos prologs fire on the batched path too (no watchdog here:
-    // the batch trades the per-frame watchdog for throughput; SLO
-    // misses below still feed the breaker and the ladder).
+    // Chaos prologs fire on the dispatcher thread before the live
+    // frames run (SLO misses below feed the breaker and the ladder).
     for (const std::size_t i : live_at) {
         const auto &prolog = batchStreams[i]->opts.robust.inferenceProlog;
         if (prolog) {
@@ -444,61 +447,95 @@ ServingEngine::executeBatch(std::size_t count)
         }
     }
 
-    bool batch_ok = !live_clouds.empty();
-    std::vector<nn::Matrix> logits;
-    if (batch_ok) {
+    // The one fork: the staged route streams the live frames through
+    // the executor and gets a result per frame; the batch route stacks
+    // them through one all-or-nothing inferBatch.
+    if (staged) {
+        if (stagedExec == nullptr) {
+            stagedExec = std::make_unique<StagedPipeline>(model);
+        }
+        // Results come back FIFO, so collect k answers live_at[k].
+        std::size_t next = 0;
+        std::size_t collected = 0;
+        while (collected < live_clouds.size()) {
+            if (next < live_clouds.size() &&
+                stagedExec->trySubmit(live_clouds[next], cfg_lvl)) {
+                ++next;
+                continue;
+            }
+            StagedFrameResult r = stagedExec->collect();
+            Slot &slot = slots[live_at[collected++]];
+            slot.failed = r.failed;
+            slot.stagedMs = r.wallMs;
+            slot.logits = std::move(r.logits);
+        }
+    } else if (!live_clouds.empty()) {
         applyGemmMode(cfg_lvl);
         try {
-            logits = model.inferBatch(live_clouds, cfg_lvl);
+            std::vector<nn::Matrix> logits =
+                model.inferBatch(live_clouds, cfg_lvl);
+            for (std::size_t k = 0; k < live_at.size(); ++k) {
+                slots[live_at[k]].logits = std::move(logits[k]);
+            }
         } catch (const EdgePcException &) {
-            // Fall back to the full per-frame robust path below — it
-            // re-runs sanitize and the whole ladder per frame, so a
-            // poisoned batch costs retries, never the streams.
-            batch_ok = false;
+            for (const std::size_t i : live_at) {
+                slots[i].failed = true;
+            }
         }
     }
     mBatches.add();
 
     std::vector<FrameResponse> responses(count);
-    std::size_t live_pos = 0;
     for (std::size_t i = 0; i < count; ++i) {
         StreamState &s = *batchStreams[i];
         Request &rq = batchScratch[i];
+        Slot &slot = slots[i];
         FrameResponse &resp = responses[i];
         resp.stream = s.id;
         resp.seq = rq.seq;
         resp.queueMs = dispatch_ms - rq.submitMs;
         resp.ladderLevel = lvl;
-        resp.batched = true;
+        // A sanitize-dropped frame still counts as batched on the
+        // batch route, but not as pipelined on the staged route.
+        resp.batched = !staged;
+        resp.pipelined = staged && slot.ok;
 
-        if (!slots[i].ok) {
+        if (!slot.ok) {
             resp.status = FrameStatus::Dropped;
-            resp.error = slots[i].error;
+            resp.error = slot.error;
             s.robust->recordExternalFrame(FrameStatus::Dropped, lvl,
                                           false, false, &resp.error);
-        } else if (batch_ok) {
-            resp.status = lvl > 0 ? FrameStatus::Degraded
-                          : slots[i].repaired ? FrameStatus::Repaired
-                                              : FrameStatus::Ok;
-            resp.logits = std::move(logits[live_pos++]);
-        } else {
-            // Per-frame fallback: the robust single path accounts the
-            // frame internally (including its own ladder moves).
+        } else if (slot.failed) {
+            // Per-frame fallback: the robust single path re-runs
+            // sanitize and the whole ladder and accounts the frame
+            // internally, so a failed frame costs retries, never the
+            // stream.
             RobustFrameResult r = s.robust->process(rq.cloud);
             resp.status = r.status;
             resp.ladderLevel = r.ladderLevel;
             resp.batched = false;
+            resp.pipelined = false;
             resp.logits = std::move(r.result.logits);
             resp.error = r.error;
-            ++live_pos;
+        } else {
+            resp.status = lvl > 0 ? FrameStatus::Degraded
+                          : slot.repaired ? FrameStatus::Repaired
+                                          : FrameStatus::Ok;
+            resp.logits = std::move(slot.logits);
         }
         const double now = epoch.elapsedMs();
         resp.totalMs = now - rq.submitMs;
         resp.sloMissed = rq.hasSlo && now > rq.deadlineMs;
-        if (slots[i].ok && batch_ok) {
+        if (slot.ok && !slot.failed) {
+            // The per-frame watchdog follows in-flight staged frames:
+            // submit-to-completion wall time against the stream's soft
+            // deadline.
+            const bool wd_missed =
+                s.opts.robust.deadlineMs > 0.0 &&
+                slot.stagedMs > s.opts.robust.deadlineMs;
             s.robust->recordExternalFrame(resp.status, lvl,
-                                          resp.sloMissed,
-                                          slots[i].repaired);
+                                          resp.sloMissed || wd_missed,
+                                          slot.repaired);
         }
     }
 
@@ -513,191 +550,6 @@ ServingEngine::executeBatch(std::size_t count)
                 ++s.serve.batchedFrames;
                 mBatchedFrames.add();
             }
-            if (resp.sloMissed) {
-                ++s.serve.sloMisses;
-                mSloMisses.add();
-            }
-            const std::size_t trips_before = s.breaker.trips();
-            const bool failure =
-                resp.status == FrameStatus::Dropped || resp.sloMissed;
-            if (failure) {
-                s.breaker.recordFailure(now);
-            } else {
-                s.breaker.recordSuccess(now);
-            }
-            mBreakerTrips.add(s.breaker.trips() - trips_before);
-        }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        mServed.add();
-        hQueueMs.observe(responses[i].queueMs);
-        hTotalMs.observe(responses[i].totalMs);
-        fulfill(batchScratch[i], std::move(responses[i]));
-    }
-}
-
-bool
-ServingEngine::pipelinedEligible(std::size_t count) const
-{
-    if (count < 2 || !model.supportsStagedInfer()) {
-        return false;
-    }
-    switch (opts.pipeline) {
-      case PipelineMode::Off:
-        return false;
-      case PipelineMode::On:
-        return true;
-      case PipelineMode::Auto:
-        return resolvePipeline(model, count);
-    }
-    return false;
-}
-
-void
-ServingEngine::executePipelined(std::size_t count)
-{
-    EDGEPC_TRACE_SCOPE("serve.pipeline", "serve");
-    const double dispatch_ms = epoch.elapsedMs();
-    const int lvl = batchStreams[0]->robust->ladderLevel();
-    const EdgePcConfig cfg_lvl =
-        batchStreams[0]->robust->configForLevel(lvl);
-
-    // Sanitize (and subsample at the deepest degraded level) each
-    // frame exactly as the batched path / RobustPipeline::process do.
-    struct Slot
-    {
-        bool ok = false;
-        bool repaired = false;
-        bool stagedFailed = false;
-        double stagedWallMs = 0.0;
-        EdgePcError error;
-        nn::Matrix logits;
-    };
-    std::vector<Slot> slots(count);
-    std::vector<std::size_t> live_at;
-    live_at.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        StreamState &s = *batchStreams[i];
-        batchClouds[i] = batchScratch[i].cloud;
-        Result<SanitizeReport> rep =
-            sanitizeCloud(batchClouds[i], s.opts.robust.sanitizer);
-        if (!rep.ok()) {
-            slots[i].error = rep.error();
-            continue;
-        }
-        slots[i].ok = true;
-        slots[i].repaired = rep.value().repaired();
-        if (lvl >= 2 &&
-            batchClouds[i].size() > s.opts.robust.degradedPointBudget) {
-            batchClouds[i] = batchClouds[i].select(
-                UniformIndexSampler::stridePositions(
-                    batchClouds[i].size(),
-                    s.opts.robust.degradedPointBudget));
-        }
-        live_at.push_back(i);
-    }
-
-    // Chaos prologs fire on the dispatcher thread at submit, inside
-    // each frame's measured window (matches executeBatch).
-    for (const std::size_t i : live_at) {
-        const auto &prolog = batchStreams[i]->opts.robust.inferenceProlog;
-        if (prolog) {
-            prolog();
-        }
-    }
-
-    if (stagedExec == nullptr) {
-        stagedExec = std::make_unique<StagedPipeline>(model);
-    }
-    // Stream the live heads through the staged executor. Results come
-    // back FIFO, so collect index k is live_at[k]. Every submitted
-    // frame is collected before we leave this block: the sequential
-    // fallback below may touch model state the stage workers use.
-    {
-        std::size_t next = 0;
-        std::size_t collected = 0;
-        auto collectOne = [&] {
-            StagedFrameResult r = stagedExec->collect();
-            Slot &slot = slots[live_at[collected]];
-            slot.stagedWallMs = r.wallMs;
-            if (r.failed) {
-                slot.stagedFailed = true;
-                slot.error = r.error;
-            } else {
-                slot.logits = std::move(r.logits);
-            }
-            ++collected;
-        };
-        while (next < live_at.size()) {
-            if (stagedExec->trySubmit(batchClouds[live_at[next]],
-                                      cfg_lvl)) {
-                ++next;
-                continue;
-            }
-            collectOne();
-        }
-        while (collected < live_at.size()) {
-            collectOne();
-        }
-    }
-    mBatches.add();
-
-    std::vector<FrameResponse> responses(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        StreamState &s = *batchStreams[i];
-        Request &rq = batchScratch[i];
-        FrameResponse &resp = responses[i];
-        resp.stream = s.id;
-        resp.seq = rq.seq;
-        resp.queueMs = dispatch_ms - rq.submitMs;
-        resp.ladderLevel = lvl;
-        resp.pipelined = true;
-
-        if (!slots[i].ok) {
-            resp.status = FrameStatus::Dropped;
-            resp.pipelined = false;
-            resp.error = slots[i].error;
-            s.robust->recordExternalFrame(FrameStatus::Dropped, lvl,
-                                          false, false, &resp.error);
-        } else if (slots[i].stagedFailed) {
-            // Per-frame fallback: the robust single path accounts the
-            // frame internally (including its own ladder moves). The
-            // executor is drained, so the stateful path is safe.
-            RobustFrameResult r = s.robust->process(rq.cloud);
-            resp.status = r.status;
-            resp.ladderLevel = r.ladderLevel;
-            resp.pipelined = false;
-            resp.logits = std::move(r.result.logits);
-            resp.error = r.error;
-        } else {
-            resp.status = lvl > 0 ? FrameStatus::Degraded
-                          : slots[i].repaired ? FrameStatus::Repaired
-                                              : FrameStatus::Ok;
-            resp.logits = std::move(slots[i].logits);
-        }
-        const double now = epoch.elapsedMs();
-        resp.totalMs = now - rq.submitMs;
-        resp.sloMissed = rq.hasSlo && now > rq.deadlineMs;
-        if (slots[i].ok && !slots[i].stagedFailed) {
-            // The per-frame watchdog follows in-flight frames here:
-            // submit-to-completion wall time on the executor against
-            // the stream's soft deadline.
-            const bool wd_missed =
-                s.opts.robust.deadlineMs > 0.0 &&
-                slots[i].stagedWallMs > s.opts.robust.deadlineMs;
-            s.robust->recordExternalFrame(
-                resp.status, lvl, resp.sloMissed || wd_missed,
-                slots[i].repaired);
-        }
-    }
-
-    {
-        MutexLock lock(engineMu);
-        const double now = epoch.elapsedMs();
-        for (std::size_t i = 0; i < count; ++i) {
-            StreamState &s = *batchStreams[i];
-            FrameResponse &resp = responses[i];
-            ++s.serve.served;
             if (resp.pipelined) {
                 ++s.serve.pipelinedFrames;
                 mPipelinedFrames.add();
@@ -760,11 +612,7 @@ ServingEngine::dispatchLoop()
         }
         busy = true;
         lock.unlock();
-        if (pipelinedEligible(count)) {
-            executePipelined(count);
-        } else {
-            executeBatch(count);
-        }
+        executeBatch(count);
         lock.lock();
         busy = false;
         gQueueDepth.set(static_cast<std::int64_t>(totalQueuedLocked()));

@@ -15,18 +15,18 @@
  *  - A single dispatcher thread schedules queue heads
  *    earliest-deadline-first (per-request SLO deadlines; no-SLO
  *    streams fall back to FIFO by arrival), which keeps per-stream
- *    FIFO order by construction. Models mutate internal state during
- *    inference, so one dispatcher owns the model; kernels still
- *    parallelize internally over the global ThreadPool.
+ *    FIFO order by construction. One dispatcher drives the model;
+ *    kernels still parallelize internally over the global ThreadPool.
  *  - Per-stream circuit breakers quarantine streams whose frames
  *    repeatedly fail or blow their SLO, and probe them for recovery
  *    without ever starving healthy streams.
  *  - Cross-stream micro-batching: heads of distinct streams at the
  *    same ladder level are stacked through PointCloudModel::inferBatch
  *    so the packed GEMM runs at large M instead of one skinny GEMM
- *    per frame. The batched path trades the per-frame watchdog for
- *    throughput; SLO misses are still detected and fed to the
- *    breaker/ladder.
+ *    per frame, or, when resolvePipeline() picks the staged route,
+ *    overlapped stage-wise on the StagedPipeline executor. The
+ *    batched path trades the per-frame watchdog for throughput; SLO
+ *    misses are still detected and fed to the breaker/ladder.
  *  - Graceful drain: completes every queued and in-flight frame, then
  *    returns the per-stream StreamHealth snapshots. Every accepted
  *    frame is accounted in exactly one way (served, dropped, or
@@ -228,20 +228,11 @@ struct ServingOptions
     /** Defaults for openStream() without explicit options. */
     StreamOptions streamDefaults;
 
-    /** Max heads micro-batched through one inferBatch call (1
-        disables cross-stream batching). */
+    /** Max heads dispatched together, micro-batched through one
+        inferBatch call or overlapped on the staged executor when
+        resolvePipeline() (EDGEPC_PIPELINE) picks it (1 disables
+        cross-stream batching). */
     std::size_t maxBatch = 4;
-
-    /**
-     * Inter-frame staged pipelining of selected cross-stream heads:
-     * instead of one inferBatch call, the heads stream through the
-     * StagedPipeline executor so frame t+1's structurization overlaps
-     * frame t's neighbor search and GEMM. Off forces the classic
-     * batched path; On forces pipelining whenever >= 2 heads of a
-     * staged-capable model are selected; Auto (default) defers to the
-     * global EDGEPC_PIPELINE resolution (core/staged_pipeline.hpp).
-     */
-    PipelineMode pipeline = PipelineMode::Auto;
 
     /** Overload -> ladder-floor policy. */
     AdmissionOptions admission;
@@ -363,14 +354,12 @@ class ServingEngine
     std::size_t selectLocked(double now_ms) EDGEPC_REQUIRES(engineMu);
     void executeSingle(StreamState &stream, Request &request)
         EDGEPC_EXCLUDES(engineMu);
+    /** Serve the @p count selected heads: one head through
+        executeSingle; more on the staged executor when
+        resolvePipeline() says so (the heads overlap stage-wise), else
+        stacked through one inferBatch call. Either way a frame that
+        gets no logits falls back to its stream's RobustPipeline. */
     void executeBatch(std::size_t count) EDGEPC_EXCLUDES(engineMu);
-    /** Whether a selected batch of @p count heads should run on the
-        staged executor (dispatcher-only state). */
-    bool pipelinedEligible(std::size_t count) const;
-    /** Staged-executor counterpart of executeBatch: same sanitize /
-        prolog / accounting contract, but the heads overlap stage-wise
-        instead of stacking into one GEMM. */
-    void executePipelined(std::size_t count) EDGEPC_EXCLUDES(engineMu);
     void shedRequestLocked(StreamState &stream, Request &request,
                            ErrorCode code, const char *why,
                            std::size_t StreamServeStats::*counter)
@@ -413,9 +402,8 @@ class ServingEngine
         EDGEPC_GUARDED_BY(engineMu). */
     std::vector<StreamState *> batchStreams;
     std::vector<Request> batchScratch;
-    std::vector<PointCloud> batchClouds;
-    /** Dispatcher-only staged executor for executePipelined (lazily
-        created on the first pipelined batch; deliberately NOT
+    /** Dispatcher-only staged executor for executeBatch (lazily
+        created on the first staged batch; deliberately NOT
         EDGEPC_GUARDED_BY(engineMu) — see batchScratch). */
     std::unique_ptr<StagedPipeline> stagedExec;
 

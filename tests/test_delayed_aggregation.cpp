@@ -3,8 +3,7 @@
  * Differential parity harness for delayed aggregation (DESIGN.md §13):
  * the delayed route must agree with the eager gather-then-MLP
  * composition on identical weights, across the full dispatch matrix
- * (EDGEPC_GEMM scalar/fast x EDGEPC_SIMD scalar/simd x fused/split
- * epilogues).
+ * (EDGEPC_GEMM scalar/fast x EDGEPC_SIMD scalar/simd).
  *
  * On exactness: the gatherMaxPool primitive is bit-exact with
  * gatherRows + MaxPoolNeighbors (same first-row copy, same
@@ -47,9 +46,8 @@ class DispatchGuard
   public:
     DispatchGuard()
         : gemmPath(nn::GemmEngine::dispatchPath()),
-          simdPath(simd::dispatchPath()),
-          fused(nn::GemmEngine::fusedEpilogues()),
-          mode(nn::delayedAggMode()), quant(nn::quantGemmMode())
+          simdPath(simd::dispatchPath()), mode(nn::delayedAggMode()),
+          quant(nn::quantGemmMode())
     {
         nn::setQuantGemmMode(nn::QuantMode::Off);
     }
@@ -57,7 +55,6 @@ class DispatchGuard
     {
         nn::GemmEngine::setDispatchPath(gemmPath);
         simd::setDispatchPath(simdPath);
-        nn::GemmEngine::setFusedEpilogues(fused);
         nn::setDelayedAggMode(mode);
         nn::setQuantGemmMode(quant);
     }
@@ -65,7 +62,6 @@ class DispatchGuard
   private:
     nn::GemmDispatchPath gemmPath;
     simd::DispatchPath simdPath;
-    bool fused;
     nn::DelayedAggMode mode;
     nn::QuantMode quant;
 };
@@ -74,7 +70,6 @@ struct DispatchCase
 {
     nn::GemmDispatchPath gemm;
     simd::DispatchPath simd;
-    bool fused;
     float tol;
     std::string tag;
 };
@@ -96,22 +91,16 @@ dispatchMatrix()
     }
     for (const auto g : gemms) {
         for (const auto s : simds) {
-            for (const bool fused : {true, false}) {
-                DispatchCase c;
-                c.gemm = g;
-                c.simd = s;
-                c.fused = fused;
-                c.tol = g == nn::GemmDispatchPath::ForceScalar ? 2e-5f
-                                                               : 1e-4f;
-                c.tag = std::string(g == nn::GemmDispatchPath::ForceScalar
-                                        ? "gemm=scalar"
-                                        : "gemm=fast") +
-                        (s == simd::DispatchPath::ForceScalar
-                             ? " simd=scalar"
-                             : " simd=simd") +
-                        (fused ? " epilogue=fused" : " epilogue=split");
-                cases.push_back(std::move(c));
-            }
+            DispatchCase c;
+            c.gemm = g;
+            c.simd = s;
+            c.tol = g == nn::GemmDispatchPath::ForceScalar ? 2e-5f : 1e-4f;
+            c.tag = std::string(g == nn::GemmDispatchPath::ForceScalar
+                                    ? "gemm=scalar"
+                                    : "gemm=fast") +
+                    (s == simd::DispatchPath::ForceScalar ? " simd=scalar"
+                                                          : " simd=simd");
+            cases.push_back(std::move(c));
         }
     }
     return cases;
@@ -122,7 +111,6 @@ applyCase(const DispatchCase &c)
 {
     nn::GemmEngine::setDispatchPath(c.gemm);
     simd::setDispatchPath(c.simd);
-    nn::GemmEngine::setFusedEpilogues(c.fused);
 }
 
 /** Random neighbor lists with entries in [0, n_source). */
@@ -291,7 +279,7 @@ makeSaProblem(std::uint64_t seed, std::size_t n_points, std::size_t n,
 }
 
 /** The eager route on the same weights: group, then the real Linear
-    layer (so the epilogue-fusion branch under test is the layer's own). */
+    layer (so the bias epilogue under test is the layer's own). */
 nn::Matrix
 eagerSaFirstLinear(const SaProblem &p)
 {

@@ -19,7 +19,6 @@
 #include "models/pointnetpp.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/grid_query.hpp"
 #include "neighbor/morton_window.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
@@ -64,14 +63,6 @@ TEST(RecoverablePaths, BallQueryRejectsBadInputs)
     const std::vector<Vec3> pts = {{0, 0, 0}};
     EXPECT_RAISES(bq.search(pts, {}, 4), ErrorCode::EmptyCloud);
     EXPECT_RAISES(bq.search(pts, pts, 0), ErrorCode::EmptyCloud);
-}
-
-TEST(RecoverablePaths, GridBallQueryRejectsBadInputs)
-{
-    EXPECT_RAISES(GridBallQuery(0.0f), ErrorCode::InvalidArgument);
-    GridBallQuery bq(1.0f);
-    const std::vector<Vec3> pts = {{0, 0, 0}};
-    EXPECT_RAISES(bq.search(pts, {}, 2), ErrorCode::EmptyCloud);
 }
 
 TEST(RecoverablePaths, BruteForceRejectsEmptyCandidates)

@@ -84,7 +84,8 @@ sceneClouds(std::size_t frames, std::size_t points, std::uint64_t seed)
 }
 
 /** Every inference route of @p model over @p clouds: per-cloud infer,
-    one inferBatch of all clouds, and the staged route per cloud. */
+    one inferBatch of all clouds, and, for a model with a stage split,
+    the staged route per cloud. */
 std::vector<nn::Matrix>
 allRoutes(PointCloudModel &model, const std::vector<PointCloud> &clouds,
           const EdgePcConfig &cfg)
@@ -95,6 +96,9 @@ allRoutes(PointCloudModel &model, const std::vector<PointCloud> &clouds,
     }
     for (nn::Matrix &m : model.inferBatch(clouds, cfg)) {
         out.push_back(std::move(m));
+    }
+    if (!model.supportsStagedInfer()) {
+        return out;
     }
     const std::unique_ptr<StagedFrame> frame = model.makeStagedFrame();
     for (const PointCloud &cloud : clouds) {

@@ -472,16 +472,6 @@ TEST(GemmEpilogue, MissingBiasRaises)
                  EdgePcException);
 }
 
-TEST(GemmEpilogue, ModeNameMatchesToggle)
-{
-    const bool saved = GemmEngine::fusedEpilogues();
-    GemmEngine::setFusedEpilogues(true);
-    EXPECT_STREQ(GemmEngine::epilogueModeName(), "fused");
-    GemmEngine::setFusedEpilogues(false);
-    EXPECT_STREQ(GemmEngine::epilogueModeName(), "split");
-    GemmEngine::setFusedEpilogues(saved);
-}
-
 // ---------------------------------------------------------------------
 // Empty reduction (k == 0)
 // ---------------------------------------------------------------------

@@ -5,7 +5,7 @@
  *
  * Coverage per ISSUE 3: for N in {1, 2, 100, 4096} assert that
  *  - KdTreeKnn returns exactly the brute-force k-NN rows,
- *  - KdTreeBallQuery / GridBallQuery are set-equivalent to the exact
+ *  - KdTreeBallQuery is set-equivalent to the exact
  *    in-radius ground truth (same fallback-to-nearest convention as
  *    the reference BallQuery),
  *  - MortonWindowSearch recall vs brute-force k-NN stays within the
@@ -33,7 +33,6 @@
 #include "geometry/simd_distance.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/grid_query.hpp"
 #include "neighbor/kd_tree.hpp"
 #include "neighbor/metrics.hpp"
 #include "neighbor/morton_window.hpp"
@@ -158,20 +157,6 @@ TEST(KernelEquivalence, KdTreeKnnMatchesBruteForceExactly)
             EXPECT_EQ(sortedRow(got, q), sortedRow(truth, q))
                 << "N=" << n << " query " << q;
         }
-    }
-}
-
-TEST(KernelEquivalence, GridBallQueryMatchesGroundTruth)
-{
-    const float radius = 0.25f;
-    for (const std::size_t n : kCloudSizes) {
-        const auto pts = randomCloud(n, 3000 + n);
-        const auto queries = randomCloud(std::min<std::size_t>(n, 64),
-                                         4000 + n);
-        const std::size_t k = 8;
-        GridBallQuery grid(radius, radius);
-        const auto got = grid.search(queries, pts, k);
-        expectBallEquivalent(got, queries, pts, radius, k);
     }
 }
 
@@ -334,21 +319,6 @@ TEST(DispatchEquivalence, BallQueryIdenticalAcrossPaths)
                 return ball.search(queries, pts, 8).indices;
             },
             "ball-query");
-    }
-}
-
-TEST(DispatchEquivalence, GridBallQueryIdenticalAcrossPaths)
-{
-    for (const std::size_t n : kLaneSizes) {
-        const auto pts = randomCloud(n, 9400 + n);
-        const auto queries =
-            randomCloud(std::min<std::size_t>(n, 32), 9500 + n);
-        expectPathsIdentical(
-            [&] {
-                GridBallQuery grid(0.25f, 0.25f);
-                return grid.search(queries, pts, 8).indices;
-            },
-            "grid-ball-query");
     }
 }
 

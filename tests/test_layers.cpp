@@ -214,28 +214,6 @@ TEST(LinearRelu, MatchesSeparateLinearPlusRelu)
     }
 }
 
-// The EDGEPC_GEMM_EPILOGUE=split escape hatch must produce the same
-// activations as the fused default.
-TEST(LinearRelu, SplitEpilogueMatchesFused)
-{
-    Rng rng(9);
-    LinearRelu layer(5, 4, rng);
-    Matrix x(7, 5);
-    x.fillNormal(rng, 1.0f);
-
-    const bool saved = GemmEngine::fusedEpilogues();
-    GemmEngine::setFusedEpilogues(true);
-    const Matrix fused = layer.forward(x, false);
-    GemmEngine::setFusedEpilogues(false);
-    const Matrix split = layer.forward(x, false);
-    GemmEngine::setFusedEpilogues(saved);
-
-    for (std::size_t i = 0; i < fused.numel(); ++i) {
-        EXPECT_FLOAT_EQ(fused.data()[i], split.data()[i])
-            << "element " << i;
-    }
-}
-
 TEST(Sequential, AddLinearReluAppendsOneLayer)
 {
     Rng rng(10);

@@ -444,7 +444,7 @@ expectConcurrentInferMatchesSerial(PointCloudModel &model,
     }
 }
 
-TEST(ConcurrentInfer, DgcnnAndPointNetMatchSerial)
+TEST(ConcurrentInfer, EveryModelMatchesSerial)
 {
     QuantOffGuard guard;
     const std::vector<PointCloud> clouds = {makeCloud(96, 41),
@@ -458,6 +458,15 @@ TEST(ConcurrentInfer, DgcnnAndPointNetMatchSerial)
         PointNet model(PointNetConfig::segmentationConfig(5), 7);
         expectConcurrentInferMatchesSerial(model, clouds,
                                            EdgePcConfig::baseline());
+    }
+    // A staged retry runs a whole PointNet++ infer on one thread while
+    // the feature worker executes another frame's plan.
+    for (const nn::DelayedAggMode agg :
+         {nn::DelayedAggMode::Off, nn::DelayedAggMode::On}) {
+        ScopedDelayedAgg delayed(agg);
+        PointNetPP model(PointNetPPConfig::liteSegmentation(96, 5), 7);
+        expectConcurrentInferMatchesSerial(model, clouds,
+                                           EdgePcConfig::snf());
     }
 }
 

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/grid_query.hpp"
 #include "neighbor/kd_tree.hpp"
 #include "neighbor/morton_window.hpp"
 #include "neighbor/metrics.hpp"
@@ -138,52 +137,6 @@ TEST(BallQuery, PaperFigure10aExample)
     EXPECT_TRUE(found.count(0));
     EXPECT_TRUE(found.count(2)); // itself
     EXPECT_TRUE(found.count(4));
-}
-
-TEST(GridBallQuery, MatchesPlainBallQueryContents)
-{
-    const auto pts = randomCloud(600, 64);
-    const auto queries = randomCloud(40, 65);
-    const float radius = 0.25f;
-    GridBallQuery grid_bq(radius);
-    const auto lists = grid_bq.search(queries, pts, 8);
-    // Every returned (non-padding) neighbor must be inside the ball
-    // or be the nearest-fallback.
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto row = lists.row(q);
-        // First entry: inside ball, or the globally nearest point.
-        const float d0 = distance(queries[q], pts[row[0]]);
-        if (d0 > radius) {
-            for (std::size_t c = 0; c < pts.size(); ++c) {
-                EXPECT_GE(distance(queries[q], pts[c]) + 1e-6f, d0);
-            }
-        }
-        for (const auto idx : row) {
-            const float d = distance(queries[q], pts[idx]);
-            EXPECT_TRUE(d <= radius || idx == row[0]);
-        }
-    }
-}
-
-TEST(GridBallQuery, FindsAllWhenBallIsLarge)
-{
-    const std::vector<Vec3> pts = {
-        {0, 0, 0}, {0.1f, 0, 0}, {0, 0.1f, 0}};
-    GridBallQuery bq(10.0f);
-    const std::vector<Vec3> queries = {{0, 0, 0}};
-    const auto lists = bq.search(queries, pts, 3);
-    const std::set<std::uint32_t> found(lists.row(0).begin(),
-                                        lists.row(0).end());
-    EXPECT_EQ(found.size(), 3u);
-}
-
-TEST(GridBallQuery, FallsBackToNearestOutsideGridReach)
-{
-    const std::vector<Vec3> pts = {{100, 100, 100}, {200, 0, 0}};
-    GridBallQuery bq(0.5f);
-    const std::vector<Vec3> queries = {{0, 0, 0}};
-    const auto lists = bq.search(queries, pts, 2);
-    EXPECT_EQ(lists.row(0)[0], 0u); // nearest despite empty ball
 }
 
 TEST(KdTree, KnnMatchesBruteForce)

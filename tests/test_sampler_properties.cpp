@@ -2,7 +2,7 @@
  * @file
  * Property tests shared by every Sampler implementation.
  *
- * For FPS, Morton, random, voxel-grid and uniform-index sampling the
+ * For FPS, Morton, random and uniform-index sampling the
  * same contract must hold (ISSUE 3):
  *  - exactly min(k, N) indices are returned,
  *  - all indices are unique and in [0, N),
@@ -27,7 +27,6 @@
 #include "sampling/random_sampler.hpp"
 #include "sampling/sampler.hpp"
 #include "sampling/uniform_index_sampler.hpp"
-#include "sampling/voxel_sampler.hpp"
 
 namespace edgepc {
 namespace {
@@ -59,8 +58,6 @@ samplerCases()
          [] { return std::make_unique<FarthestPointSampler>(); }},
         {"morton", [] { return std::make_unique<MortonSampler>(32); }},
         {"random", [] { return std::make_unique<RandomSampler>(77); }},
-        {"voxel-grid",
-         [] { return std::make_unique<VoxelGridSampler>(77); }},
         {"uniform-index",
          [] { return std::make_unique<UniformIndexSampler>(); }},
     };

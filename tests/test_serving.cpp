@@ -45,6 +45,19 @@ class QuantOffGuard
     nn::QuantMode quant;
 };
 
+/** Pin the process-wide EDGEPC_PIPELINE mode off for the guard's
+    lifetime (declare it before the engine, so it outlives the
+    dispatcher). */
+class PipelineOffGuard
+{
+  public:
+    PipelineOffGuard() { setPipelineMode(PipelineMode::Off); }
+    ~PipelineOffGuard() { setPipelineMode(prev); }
+
+  private:
+    PipelineMode prev = pipelineMode();
+};
+
 using serve::AdmissionController;
 using serve::AdmissionOptions;
 using serve::AdmitStatus;
@@ -702,7 +715,7 @@ TEST(ServingEngine, CrossStreamHeadsAreMicroBatched)
     eopts.maxBatch = 4;
     // This test pins the classic micro-batched route; keep the staged
     // inter-frame executor out even under EDGEPC_PIPELINE=on CI legs.
-    eopts.pipeline = PipelineMode::Off;
+    PipelineOffGuard pipeline_off;
     ServingEngine engine(model, EdgePcConfig::sn(), eopts);
     const StreamId blocker = engine.openStream(blocker_opts);
     const StreamId s0 = engine.openStream();

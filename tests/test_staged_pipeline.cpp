@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "core/robust_pipeline.hpp"
 #include "core/staged_pipeline.hpp"
@@ -68,10 +71,64 @@ expectSameLogits(const nn::Matrix &staged, const nn::Matrix &sequential,
     }
 }
 
+/**
+ * Forwards to a lite PointNet++ and raises a typed error from its
+ * second stagedFeature call, so exactly one frame fails on the staged
+ * executor while infer() (the sequential retry route) keeps working.
+ */
+class SecondFeatureFailsModel : public PointCloudModel
+{
+  public:
+    SecondFeatureFailsModel()
+        : inner(PointNetPPConfig::liteSegmentation(128, 5), 7)
+    {
+    }
+
+    nn::Matrix infer(const PointCloud &cloud, const EdgePcConfig &cfg,
+                     StageTimer *timer) override
+    {
+        return inner.infer(cloud, cfg, timer);
+    }
+    bool supportsStagedInfer() const override { return true; }
+    std::unique_ptr<StagedFrame> makeStagedFrame() override
+    {
+        return inner.makeStagedFrame();
+    }
+    void stagedSample(StagedFrame &frame, const PointCloud &cloud,
+                      const EdgePcConfig &cfg, StageTimer *timer) override
+    {
+        inner.stagedSample(frame, cloud, cfg, timer);
+    }
+    void stagedNeighbor(StagedFrame &frame, const EdgePcConfig &cfg,
+                        StageTimer *timer) override
+    {
+        inner.stagedNeighbor(frame, cfg, timer);
+    }
+    nn::Matrix stagedFeature(StagedFrame &frame, const EdgePcConfig &cfg,
+                             StageTimer *timer) override
+    {
+        if (featureCalls.fetch_add(1) + 1 == 2) {
+            raise(ErrorCode::Internal, "injected feature-stage failure");
+        }
+        return inner.stagedFeature(frame, cfg, timer);
+    }
+    std::string name() const override { return inner.name(); }
+    std::size_t numClasses() const override { return inner.numClasses(); }
+    void collectParameters(std::vector<nn::Parameter *> &out) override
+    {
+        inner.collectParameters(out);
+    }
+
+  private:
+    PointNetPP inner;
+    std::atomic<int> featureCalls{0};
+};
+
 TEST(StagedPipeline, ResolveRespectsMode)
 {
     PipelineModeGuard guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
+    Dgcnn unsplit(DgcnnConfig::liteClassification(8), 7);
 
     setPipelineMode(PipelineMode::Off);
     EXPECT_STREQ(pipelineModeName(), "off");
@@ -82,6 +139,8 @@ TEST(StagedPipeline, ResolveRespectsMode)
     EXPECT_TRUE(resolvePipeline(model, 2));
     EXPECT_FALSE(resolvePipeline(model, 1))
         << "a single frame has nothing to overlap";
+    EXPECT_FALSE(resolvePipeline(unsplit, 8))
+        << "a model without a stage split never takes the staged route";
 
     setPipelineMode(PipelineMode::Auto);
     EXPECT_STREQ(pipelineModeName(), "auto");
@@ -156,11 +215,10 @@ TEST(StagedPipeline, ClassifierLogitParity)
     expectSameLogits(staged.logits, sequential.logits, "classifier");
 }
 
-TEST(StagedPipeline, FallbackModelMatchesSequential)
+TEST(StagedPipeline, UnsplitModelRunsSequentiallyUnderOn)
 {
     PipelineModeGuard guard;
-    // Dgcnn has no staged split: forced On exercises the default
-    // StagedFrame fallback (whole infer() on the feature worker).
+    // Dgcnn has no staged split, so forced On keeps it sequential.
     Dgcnn model(DgcnnConfig::liteClassification(8), 7);
     EXPECT_FALSE(model.supportsStagedInfer());
     InferencePipeline pipeline(model, EdgePcConfig::baseline());
@@ -169,9 +227,27 @@ TEST(StagedPipeline, FallbackModelMatchesSequential)
     setPipelineMode(PipelineMode::Off);
     const PipelineResult sequential = pipeline.runBatch(clouds);
     setPipelineMode(PipelineMode::On);
-    const PipelineResult staged = pipeline.runBatch(clouds);
-    EXPECT_TRUE(staged.pipelined);
-    expectSameLogits(staged.logits, sequential.logits, "dgcnn fallback");
+    const PipelineResult forced = pipeline.runBatch(clouds);
+    EXPECT_FALSE(forced.pipelined);
+    expectSameLogits(forced.logits, sequential.logits, "dgcnn under on");
+}
+
+TEST(StagedPipeline, UnsplitModelFailsTypedOnTheExecutor)
+{
+    // Driven straight into the executor, a model without a split fails
+    // each frame with InvalidArgument instead of running it whole.
+    Dgcnn model(DgcnnConfig::liteClassification(8), 7);
+    StagedPipeline exec(model);
+    const EdgePcConfig cfg = EdgePcConfig::baseline();
+    ASSERT_TRUE(exec.trySubmit(sceneCloud(96, 32), cfg));
+    ASSERT_TRUE(exec.trySubmit(sceneCloud(96, 33), cfg));
+    for (int i = 0; i < 2; ++i) {
+        const StagedFrameResult r = exec.collect();
+        EXPECT_TRUE(r.failed);
+        EXPECT_EQ(r.error.code, ErrorCode::InvalidArgument);
+        EXPECT_TRUE(r.logits.empty());
+    }
+    EXPECT_EQ(exec.inFlight(), 0u);
 }
 
 TEST(StagedPipeline, ExecutorDeliversFramesInOrderExactlyOnce)
@@ -336,12 +412,63 @@ TEST(StagedPipeline, RobustStreamDeadlineEscalatesLadder)
     EXPECT_EQ(robust.health().deadlineMisses, clouds.size());
 }
 
+/**
+ * A frame that fails on the executor is retried down the ladder at its
+ * collect: it resolves once, with logits from the sequential route,
+ * before the frames submitted after it. At depth 3 the retry's infer
+ * runs while two later frames are in flight on the stage workers.
+ */
+TEST(StagedPipeline, RobustProcessStreamRetriesFailedFrameAtCollect)
+{
+    PipelineModeGuard guard;
+    setPipelineMode(PipelineMode::On);
+    SecondFeatureFailsModel model;
+    RobustPipeline robust(model, EdgePcConfig::sn());
+    const std::vector<PointCloud> clouds = sceneClouds(6, 128, 85);
+    constexpr std::size_t kFailed = 1; // The second feature-stage call.
+
+    std::vector<int> resolved(clouds.size(), 0);
+    std::vector<std::size_t> sink_order;
+    std::vector<RobustFrameResult> outcomes(clouds.size());
+    const std::size_t served = robust.processStream(
+        clouds, [&](std::size_t index, RobustFrameResult &&r) {
+            ASSERT_LT(index, resolved.size());
+            ++resolved[index];
+            sink_order.push_back(index);
+            outcomes[index] = std::move(r);
+        });
+
+    for (std::size_t i = 0; i < resolved.size(); ++i) {
+        EXPECT_EQ(resolved[i], 1)
+            << "frame " << i << " must resolve exactly once";
+    }
+    EXPECT_EQ(served, clouds.size());
+    const RobustFrameResult &failed = outcomes[kFailed];
+    EXPECT_TRUE(failed.hasLogits());
+    EXPECT_EQ(failed.result.logits.rows(), 128u);
+    EXPECT_FALSE(failed.result.pipelined)
+        << "the retry runs the sequential ladder";
+    EXPECT_EQ(robust.health().retries, 1u);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (i != kFailed) {
+            EXPECT_TRUE(outcomes[i].result.pipelined) << "frame " << i;
+        }
+    }
+
+    const auto position = [&](std::size_t index) {
+        return std::find(sink_order.begin(), sink_order.end(), index) -
+               sink_order.begin();
+    };
+    EXPECT_LT(position(kFailed), position(clouds.size() - 1))
+        << "the retried frame resolves at its collect, not last";
+}
+
 TEST(StagedPipeline, ServingEnginePipelinedDispatch)
 {
+    PipelineModeGuard guard;
+    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
-    serve::ServingOptions opts;
-    opts.pipeline = PipelineMode::On;
-    serve::ServingEngine engine(model, EdgePcConfig::sn(), opts);
+    serve::ServingEngine engine(model, EdgePcConfig::sn());
 
     constexpr std::size_t kStreams = 3;
     constexpr std::size_t kFramesPerStream = 6;
@@ -379,6 +506,85 @@ TEST(StagedPipeline, ServingEnginePipelinedDispatch)
     }
     EXPECT_EQ(served, kStreams * kFramesPerStream);
     EXPECT_EQ(pipelined_frames, pipelined);
+}
+
+/**
+ * A staged dispatch round in which one frame fails on the executor:
+ * that frame is answered by its stream's per-frame fallback, and only
+ * the frames the executor served count as pipelined.
+ */
+TEST(StagedPipeline, ServingEngineFailedFrameFallsBackPerFrame)
+{
+    PipelineModeGuard guard;
+    setPipelineMode(PipelineMode::On);
+    SecondFeatureFailsModel model;
+    serve::ServingEngine engine(model, EdgePcConfig::sn());
+
+    // The first frame of stream 0 holds the dispatcher in its prolog
+    // until one frame per stream is queued behind it, so the three
+    // heads dispatch as one staged round.
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    std::atomic<int> prolog_calls{0};
+    serve::StreamOptions gated;
+    gated.robust.inferenceProlog = [&] {
+        if (prolog_calls.fetch_add(1) != 0) {
+            return;
+        }
+        entered.store(true);
+        while (!release.load()) {
+            std::this_thread::yield();
+        }
+    };
+    const std::vector<serve::StreamId> ids = {
+        engine.openStream(gated), engine.openStream(),
+        engine.openStream()};
+
+    std::vector<std::future<serve::FrameResponse>> futures;
+    auto submit = [&](serve::StreamId id, std::uint64_t seed) {
+        auto ticket = engine.submit(id, sceneCloud(128, seed));
+        ASSERT_TRUE(ticket.accepted());
+        futures.push_back(std::move(ticket.response));
+    };
+    submit(ids[0], 400);
+    Timer wait;
+    while (!entered.load()) {
+        ASSERT_LT(wait.elapsedMs(), 60000.0) << "dispatcher never ran";
+        std::this_thread::yield();
+    }
+    for (std::size_t s = 0; s < ids.size(); ++s) {
+        submit(ids[s], 401 + s);
+    }
+    release.store(true);
+
+    std::vector<serve::FrameResponse> responses;
+    for (auto &future : futures) {
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+                  std::future_status::ready);
+        responses.push_back(future.get());
+    }
+    for (const serve::FrameResponse &resp : responses) {
+        EXPECT_TRUE(resp.hasLogits()) << "stream " << resp.stream;
+        EXPECT_EQ(resp.logits.rows(), 128u);
+        EXPECT_FALSE(resp.batched);
+    }
+    EXPECT_FALSE(responses[0].pipelined) << "the gate frame ran alone";
+    std::size_t pipelined = 0;
+    for (std::size_t i = 1; i < responses.size(); ++i) {
+        pipelined += responses[i].pipelined ? 1 : 0;
+    }
+    EXPECT_EQ(pipelined, 2u)
+        << "the failed head is answered by the per-frame fallback";
+
+    const auto reports = engine.drain();
+    std::size_t pipelined_frames = 0;
+    std::size_t served = 0;
+    for (const auto &report : reports) {
+        pipelined_frames += report.serve.pipelinedFrames;
+        served += report.serve.served;
+    }
+    EXPECT_EQ(pipelined_frames, 2u);
+    EXPECT_EQ(served, futures.size());
 }
 
 /** TSan-gate stress: keeps the three stage workers, the caller, and
