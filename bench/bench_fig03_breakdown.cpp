@@ -109,23 +109,22 @@ main(int argc, char **argv)
     std::cout << passes << "/" << shares.size()
               << " workloads inside the paper band\n";
 
-    // Delayed-aggregation A/B (DESIGN.md §13): force the route off
-    // and on around the same workload and compare the group+feature
+    // Delayed-aggregation A/B (DESIGN.md §13): set the route off and
+    // on in the config of the same workload and compare the group+feature
     // stage time — the part of the breakdown the reordering attacks.
     // One PointNet++ and one DGCNN workload keep the CI cost low.
     std::cout << "\nDelayed-aggregation A/B (group+feature stages):\n";
     Table ab({"workload", "route", "group ms", "feature ms", "E2E ms"});
-    const nn::DelayedAggMode saved_mode = nn::delayedAggMode();
     for (const std::string &id : {std::string("W1"), std::string("W3")}) {
         const WorkloadSpec &spec = workload(id);
         const auto model = makeWorkloadModel(spec, scale, opts.seed);
         const PointCloud frame =
             makeWorkloadCloud(spec, scale, opts.seed + 1);
         for (const bool delayed : {false, true}) {
-            nn::setDelayedAggMode(delayed ? nn::DelayedAggMode::On
-                                          : nn::DelayedAggMode::Off);
-            const PipelineResult r = bench::measure(
-                *model, EdgePcConfig::baseline(), frame, repeats);
+            EdgePcConfig cfg = EdgePcConfig::baseline();
+            cfg.delayedAggregation = delayed ? Route::On : Route::Off;
+            const PipelineResult r =
+                bench::measure(*model, cfg, frame, repeats);
             std::map<std::string, double> stage_ms =
                 tracer.totalsMs("stage");
             for (auto &[stage, ms] : stage_ms) {
@@ -146,7 +145,6 @@ main(int argc, char **argv)
                 stage_ms[kStageGroup] + stage_ms[kStageFeature];
         }
     }
-    nn::setDelayedAggMode(saved_mode);
     ab.print(std::cout);
     return report.write() ? 0 : 1;
 }

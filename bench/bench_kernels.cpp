@@ -13,7 +13,6 @@
 #include "geometry/morton.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/kd_tree.hpp"
 #include "neighbor/morton_window.hpp"
 #include "nn/gemm.hpp"
 #include "sampling/fps.hpp"
@@ -123,18 +122,6 @@ BM_BruteForceKnn(benchmark::State &state)
 BENCHMARK(BM_BruteForceKnn)->Arg(1024)->Arg(4096);
 
 void
-BM_KdTreeKnn(benchmark::State &state)
-{
-    const auto pts = randomCloud(state.range(0));
-    KdTreeKnn kd;
-    for (auto _ : state) {
-        auto lists = kd.search(pts, pts, 16);
-        benchmark::DoNotOptimize(lists.indices.data());
-    }
-}
-BENCHMARK(BM_KdTreeKnn)->Arg(1024)->Arg(4096);
-
-void
 BM_MortonWindowSearch(benchmark::State &state)
 {
     const auto pts = randomCloud(state.range(0));
@@ -221,7 +208,6 @@ main(int argc, char **argv)
     edgepc::bench::BenchOptions opts =
         edgepc::bench::BenchOptions::parse(argc, argv);
     edgepc::benchSeed = opts.seed;
-    edgepc::nn::GemmEngine::globalEngine().resetStats();
     edgepc::obs::MetricsRegistry::global().reset();
 
     benchmark::Initialize(&argc, argv);

@@ -64,6 +64,8 @@ main()
     Rng wseed(65);
     nn::Linear mlp(c_in, c_out, wseed);
     nn::MaxPoolNeighbors pool(k);
+    // The baseline's feature path: the scalar (CUDA-core) GEMM.
+    const nn::GemmRoute route = EdgePcConfig::baseline().gemmRoute();
 
     double base_group = 0.0, base_fc = 0.0;
     double da_group = 0.0, da_fc = 0.0;
@@ -76,8 +78,8 @@ main()
                 nn::gatherRows(features, neighbors.indices);
             const double g = t.elapsedMs();
             Timer t2;
-            const nn::Matrix activated = mlp.forward(grouped, false);
-            pool.forward(activated, false);
+            const nn::Matrix activated = mlp.forward(grouped, route, false);
+            pool.forward(activated, route, false);
             const double f = t2.elapsedMs();
             if (i == 0 || g < base_group) {
                 base_group = g;
@@ -90,12 +92,12 @@ main()
         // pool.
         {
             Timer t;
-            const nn::Matrix activated = mlp.forward(features, false);
+            const nn::Matrix activated = mlp.forward(features, route, false);
             const double f = t.elapsedMs();
             Timer t2;
             const nn::Matrix grouped =
                 nn::gatherRows(activated, neighbors.indices);
-            pool.forward(grouped, false);
+            pool.forward(grouped, route, false);
             const double g = t2.elapsedMs();
             if (i == 0 || f < da_fc) {
                 da_fc = f;

@@ -283,7 +283,7 @@ main(int argc, char **argv)
 
     // Inter-frame staged pipeline A/B: the same multi-frame stream
     // through one InferencePipeline, run frame-at-a-time vs with the
-    // EDGEPC_PIPELINE staged executor forced on. The overlap gain
+    // config's staged-executor route On. The overlap gain
     // needs spare cores — host_concurrency is echoed in the config so
     // single-core baseline runs are read in context.
     double staged_speedup = 0.0;
@@ -293,13 +293,13 @@ main(int argc, char **argv)
         for (std::size_t f = 0; f < kRounds; ++f) {
             stream_frames.push_back(frames[f % frames.size()]);
         }
-        InferencePipeline pipeline(model, EdgePcConfig::sn());
-        const PipelineMode prev_mode = pipelineMode();
-        setPipelineMode(PipelineMode::Off);
+        EdgePcConfig cfg = EdgePcConfig::sn();
+        cfg.pipeline = Route::Off;
+        InferencePipeline pipeline(model, cfg);
         const PipelineResult seq = pipeline.runBatch(stream_frames);
-        setPipelineMode(PipelineMode::On);
+        cfg.pipeline = Route::On;
+        pipeline.setConfig(cfg);
         const PipelineResult staged = pipeline.runBatch(stream_frames);
-        setPipelineMode(prev_mode);
 
         const auto stream_row = [&](const std::string &label,
                                     const PipelineResult &r) {

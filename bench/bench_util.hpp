@@ -35,10 +35,7 @@
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "core/workloads.hpp"
-#include "geometry/simd_distance.hpp"
-#include "nn/delayed_agg.hpp"
 #include "nn/gemm.hpp"
-#include "nn/quant.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -169,17 +166,13 @@ class BenchReport
         : name(std::move(bench_name)), opts(options), scale(point_scale),
           repeats(repeat_count)
     {
-        // Every report records which distance-kernel build it measured
-        // ("avx2-fma" or "scalar") so perf diffs across machines or
-        // EDGEPC_SIMD settings compare like with like. Same for the
-        // GEMM microkernel build (EDGEPC_GEMM).
-        configStr["simd_path"] = simd::activePathName();
-        configStr["simd_fixed"] = simd::fixedPointModeName();
-        configStr["gemm_path"] = nn::GemmEngine::activeKernelName();
-        configStr["gemm_quant"] = nn::quantGemmModeName();
-        configStr["gemm_int8_kernel"] = nn::GemmEngine::int8KernelName();
-        configStr["delayed_agg"] = nn::delayedAggModeName();
-        configStr["pipeline"] = pipelineModeName();
+        // Every report records which kernel builds it measured
+        // ("avx2-fma" or "scalar") and the routes a default config
+        // takes, so perf diffs across machines or EDGEPC_* settings
+        // compare like with like.
+        for (auto &[key, value] : dispatchSummary(EdgePcConfig{})) {
+            configStr[key] = value;
+        }
     }
 
     /** Echo a config knob into the report. */
@@ -312,7 +305,7 @@ measure(PointCloudModel &model, const EdgePcConfig &cfg,
         const PipelineResult ignored = pipeline.run(frame);
         static_cast<void>(ignored);
     }
-    nn::GemmEngine::globalEngine().resetStats();
+    cfg.gemmRoute().engine.resetStats();
     obs::Tracer::global().clear();
     PipelineResult best;
     for (int i = 0; i < repeats; ++i) {

@@ -19,7 +19,7 @@
 #include <limits>
 #include <string>
 
-#include "core/staged_pipeline.hpp"
+#include "core/config.hpp"
 
 namespace edgepc {
 namespace examples {
@@ -68,29 +68,34 @@ parseCount(const char *arg, const char *name, const std::string &usage,
 }
 
 /**
- * Parse a --pipeline on|off|auto value (the EDGEPC_PIPELINE staged
- * executor dispatch). Same contract as parseCount: on bad input a
- * diagnostic plus the usage line is printed and the caller exits 2.
+ * Parse a --pipeline on|off|auto value into the config's staged
+ * executor route (EdgePcConfig::pipeline). Same contract as
+ * parseCount: on bad input a diagnostic plus the usage line is printed
+ * and the caller exits 2.
  */
 inline bool
-parsePipelineMode(const char *arg, const std::string &usage,
-                  PipelineMode &out)
+parsePipelineRoute(const char *arg, const std::string &usage, Route &out)
 {
-    if (std::strcmp(arg, "on") == 0) {
-        out = PipelineMode::On;
-        return true;
-    }
-    if (std::strcmp(arg, "off") == 0) {
-        out = PipelineMode::Off;
-        return true;
-    }
-    if (std::strcmp(arg, "auto") == 0) {
-        out = PipelineMode::Auto;
-        return true;
+    for (const Route route : {Route::On, Route::Off, Route::Auto}) {
+        if (std::strcmp(arg, routeName(route)) == 0) {
+            out = route;
+            return true;
+        }
     }
     std::cerr << "error: --pipeline must be on, off or auto (got '"
               << arg << "')\nusage: " << usage << "\n";
     return false;
+}
+
+/** The dispatch of a run under @p cfg for a banner: "key=value ...". */
+inline std::string
+dispatchLine(const EdgePcConfig &cfg)
+{
+    std::string line;
+    for (const auto &[key, value] : dispatchSummary(cfg)) {
+        line += (line.empty() ? "" : " ") + key + "=" + value;
+    }
+    return line;
 }
 
 } // namespace examples

@@ -17,10 +17,11 @@
  * file into chrome://tracing or https://ui.perfetto.dev to see the
  * per-thread timeline (DESIGN.md §8).
  *
- * With --pipeline on|off|auto the EDGEPC_PIPELINE staged executor is
- * forced on, off, or left to auto-resolve; the demo always prints a
- * sequential-vs-staged stream A/B so the inter-frame overlap gain is
- * visible on multicore hosts.
+ * With --pipeline on|off|auto the staged-executor route of the demo's
+ * config (default: EDGEPC_PIPELINE, else auto) is set on, off, or left
+ * to auto-resolve; the demo always prints a sequential-vs-staged
+ * stream A/B so the inter-frame overlap gain is visible on multicore
+ * hosts.
  *
  * Usage: lidar_stream [frames] [points] [--chaos] [--trace OUT.json]
  *                     [--pipeline on|off|auto]
@@ -53,7 +54,7 @@ main(int argc, char **argv)
     std::size_t points = 2048;
     bool chaos = false;
     std::string trace_path;
-    PipelineMode pipeline_mode = pipelineMode();
+    EdgePcConfig cfg = EdgePcConfig::sn();
 
     int positional = 0;
     for (int a = 1; a < argc; ++a) {
@@ -76,8 +77,8 @@ main(int argc, char **argv)
                           << usage << "\n";
                 return 2;
             }
-            if (!examples::parsePipelineMode(argv[++a], usage,
-                                             pipeline_mode)) {
+            if (!examples::parsePipelineRoute(argv[++a], usage,
+                                              cfg.pipeline)) {
                 return 2;
             }
             continue;
@@ -94,11 +95,10 @@ main(int argc, char **argv)
     if (!trace_path.empty()) {
         obs::Tracer::global().setEnabled(true);
     }
-    setPipelineMode(pipeline_mode);
 
     std::cout << "Streaming " << frames << " LiDAR frames of " << points
-              << " points through PointNet++(s) (pipeline="
-              << pipelineModeName() << ")...\n\n";
+              << " points through PointNet++(s)\n(" << examples::dispatchLine(cfg)
+              << ")...\n\n";
 
     // A stream of scans: consecutive frames are fresh room scans (a
     // moving platform sees a changing world).
@@ -119,9 +119,9 @@ main(int argc, char **argv)
     double edgepc_fps = 0.0;
     double edgepc_mean_ms = 1.0;
 
-    for (const EdgePcConfig &cfg :
+    for (const EdgePcConfig &variant_cfg :
          {EdgePcConfig::baseline(), EdgePcConfig::sn()}) {
-        InferencePipeline pipeline(model, cfg);
+        InferencePipeline pipeline(model, variant_cfg);
         StageTimer stages;
         double energy = 0.0;
         Timer wall;
@@ -133,7 +133,7 @@ main(int argc, char **argv)
         const double total_ms = wall.elapsedMs();
         const double fps =
             1000.0 * static_cast<double>(frames) / total_ms;
-        if (cfg.variant == PipelineVariant::Baseline) {
+        if (variant_cfg.variant == PipelineVariant::Baseline) {
             baseline_fps = fps;
         } else {
             edgepc_fps = fps;
@@ -143,7 +143,7 @@ main(int argc, char **argv)
             (stages.total(kStageSample) + stages.total(kStageNeighbor)) /
             stages.grandTotal();
         table.row()
-            .cell(variantName(cfg.variant))
+            .cell(variantName(variant_cfg.variant))
             .cell(total_ms / static_cast<double>(frames))
             .cell(fps)
             .cell(energy / static_cast<double>(frames))
@@ -155,16 +155,17 @@ main(int argc, char **argv)
     double staged_fps = 0.0;
     double sequential_fps = 0.0;
     {
-        InferencePipeline pipeline(model, EdgePcConfig::sn());
-        const PipelineMode ab_modes[] = {
-            PipelineMode::Off,
-            pipeline_mode == PipelineMode::Off ? PipelineMode::Off
-                                               : PipelineMode::On,
+        const Route ab_routes[] = {
+            Route::Off,
+            cfg.pipeline == Route::Off ? Route::Off : Route::On,
         };
         const char *labels[] = {"edgepc stream (sequential)",
                                 "edgepc stream (staged)"};
+        EdgePcConfig ab_cfg = cfg;
+        InferencePipeline pipeline(model, ab_cfg);
         for (int ab = 0; ab < 2; ++ab) {
-            setPipelineMode(ab_modes[ab]);
+            ab_cfg.pipeline = ab_routes[ab];
+            pipeline.setConfig(ab_cfg);
             const PipelineResult r = pipeline.runBatch(stream);
             const double fps =
                 1000.0 * static_cast<double>(frames) / r.wallMs;
@@ -178,7 +179,6 @@ main(int argc, char **argv)
                 .cell(r.energyMj / static_cast<double>(frames))
                 .cell(formatPercent(sn_share));
         }
-        setPipelineMode(pipeline_mode);
     }
 
     table.print(std::cout);
@@ -228,7 +228,7 @@ main(int argc, char **argv)
             }
         };
     }
-    RobustPipeline robust(model, EdgePcConfig::sn(), ropts);
+    RobustPipeline robust(model, cfg, ropts);
 
     std::size_t faulted = 0;
     std::vector<PointCloud> working_frames;

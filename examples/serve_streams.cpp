@@ -22,9 +22,9 @@
  * (the response futures, per-stream counters and stream health must
  * all reconcile).
  *
- * With --pipeline on|off|auto the process-wide EDGEPC_PIPELINE mode
- * (setPipelineMode) is forced on, off, or left to auto-resolve: when
- * on, a dispatch round with >= 2 frames overlaps frame t+1's
+ * With --pipeline on|off|auto the engine's EdgePcConfig::pipeline
+ * route (default: EDGEPC_PIPELINE, else auto) is set on, off, or left
+ * to auto-resolve: when on, a dispatch round with >= 2 frames overlaps frame t+1's
  * structurization with frame t's neighbor search and GEMM on the
  * staged executor, and the per-stream tables report how many frames
  * took the pipelined path.
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     std::size_t points = 512;
     bool chaos = false;
     std::string trace_path;
-    PipelineMode pipeline_mode = pipelineMode();
+    EdgePcConfig cfg = EdgePcConfig::sn();
 
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--chaos") == 0) {
@@ -97,8 +97,8 @@ main(int argc, char **argv)
             continue;
         }
         if (want_pipeline) {
-            if (!examples::parsePipelineMode(argv[a], usage,
-                                             pipeline_mode)) {
+            if (!examples::parsePipelineRoute(argv[a], usage,
+                                              cfg.pipeline)) {
                 return 2;
             }
             continue;
@@ -117,14 +117,12 @@ main(int argc, char **argv)
     if (!trace_path.empty()) {
         obs::Tracer::global().setEnabled(true);
     }
-    setPipelineMode(pipeline_mode);
 
     std::cout << "Serving " << streams << " concurrent streams of "
               << frames << " frames x " << points
               << " points over one shared model"
               << (chaos ? " (with --chaos fault injection)" : "")
-              << " [pipeline=" << pipelineModeName(pipeline_mode)
-              << "]...\n\n";
+              << "\n[" << examples::dispatchLine(cfg) << "]...\n\n";
 
     PointNetPP model(PointNetPPConfig::liteSegmentation(points, 5), 42);
 
@@ -133,7 +131,7 @@ main(int argc, char **argv)
     eopts.streamDefaults.queueCapacity = 8;
     eopts.streamDefaults.backpressure =
         serve::BackpressurePolicy::DropOldest;
-    ServingEngine engine(model, EdgePcConfig::sn(), eopts);
+    ServingEngine engine(model, cfg, eopts);
 
     // Per-stream fault injection, two deterministic injectors each:
     // the producer-side one corrupts payloads before submit, the

@@ -1,12 +1,11 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <future>
 #include <memory>
 
-#include "common/logging.hpp"
+#include "common/dispatch.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
@@ -49,19 +48,8 @@ ThreadPool::ThreadPool(std::size_t num_threads)
         // The caller participates in parallelFor, so target one thread
         // per core by spawning hardware_concurrency - 1 workers; on a
         // single-core device the pool runs fully inline. EDGEPC_THREADS
-        // overrides the total concurrency (workers + caller).
-        std::size_t concurrency =
-            std::max(1u, std::thread::hardware_concurrency());
-        if (const char *env = std::getenv("EDGEPC_THREADS")) {
-            char *end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end != env && *end == '\0' && v >= 1) {
-                concurrency = static_cast<std::size_t>(v);
-            } else {
-                warn("EDGEPC_THREADS: ignoring invalid value '%s'", env);
-            }
-        }
-        num_threads = concurrency - 1;
+        // sets the total concurrency (workers + caller) instead.
+        num_threads = dispatchEnv().threads - 1;
     }
     workers.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {

@@ -43,8 +43,9 @@ class ThreadPool
      *                    plus the participating caller match the
      *                    hardware concurrency (so a single-core device
      *                    gets zero workers and runs fully inline). The
-     *                    EDGEPC_THREADS environment variable overrides
-     *                    that total.
+     *                    EDGEPC_THREADS environment variable sets that
+     *                    total instead (common/dispatch.hpp; clamped
+     *                    to kMaxThreadsPerCore per hardware thread).
      */
     explicit ThreadPool(std::size_t num_threads = 0);
     ~ThreadPool();

@@ -1,6 +1,6 @@
 #include "core/config.hpp"
 
-#include "nn/gemm.hpp"
+#include "geometry/simd_distance.hpp"
 
 namespace edgepc {
 
@@ -18,11 +18,45 @@ variantName(PipelineVariant variant)
     return "?";
 }
 
-void
-applyGemmMode(const EdgePcConfig &cfg)
+nn::GemmRoute
+EdgePcConfig::gemmRoute() const
 {
-    nn::GemmEngine::globalEngine().setMode(
-        cfg.useTensorCores() ? nn::GemmMode::Auto : nn::GemmMode::Scalar);
+    return {nn::GemmEngine::shared(useTensorCores() ? nn::GemmMode::Auto
+                                                    : nn::GemmMode::Scalar),
+            int8Gemm};
+}
+
+namespace {
+
+/** A route that swaps fp32 for int8 arithmetic: int8 / fp32 / auto. */
+const char *
+int8RouteName(Route route)
+{
+    switch (route) {
+      case Route::On:
+        return "int8";
+      case Route::Off:
+        return "fp32";
+      case Route::Auto:
+        break;
+    }
+    return "auto";
+}
+
+} // namespace
+
+std::vector<std::pair<std::string, std::string>>
+dispatchSummary(const EdgePcConfig &cfg)
+{
+    return {
+        {"delayed_agg", routeName(cfg.delayedAggregation)},
+        {"gemm_int8_kernel", nn::GemmEngine::int8KernelName()},
+        {"gemm_path", nn::GemmEngine::activeKernelName()},
+        {"gemm_quant", int8RouteName(cfg.int8Gemm)},
+        {"pipeline", routeName(cfg.pipeline)},
+        {"simd_fixed", int8RouteName(cfg.int8Search)},
+        {"simd_path", simd::activePathName()},
+    };
 }
 
 EdgePcConfig

@@ -1,7 +1,8 @@
 /**
  * @file
  * EdgePC pipeline configuration: which of the paper's three evaluated
- * setups runs (Sec 6.1.3) and every approximation knob of Sec 5.
+ * setups runs (Sec 6.1.3), every approximation knob of Sec 5, and the
+ * four routes a run takes (DESIGN.md §9).
  */
 
 #ifndef EDGEPC_CORE_CONFIG_HPP
@@ -9,8 +10,12 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/dispatch.hpp"
 #include "geometry/morton.hpp"
+#include "nn/gemm.hpp"
 
 namespace edgepc {
 
@@ -41,6 +46,12 @@ std::string variantName(PipelineVariant variant);
  * codes, approximation applied to the first sampling layer / last
  * up-sampling layer / first neighbor-search layer only, and reuse
  * distance 1 for the feature-space search layers of DGCNN.
+ *
+ * The config is the one place a run's routes come from: the variant
+ * picks the policy of every GEMM the run makes (gemmRoute()), and the
+ * four Route fields start at the environment's defaults
+ * (common/dispatch.hpp), so a value the caller sets beats the
+ * environment, which beats the route's Auto heuristic.
  */
 struct EdgePcConfig
 {
@@ -73,11 +84,49 @@ struct EdgePcConfig
      */
     int reuseDistance = 1;
 
+    /**
+     * Int8 GEMM route for inference (DESIGN.md §15): On quantizes every
+     * layer GEMM, Auto those with m >= nn::kQuantMinRows and
+     * k >= nn::kQuantMinK. Training and backward always run fp32.
+     * Default Off; EDGEPC_GEMM=int8 makes it On.
+     */
+    Route int8Gemm = dispatchEnv().int8Gemm;
+
+    /**
+     * Int8 (s16 fixed-point) coordinate search in the exact ball-query
+     * and k-NN stages (DESIGN.md §15). Auto engages the ball query when
+     * the grid step is fine against the radius and leaves k-NN fp32.
+     * Default Off; EDGEPC_SIMD=int8 makes it On.
+     */
+    Route int8Search = dispatchEnv().int8Search;
+
+    /**
+     * Delayed aggregation (DESIGN.md §13): run each aggregation block's
+     * first Linear over the unique points before the gather. Auto
+     * delays a block iff its first-layer FLOP ratio reaches
+     * nn::kDelayedAggFlopRatio. Default Auto, or EDGEPC_DELAYED_AGG.
+     */
+    Route delayedAggregation = dispatchEnv().delayedAggregation;
+
+    /**
+     * Staged executor for multi-frame runs (DESIGN.md §14;
+     * resolvePipeline): Auto stages with >= 4 pool threads. Default
+     * Auto, or EDGEPC_PIPELINE.
+     */
+    Route pipeline = dispatchEnv().pipeline;
+
     /** True for the variants that run the approximations. */
     bool approximate() const { return variant != PipelineVariant::Baseline; }
 
     /** True when feature compute should use the fast GEMM path. */
     bool useTensorCores() const { return variant == PipelineVariant::SNF; }
+
+    /**
+     * The GEMM route of a run under this config: the process's engine
+     * for the variant's policy (the Tensor-core model, GemmMode::Auto,
+     * under S+N+F; the scalar path otherwise) and int8Gemm.
+     */
+    nn::GemmRoute gemmRoute() const;
 
     /** Factory: the SOTA baseline configuration. */
     static EdgePcConfig baseline();
@@ -90,14 +139,14 @@ struct EdgePcConfig
 };
 
 /**
- * Point the process-global GEMM engine at @p cfg's feature-compute
- * path (EdgePcConfig::useTensorCores: the fast kernels, else scalar).
- * Every route that runs a model's GEMMs calls it first: the sequential
- * and staged pipelines and the serving micro-batch. The engine mode is
- * one process-global field, so two pipelines with different variants
- * in one process still race on it.
+ * The dispatch of a run under @p cfg as BENCH json config.* pairs, in
+ * key order: the two kernel builds (simd_path, gemm_path and
+ * gemm_int8_kernel) and the four routes (simd_fixed and gemm_quant as
+ * int8/fp32/auto, delayed_agg and pipeline as on/off/auto). Benches
+ * echo a default config; the examples print their own.
  */
-void applyGemmMode(const EdgePcConfig &cfg);
+std::vector<std::pair<std::string, std::string>>
+dispatchSummary(const EdgePcConfig &cfg);
 
 } // namespace edgepc
 

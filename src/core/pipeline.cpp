@@ -67,7 +67,7 @@ InferencePipeline::runBatch(std::span<const PointCloud> clouds)
         obs::MetricsRegistry::global().counter("pipeline.frames");
     frames.add(clouds.size());
 
-    if (resolvePipeline(model, clouds.size())) {
+    if (resolvePipeline(model, cfg, clouds.size())) {
         return runStaged(clouds);
     }
     return runSequential(clouds);
@@ -76,8 +76,6 @@ InferencePipeline::runBatch(std::span<const PointCloud> clouds)
 PipelineResult
 InferencePipeline::runSequential(std::span<const PointCloud> clouds)
 {
-    applyGemmMode(cfg);
-
     Timer wall;
     PipelineResult result;
     for (const PointCloud &cloud : clouds) {

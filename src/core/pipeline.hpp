@@ -84,8 +84,8 @@ class InferencePipeline
     /**
      * Process a batch of frames (totals accumulate). Multi-frame
      * batches route through the staged executor when
-     * resolvePipeline() says so (EDGEPC_PIPELINE); single frames are
-     * always sequential.
+     * resolvePipeline() says so (the config's pipeline route); single
+     * frames are always sequential.
      */
     PipelineResult runBatch(std::span<const PointCloud> clouds);
 

@@ -103,11 +103,17 @@ RobustPipeline::configForLevel(int lvl) const
     }
     // Levels >= 1 run the EdgePC approximate kernels: this is the
     // paper's own accuracy/latency trade already validated by
-    // retraining, so it is the natural first rung down.
+    // retraining, so it is the natural first rung down. The caller's
+    // routes carry over.
     if (baseCfg.approximate()) {
         return baseCfg;
     }
-    return EdgePcConfig::sn();
+    EdgePcConfig degraded = EdgePcConfig::sn();
+    degraded.int8Gemm = baseCfg.int8Gemm;
+    degraded.int8Search = baseCfg.int8Search;
+    degraded.delayedAggregation = baseCfg.delayedAggregation;
+    degraded.pipeline = baseCfg.pipeline;
+    return degraded;
 }
 
 Result<PipelineResult>
@@ -254,7 +260,7 @@ RobustPipeline::processStream(std::span<const PointCloud> frames,
     EDGEPC_TRACE_SCOPE("robust.stream", "pipeline");
     streamRole.assertHeld();
 
-    if (!resolvePipeline(model, frames.size())) {
+    if (!resolvePipeline(model, baseCfg, frames.size())) {
         std::size_t served = 0;
         for (std::size_t i = 0; i < frames.size(); ++i) {
             RobustFrameResult out = process(frames[i]);

@@ -218,7 +218,7 @@ class RobustPipeline
      * Process a stream of frames with the same fault-tolerance
      * guarantees as per-frame process(), overlapping stages across
      * frames on the staged executor when resolvePipeline() allows
-     * (EDGEPC_PIPELINE; single frames, Off mode and models without a
+     * (the config's pipeline route; single frames, Off and models without a
      * stage split fall back to process()). Every frame — accepted,
      * repaired, degraded, or dropped — resolves through @p sink
      * exactly once; the call returns only after the executor has

@@ -1,95 +1,27 @@
 #include "core/staged_pipeline.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
-#include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace edgepc {
 
-namespace {
-
-PipelineMode
-initialModeFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_PIPELINE");
-    if (env == nullptr) {
-        return PipelineMode::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "on") {
-        return PipelineMode::On;
-    }
-    if (v == "off") {
-        return PipelineMode::Off;
-    }
-    if (v != "auto") {
-        warn("EDGEPC_PIPELINE=%s not understood (want on|off|auto); "
-             "using auto",
-             env);
-    }
-    return PipelineMode::Auto;
-}
-
-std::atomic<PipelineMode> &
-modeState()
-{
-    static std::atomic<PipelineMode> state{initialModeFromEnv()};
-    return state;
-}
-
-} // namespace
-
-PipelineMode
-pipelineMode()
-{
-    return modeState().load(std::memory_order_relaxed);
-}
-
-void
-setPipelineMode(PipelineMode mode)
-{
-    modeState().store(mode, std::memory_order_relaxed);
-}
-
-const char *
-pipelineModeName(PipelineMode mode)
-{
-    switch (mode) {
-    case PipelineMode::On:
-        return "on";
-    case PipelineMode::Off:
-        return "off";
-    case PipelineMode::Auto:
-        return "auto";
-    }
-    return "auto";
-}
-
-const char *
-pipelineModeName()
-{
-    return pipelineModeName(pipelineMode());
-}
-
 bool
-resolvePipeline(const PointCloudModel &model, std::size_t frames)
+resolvePipeline(const PointCloudModel &model, const EdgePcConfig &cfg,
+                std::size_t frames)
 {
     if (frames < 2 || !model.supportsStagedInfer()) {
         return false;
     }
-    switch (pipelineMode()) {
-    case PipelineMode::Off:
+    switch (cfg.pipeline) {
+    case Route::Off:
         return false;
-    case PipelineMode::On:
+    case Route::On:
         return true;
-    case PipelineMode::Auto:
-        return ThreadPool::globalPool().concurrency() >= 4;
+    case Route::Auto:
+        break;
     }
-    return false;
+    return ThreadPool::globalPool().concurrency() >= 4;
 }
 
 namespace {
@@ -276,9 +208,6 @@ StagedPipeline::featureWorker()
         m.featureDepth.set(static_cast<std::int64_t>(featureQ.depth()));
         if (!slot->failed) {
             EDGEPC_TRACE_SCOPE("staged.feature", "pipeline");
-            // The frame's GEMMs run on this worker, so its config sets
-            // the engine mode here.
-            applyGemmMode(slot->cfg);
             try {
                 slot->logits = model.stagedFeature(*slot->state,
                                                    slot->cfg,

@@ -12,12 +12,13 @@
  * win is end-to-end frames/sec, not per-stage latency — a single
  * frame still crosses every stage serially.
  *
- * Dispatch mirrors EDGEPC_SIMD / EDGEPC_GEMM: EDGEPC_PIPELINE=on|off|
- * auto (default auto = staged when the host has cores to overlap on),
- * echoed as config.pipeline in the BENCH json. Only a model with a
- * real stage split takes the staged route, in every mode.
- * InferencePipeline::runBatch, RobustPipeline::processStream and the
- * ServingEngine dispatch path all route through resolvePipeline().
+ * Dispatch: the run's EdgePcConfig::pipeline route (default Auto =
+ * staged when the host has cores to overlap on; EDGEPC_PIPELINE=on|
+ * off|auto sets the default), echoed as config.pipeline in the BENCH
+ * json. Only a model with a real stage split takes the staged route,
+ * in every mode. InferencePipeline::runBatch,
+ * RobustPipeline::processStream and the ServingEngine dispatch path
+ * all route through resolvePipeline().
  */
 
 #ifndef EDGEPC_CORE_STAGED_PIPELINE_HPP
@@ -39,35 +40,16 @@
 
 namespace edgepc {
 
-/** EDGEPC_PIPELINE dispatch mode. */
-enum class PipelineMode
-{
-    Off,
-    On,
-    Auto,
-};
-
-/** Current mode (EDGEPC_PIPELINE at startup unless overridden). */
-PipelineMode pipelineMode();
-
-/** Override the process-wide mode (tests / benches). */
-void setPipelineMode(PipelineMode mode);
-
-/** "on" / "off" / "auto" — echoed as config.pipeline in BENCH json. */
-const char *pipelineModeName();
-
-/** Name an explicit mode value (banner/report printing). */
-const char *pipelineModeName(PipelineMode mode);
-
 /**
- * Should a @p frames -frame run of @p model take the staged executor?
- * Never for a single frame or for a model without a real stage split
- * (supportsStagedInfer()). Otherwise Off: never. On: always. Auto:
- * only with >= 4 hardware threads (3 stage workers + kernel
- * parallelism) — on smaller hosts the stage hops cost more than the
- * overlap returns.
+ * Should a @p frames -frame run of @p model under @p cfg take the
+ * staged executor? Never for a single frame or for a model without a
+ * real stage split (supportsStagedInfer()). Otherwise cfg.pipeline
+ * decides — Off: never. On: always. Auto: only with >= 4 pool threads
+ * (3 stage workers + kernel parallelism) — on smaller hosts the stage
+ * hops cost more than the overlap returns.
  */
-bool resolvePipeline(const PointCloudModel &model, std::size_t frames);
+bool resolvePipeline(const PointCloudModel &model, const EdgePcConfig &cfg,
+                     std::size_t frames);
 
 /** One completed frame out of the staged executor. */
 struct StagedFrameResult

@@ -1,14 +1,10 @@
 #include "geometry/simd_distance.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <immintrin.h>
-#include <string_view>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace edgepc {
@@ -19,107 +15,18 @@ namespace simd {
 bool
 simdAvailable()
 {
-    static const bool available = __builtin_cpu_supports("avx2") &&
-                                  __builtin_cpu_supports("fma");
-    return available;
-}
-
-namespace {
-
-DispatchPath
-initialPathFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_SIMD");
-    if (env == nullptr) {
-        return DispatchPath::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "scalar") {
-        return DispatchPath::ForceScalar;
-    }
-    if (v == "simd" || v == "force" || v == "avx2") {
-        if (!simdAvailable()) {
-            warn("EDGEPC_SIMD=%s requested but the CPU lacks "
-                    "AVX2+FMA; falling back to auto dispatch",
-                    env);
-            return DispatchPath::Auto;
-        }
-        return DispatchPath::ForceSimd;
-    }
-    if (v == "int8") {
-        // Fixed-point request: handled by fixedModeState() below; the
-        // scalar/AVX2 build choice for the fixed kernels stays Auto.
-        return DispatchPath::Auto;
-    }
-    if (v != "auto") {
-        warn("EDGEPC_SIMD=%s not understood (want scalar|simd|int8|"
-                "auto); using auto",
-                env);
-    }
-    return DispatchPath::Auto;
-}
-
-std::atomic<DispatchPath> &
-pathState()
-{
-    static std::atomic<DispatchPath> state{initialPathFromEnv()};
-    return state;
-}
-
-FixedPointMode
-initialFixedModeFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_SIMD");
-    if (env == nullptr) {
-        return FixedPointMode::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "int8") {
-        return FixedPointMode::On;
-    }
-    if (v == "scalar" || v == "simd" || v == "force" || v == "avx2") {
-        // An explicit fp32 path request also pins the numerics: no
-        // fixed-point approximation behind the caller's back.
-        return FixedPointMode::Off;
-    }
-    return FixedPointMode::Auto;
-}
-
-std::atomic<FixedPointMode> &
-fixedModeState()
-{
-    static std::atomic<FixedPointMode> state{initialFixedModeFromEnv()};
-    return state;
-}
-
-} // namespace
-
-void
-setDispatchPath(DispatchPath path)
-{
-    if (path == DispatchPath::ForceSimd && !simdAvailable()) {
-        raise(ErrorCode::InvalidArgument,
-              "setDispatchPath: ForceSimd requested but the CPU lacks "
-              "AVX2+FMA");
-    }
-    pathState().store(path, std::memory_order_relaxed);
-}
-
-DispatchPath
-dispatchPath()
-{
-    return pathState().load(std::memory_order_relaxed);
+    return cpuHasAvx2Fma();
 }
 
 bool
 usingSimd()
 {
-    switch (dispatchPath()) {
-      case DispatchPath::ForceScalar:
+    switch (kernelBuild(KernelFamily::Distance)) {
+      case KernelBuild::Scalar:
         return false;
-      case DispatchPath::ForceSimd:
+      case KernelBuild::Avx2:
         return true;
-      case DispatchPath::Auto:
+      case KernelBuild::Auto:
         break;
     }
     return simdAvailable();
@@ -141,83 +48,26 @@ recordDispatch(std::uint64_t calls)
     (usingSimd() ? fast : scalar).add(calls);
 }
 
-void
-setFixedPointMode(FixedPointMode mode)
-{
-    fixedModeState().store(mode, std::memory_order_relaxed);
-}
-
-FixedPointMode
-fixedPointMode()
-{
-    return fixedModeState().load(std::memory_order_relaxed);
-}
-
-const char *
-fixedPointModeName()
-{
-    switch (fixedPointMode()) {
-      case FixedPointMode::On:
-        return "int8";
-      case FixedPointMode::Off:
-        return "fp32";
-      case FixedPointMode::Auto:
-        break;
-    }
-    return "auto";
-}
-
 bool
-fixedPointConsidered(FixedPointMode config_mode)
+resolveFixedPointBall(Route route, float scale, float radius)
 {
-    switch (fixedPointMode()) {
-      case FixedPointMode::On:
+    switch (route) {
+      case Route::On:
         return true;
-      case FixedPointMode::Off:
+      case Route::Off:
         return false;
-      case FixedPointMode::Auto:
-        break;
-    }
-    return config_mode != FixedPointMode::Off;
-}
-
-bool
-resolveFixedPointBall(FixedPointMode config_mode, float scale,
-                      float radius)
-{
-    switch (fixedPointMode()) {
-      case FixedPointMode::On:
-        return true;
-      case FixedPointMode::Off:
-        return false;
-      case FixedPointMode::Auto:
-        break;
-    }
-    switch (config_mode) {
-      case FixedPointMode::On:
-        return true;
-      case FixedPointMode::Off:
-        return false;
-      case FixedPointMode::Auto:
+      case Route::Auto:
         break;
     }
     return scale > 0.0f && scale * kFixedAutoFactor <= radius;
 }
 
 bool
-resolveFixedPointKnn(FixedPointMode config_mode)
+resolveFixedPointKnn(Route route)
 {
-    switch (fixedPointMode()) {
-      case FixedPointMode::On:
-        return true;
-      case FixedPointMode::Off:
-        return false;
-      case FixedPointMode::Auto:
-        break;
-    }
     // Auto is Off for k-NN: snap error reorders near-ties, so the
-    // approximation is opt-in per searcher.
-    return config_mode == FixedPointMode::On;
+    // approximation is opt-in per run.
+    return route == Route::On;
 }
 
 void

@@ -6,9 +6,9 @@
  * ball query and the Morton window search. Dispatch
  * follows the GemmEngine pattern: a single __builtin_cpu_supports
  * check picks the AVX2+FMA build at runtime, with a scalar fallback
- * compiled for the baseline ISA. The path can be forced (setter or
- * EDGEPC_SIMD=scalar|simd|auto environment variable) so CI can A/B
- * both builds and the equivalence tests can diff them.
+ * compiled for the baseline ISA. The build can be forced per process
+ * (EDGEPC_SIMD=scalar|simd, common/dispatch.hpp) so CI can A/B both
+ * builds and the equivalence tests can diff them.
  *
  * Bit-exactness contract: the vector kernels evaluate squared
  * distances as fl(fl(fl(dx*dx) + fl(dy*dy)) + fl(dz*dz)) — the exact
@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/dispatch.hpp"
 #include "geometry/vec3.hpp"
 
 namespace edgepc {
@@ -40,26 +41,8 @@ paddedSize(std::size_t n)
     return (n + kLanes - 1) / kLanes * kLanes;
 }
 
-/** Dispatch override for the batch kernels. */
-enum class DispatchPath
-{
-    Auto,        ///< Use AVX2+FMA when the CPU supports it (default).
-    ForceScalar, ///< Always take the scalar fallback.
-    ForceSimd,   ///< Always take the AVX2 build (raises if unsupported).
-};
-
 /** True when the host CPU supports the AVX2+FMA build. */
 bool simdAvailable();
-
-/**
- * Override the dispatch decision (tests / A-B runs). ForceSimd on a
- * host without AVX2 raises InvalidArgument. The initial value comes
- * from EDGEPC_SIMD (scalar | simd | auto), read once at startup.
- */
-void setDispatchPath(DispatchPath path);
-
-/** Current override (Auto unless forced). */
-DispatchPath dispatchPath();
 
 /** Resolved decision: true when batch kernels run the AVX2 build. */
 bool usingSimd();
@@ -136,8 +119,9 @@ std::size_t batchBelowMask(const float *dist, std::size_t n, float limit,
 // distances are evaluated with _mm256_madd_epi16 — exact integer
 // arithmetic, so the scalar and AVX2 builds are bit-identical by
 // construction. Enabling the path trades boundary-exact neighbor sets
-// for roughly half the coordinate bandwidth; the FixedPointMode gate
-// below keeps it off by default so default numerics stay fp32.
+// for roughly half the coordinate bandwidth; the run's int8-search
+// route (EdgePcConfig::int8Search, default Off) gates it, so default
+// numerics stay fp32.
 
 /** Candidate coordinates quantize to [-kFixedMaxQ, kFixedMaxQ]. */
 inline constexpr std::int32_t kFixedMaxQ = 4095;
@@ -165,50 +149,20 @@ inline constexpr std::int16_t kFixedPadQ = 23168;
  */
 inline constexpr float kFixedAutoFactor = 64.0f;
 
-/** Per-searcher fixed-point gate (mirrors nn::QuantMode). */
-enum class FixedPointMode
-{
-    Off,  ///< Always exact fp32 kernels.
-    On,   ///< Fixed-point wherever the cloud quantizes cleanly.
-    Auto, ///< Defer to the per-call scale/radius heuristic.
-};
+/**
+ * Resolve the ball-query gate: On and Off decide, Auto engages when
+ * the grid step is fine against the radius (scale * kFixedAutoFactor
+ * <= radius). The caller must still fall back to fp32 when the cloud
+ * fails to quantize (PointsFixed::valid() is false).
+ */
+bool resolveFixedPointBall(Route route, float scale, float radius);
 
 /**
- * Process-wide override resolved ahead of per-searcher config. The
- * initial value comes from EDGEPC_SIMD: "int8" forces On, an explicit
- * fp32 path ("scalar" | "simd") forces Off, otherwise Auto (defer to
- * the searcher's config).
+ * Resolve the k-NN gate. Auto means Off for k-NN — nearest-neighbor
+ * ordering is more sensitive to snap error than in-ball membership,
+ * so the approximation is opt-in.
  */
-void setFixedPointMode(FixedPointMode mode);
-
-/** Current process-wide fixed-point override. */
-FixedPointMode fixedPointMode();
-
-/** "int8" | "fp32" | "auto" — echoed into BENCH_*.json metadata. */
-const char *fixedPointModeName();
-
-/**
- * True when the fixed path is even in play for @p config_mode (env On,
- * or env Auto with config not Off). Callers use this to skip the
- * quantization bounds scan when the answer is a definite no.
- */
-bool fixedPointConsidered(FixedPointMode config_mode);
-
-/**
- * Resolve the ball-query gate: env override first, then @p config_mode,
- * then the Auto heuristic (scale * kFixedAutoFactor <= radius). The
- * caller must still fall back to fp32 when the cloud fails to quantize
- * (PointsFixed::valid() is false).
- */
-bool resolveFixedPointBall(FixedPointMode config_mode, float scale,
-                           float radius);
-
-/**
- * Resolve the k-NN gate: env override first, then config. Auto means
- * Off for k-NN — nearest-neighbor ordering is more sensitive to snap
- * error than in-ball membership, so the approximation is opt-in.
- */
-bool resolveFixedPointKnn(FixedPointMode config_mode);
+bool resolveFixedPointKnn(Route route);
 
 /** Bump the simd.fixed_calls counter (fixed-point entry points). */
 void recordFixedDispatch(std::uint64_t calls = 1);

@@ -112,15 +112,6 @@ Dgcnn::Dgcnn(DgcnnConfig config, std::uint64_t seed) : cfg(std::move(config))
     }
     head.add(std::make_unique<nn::Linear>(head_in, cfg.numClasses, rng));
     headFirstLinear = static_cast<nn::Linear *>(head.layerAt(0));
-
-    // Propagate the int8-inference config to every Linear layer; the
-    // per-call resolve (env > config > shape heuristic) happens inside
-    // the layers.
-    for (auto &block : ecBlocks) {
-        block.mlp.setQuantMode(cfg.quantizedInference);
-    }
-    embedding.setQuantMode(cfg.quantizedInference);
-    head.setQuantMode(cfg.quantizedInference);
 }
 
 std::string
@@ -141,6 +132,7 @@ NeighborLists
 Dgcnn::searchNeighbors(std::size_t module, const EdgePcConfig &config,
                        std::span<const Vec3> positions,
                        const nn::Matrix &features,
+                       const nn::GemmEngine &engine,
                        NeighborCache &cache) const
 {
     const std::size_t k = cfg.k;
@@ -158,7 +150,7 @@ Dgcnn::searchNeighbors(std::size_t module, const EdgePcConfig &config,
             }
             return lists;
         }
-        BruteForceKnn searcher(cfg.fixedPointSearch);
+        BruteForceKnn searcher(config.int8Search);
         NeighborLists lists = searcher.search(positions, positions, k);
         if (config.approximate() && config.reuseDistance > 0) {
             cache.store(layer, lists);
@@ -174,7 +166,7 @@ Dgcnn::searchNeighbors(std::size_t module, const EdgePcConfig &config,
     }
     NeighborLists lists = BruteForceKnn::searchFeatureSpace(
         {features.data(), features.numel()},
-        {features.data(), features.numel()}, features.cols(), k);
+        {features.data(), features.numel()}, features.cols(), k, engine);
     if (config.approximate() && config.reuseDistance > 0) {
         cache.store(layer, lists);
     }
@@ -189,12 +181,13 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         raise(ErrorCode::EmptyCloud, "Dgcnn::forward: empty cloud");
     }
     const std::size_t n = cloud.size();
+    const nn::GemmRoute route = config.gemmRoute();
+    nn::GemmEngine &engine = route.engine;
     if (train) {
-        trainMode = true;
+        trainEngine = &engine;
         savedPoints = n;
     }
     NeighborCache cache(config.reuseDistance);
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
 
     // Initial features: the coordinates.
     nn::Matrix features(n, 3);
@@ -229,7 +222,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         {
             StageTimer::ScopedStage scope(t, kStageNeighbor);
             neighbors = searchNeighbors(m, config, cloud.positions(),
-                                        features, cache);
+                                        features, engine, cache);
         }
         // The searchers clamp k for tiny clouds; pool with the
         // effective group size.
@@ -239,7 +232,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         // into per-point x_i and x_j − x_i terms, so it runs once per
         // unique point and the per-edge work is a gather + add.
         const bool delayed = nn::resolveDelayedAgg(
-            cfg.delayedAggregation, nn::edgeDelayedFlopRatio(k_eff));
+            config.delayedAggregation, nn::edgeDelayedFlopRatio(k_eff));
         nn::Matrix activated;
         if (delayed) {
             StageTimer::ScopedStage scope(t, kStageFeature);
@@ -249,26 +242,26 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
                     features, neighbors, block.firstLinear->weights().value,
                     block.firstLinear->biases().value, engine,
                     train ? &block.delayedCache : nullptr),
-                train);
+                route, train);
         } else {
             nn::Matrix edges;
             {
                 StageTimer::ScopedStage scope(t, kStageGroup);
                 if (train) {
                     block.edge.setNeighbors(std::move(neighbors));
-                    edges = block.edge.forward(features, true);
+                    edges = block.edge.forward(features, route, true);
                 } else {
                     edges = nn::edgeFeatures(features, neighbors);
                 }
             }
             StageTimer::ScopedStage scope(t, kStageFeature);
-            activated = block.mlp.forward(edges, train);
+            activated = block.mlp.forward(edges, route, train);
         }
         StageTimer::ScopedStage scope(t, kStageFeature);
         if (train) {
             block.delayedActive = delayed;
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            features = block.pool->forward(activated, true);
+            features = block.pool->forward(activated, route, true);
         } else {
             features = nn::maxPoolRows(activated, 0, activated.rows(), k_eff);
         }
@@ -276,11 +269,11 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     }
 
     StageTimer::ScopedStage scope(t, kStageFeature);
-    const nn::Matrix embedded = embedding.forward(concat, train);
-    const nn::Matrix pooled = globalPool.forward(embedded, train);
+    const nn::Matrix embedded = embedding.forward(concat, route, train);
+    const nn::Matrix pooled = globalPool.forward(embedded, route, train);
 
     if (isClassifier()) {
-        return head.forward(pooled, train);
+        return head.forward(pooled, route, train);
     }
     // The head reads [concat | 1 pooled] without building it: its
     // first Linear runs split (DESIGN.md §13).
@@ -290,7 +283,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
                                  headFirstLinear->weights().value,
                                  headFirstLinear->biases().value, engine,
                                  train ? &headCache : nullptr),
-        train);
+        route, train);
 }
 
 nn::Matrix
@@ -303,11 +296,11 @@ Dgcnn::infer(const PointCloud &cloud, const EdgePcConfig &config,
 void
 Dgcnn::backward(const nn::Matrix &grad_logits)
 {
-    if (!trainMode) {
+    if (trainEngine == nullptr) {
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("Dgcnn::backward without forward(train=true)");
     }
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    nn::GemmEngine &engine = *trainEngine;
     const std::size_t num_ec = ecBlocks.size();
     const std::size_t concat_dim = std::accumulate(
         cfg.ecWidths.begin(), cfg.ecWidths.end(), std::size_t{0});

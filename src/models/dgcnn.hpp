@@ -21,7 +21,6 @@
 
 #include <memory>
 
-#include "geometry/simd_distance.hpp"
 #include "models/model.hpp"
 #include "neighbor/neighbor_cache.hpp"
 #include "nn/delayed_agg.hpp"
@@ -58,32 +57,6 @@ struct DgcnnConfig
     /** Hidden widths of the head (classes appended internally). */
     std::vector<std::size_t> headMlp;
 
-    /**
-     * Delayed aggregation (DESIGN.md §13): split each EdgeConv's first
-     * Linear into its x_i and x_j − x_i terms so it runs once per
-     * unique point instead of once per edge (a k× first-layer FLOP
-     * cut). Auto delays iff k reaches nn::kDelayedAggFlopRatio;
-     * EDGEPC_DELAYED_AGG overrides. Checkpoint-compatible either way.
-     */
-    nn::DelayedAggMode delayedAggregation = nn::DelayedAggMode::Auto;
-
-    /**
-     * Int8 quantized inference (DESIGN.md §15): route the model's
-     * Linear layers through the quantized GEMM at inference. Off by
-     * default so default numerics match fp32 exactly; EDGEPC_GEMM=int8
-     * overrides, and Auto defers to the per-call shape heuristic.
-     * Training always runs fp32; checkpoints are unchanged.
-     */
-    nn::QuantMode quantizedInference = nn::QuantMode::Off;
-
-    /**
-     * Fixed-point neighbor search (DESIGN.md §15) for the module-1
-     * coordinate-space k-NN. Off by default (exact fp32 distances);
-     * Auto stays Off for k-NN, so only On (or EDGEPC_SIMD=int8)
-     * engages it. Feature-space modules always run fp32.
-     */
-    simd::FixedPointMode fixedPointSearch = simd::FixedPointMode::Off;
-
     /** Paper-scale DGCNN(c): 4 ECs, k=20, 1024-d embedding. */
     static DgcnnConfig classification(std::size_t num_classes);
 
@@ -106,7 +79,10 @@ struct DgcnnConfig
  * Inference writes no model member: a frame's neighbor lists, pooling
  * and delayed-aggregation decisions live in locals, so two threads may
  * infer on one model at once, and infer() may run between a training
- * forward and its backward.
+ * forward and its backward. Every route comes from the EdgePcConfig a
+ * call passes (delayed aggregation per EdgeConv, int8 GEMM, int8
+ * search for module 1, and the variant's GEMM engine, which also
+ * packs the feature-space k-NN).
  */
 class Dgcnn : public TrainableModel
 {
@@ -117,7 +93,8 @@ class Dgcnn : public TrainableModel
                      StageTimer *timer = nullptr) override;
 
     /** Forward; with @p train it runs infer()'s route and keeps the
-        layer caches backward() needs, without it is infer(). */
+        layer caches backward() needs (and the GEMM engine, which
+        backward() reuses), without it is infer(). */
     nn::Matrix forward(const PointCloud &cloud, const EdgePcConfig &cfg,
                        StageTimer *timer, bool train);
 
@@ -156,6 +133,7 @@ class Dgcnn : public TrainableModel
                                   const EdgePcConfig &config,
                                   std::span<const Vec3> positions,
                                   const nn::Matrix &features,
+                                  const nn::GemmEngine &engine,
                                   NeighborCache &cache) const;
 
     DgcnnConfig cfg;
@@ -170,7 +148,8 @@ class Dgcnn : public TrainableModel
     nn::GlobalMaxPool globalPool;
     nn::BroadcastLinearCache headCache;
     std::size_t savedPoints = 0;
-    bool trainMode = false;
+    /** The engine of the last training forward (null before one). */
+    nn::GemmEngine *trainEngine = nullptr;
 };
 
 } // namespace edgepc

@@ -66,13 +66,15 @@ nn::Matrix
 PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
                   StageTimer *timer, bool train)
 {
-    (void)config; // PointNet has no sample/NS stage to approximate.
+    // PointNet has no sample/NS stage to approximate: the config only
+    // routes its GEMMs.
     if (cloud.empty()) {
         raise(ErrorCode::EmptyCloud, "PointNet::forward: empty cloud");
     }
     const std::size_t n = cloud.size();
+    const nn::GemmRoute route = config.gemmRoute();
     if (train) {
-        trainMode = true;
+        trainEngine = &route.engine;
         savedPoints = n;
     }
 
@@ -88,11 +90,11 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
         coords.at(i, 2) = p.z;
     }
 
-    const nn::Matrix point_features = pointMlp.forward(coords, train);
-    const nn::Matrix pooled = globalPool.forward(point_features, train);
+    const nn::Matrix point_features = pointMlp.forward(coords, route, train);
+    const nn::Matrix pooled = globalPool.forward(point_features, route, train);
 
     if (!cfg.segmentation) {
-        return head.forward(pooled, train);
+        return head.forward(pooled, route, train);
     }
     // The head reads [local | 1 global] without building it: its first
     // Linear runs split (DESIGN.md §13).
@@ -101,9 +103,8 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
         nn::broadcastFirstLinear(point_features, pooled,
                                  headFirstLinear->weights().value,
                                  headFirstLinear->biases().value,
-                                 nn::GemmEngine::globalEngine(),
-                                 train ? &headCache : nullptr),
-        train);
+                                 route.engine, train ? &headCache : nullptr),
+        route, train);
 }
 
 nn::Matrix
@@ -116,7 +117,7 @@ PointNet::infer(const PointCloud &cloud, const EdgePcConfig &config,
 void
 PointNet::backward(const nn::Matrix &grad_logits)
 {
-    if (!trainMode) {
+    if (trainEngine == nullptr) {
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("PointNet::backward without forward(train=true)");
     }
@@ -126,7 +127,7 @@ PointNet::backward(const nn::Matrix &grad_logits)
         auto [d_local, d_global] = nn::broadcastFirstLinearBackward(
             headCache, head.backwardFrom(1, grad_logits),
             headFirstLinear->weights(), headFirstLinear->biases(),
-            nn::GemmEngine::globalEngine());
+            *trainEngine);
         grad_point_features = std::move(d_local);
         grad_pooled = std::move(d_global);
     } else {

@@ -48,7 +48,8 @@ struct PointNetConfig
 /**
  * Vanilla PointNet. Inference writes no model member, so two threads
  * may infer on one model at once, and infer() may run between a
- * training forward and its backward.
+ * training forward and its backward. Its GEMMs run on the engine and
+ * int8 route of the EdgePcConfig a call passes.
  */
 class PointNet : public TrainableModel
 {
@@ -82,7 +83,8 @@ class PointNet : public TrainableModel
     nn::GlobalMaxPool globalPool;
     nn::BroadcastLinearCache headCache;
     std::size_t savedPoints = 0;
-    bool trainMode = false;
+    /** The engine of the last training forward (null before one). */
+    nn::GemmEngine *trainEngine = nullptr;
 };
 
 } // namespace edgepc

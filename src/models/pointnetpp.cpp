@@ -223,17 +223,6 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
         head_in = width;
     }
     head.add(std::make_unique<nn::Linear>(head_in, cfg.numClasses, rng));
-
-    // Propagate the int8-inference config to every Linear layer; the
-    // per-call resolve (env > config > shape heuristic) happens inside
-    // the layers.
-    for (auto &block : saBlocks) {
-        block.mlp.setQuantMode(cfg.quantizedInference);
-    }
-    for (auto &block : fpBlocks) {
-        block.mlp.setQuantMode(cfg.quantizedInference);
-    }
-    head.setQuantMode(cfg.quantizedInference);
 }
 
 /**
@@ -356,10 +345,10 @@ PointNetPP::planNeighbors(FramePlan &plan, const EdgePcConfig &config,
                                         cur.sampleIndices, k);
         } else if (block.conf.mode == NeighborMode::BallQuery) {
             cur.neighbors =
-                BallQuery(block.conf.radius, cfg.fixedPointSearch)
+                BallQuery(block.conf.radius, config.int8Search)
                     .search(queries, cur.positions, k);
         } else {
-            cur.neighbors = BruteForceKnn(cfg.fixedPointSearch)
+            cur.neighbors = BruteForceKnn(config.int8Search)
                                 .search(queries, cur.positions, k);
         }
         // The one delayed-aggregation decision per (cloud, block). The
@@ -367,7 +356,7 @@ PointNetPP::planNeighbors(FramePlan &plan, const EdgePcConfig &config,
         // later step use the effective k.
         cur.delayed = !block.conf.mlp.empty() &&
                       nn::resolveDelayedAgg(
-                          cfg.delayedAggregation,
+                          config.delayedAggregation,
                           nn::saDelayedFlopRatio(
                               cur.positions.size(), cur.sampleIndices.size(),
                               cur.neighbors.k, block.featDim));
@@ -375,14 +364,15 @@ PointNetPP::planNeighbors(FramePlan &plan, const EdgePcConfig &config,
 }
 
 std::vector<nn::Matrix>
-PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
+PointNetPP::execute(std::span<FramePlan *const> plans,
+                    const nn::GemmRoute &route, StageTimer *timer)
 {
     const std::size_t batch = plans.size();
     std::vector<nn::Matrix> logits(batch);
     if (batch == 0) {
         return logits;
     }
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    nn::GemmEngine &engine = route.engine;
     // feat[b][l]: cloud b's features on level l. The SA modules fill
     // the levels downward; each FP module replaces its fine level's
     // skip features with its output on the way back up.
@@ -422,7 +412,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
                     nn::groupWithRelativeCoords(level.positions, feat[b][i],
                                                 level.sampleIndices,
                                                 level.neighbors),
-                    false);
+                    route, false);
                 feat[b][i + 1] = nn::maxPoolRows(activated, 0, rows[b],
                                                  level.neighbors.k);
             }
@@ -451,7 +441,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
                                   nn::groupWithRelativeCoords(
                                       level.positions, feat[b][i],
                                       level.sampleIndices, level.neighbors),
-                                  false));
+                                  route, false));
                     offset += rows[b];
                 }
                 first_layer = 1;
@@ -475,7 +465,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
             // cloud's max-pool reads its row range in place.
             StageScope scope(timer, kStageFeature);
             const nn::Matrix activated = block.mlp.forwardSegmented(
-                std::move(stacked), rows, first_layer);
+                std::move(stacked), rows, route, first_layer);
             offset = 0;
             for (std::size_t b = 0; b < batch; ++b) {
                 feat[b][i + 1] = nn::maxPoolRows(
@@ -534,7 +524,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
             stacked, coarse_rows, upsample, skip,
             block.firstLinear->weights().value,
             block.firstLinear->biases().value, engine, nullptr);
-        stacked = block.mlp.forwardSegmented(std::move(pre), rows, 1);
+        stacked = block.mlp.forwardSegmented(std::move(pre), rows, route, 1);
         coarse_rows = rows;
     }
 
@@ -550,7 +540,7 @@ PointNetPP::execute(std::span<FramePlan *const> plans, StageTimer *timer)
             rows[b] = 1;
         }
     }
-    stacked = head.forwardSegmented(std::move(stacked), rows);
+    stacked = head.forwardSegmented(std::move(stacked), rows, route);
     std::size_t offset = 0;
     for (std::size_t b = 0; b < batch; ++b) {
         logits[b] = unstackRows(stacked, offset, rows[b]);
@@ -567,7 +557,7 @@ PointNetPP::infer(const PointCloud &cloud, const EdgePcConfig &config,
     planSample(plan, cloud, config, timer);
     planNeighbors(plan, config, timer);
     FramePlan *const one[] = {&plan};
-    return std::move(execute(one, timer)[0]);
+    return std::move(execute(one, config.gemmRoute(), timer)[0]);
 }
 
 std::vector<nn::Matrix>
@@ -581,7 +571,7 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
         planNeighbors(plans[b], config, timer);
         views[b] = &plans[b];
     }
-    return execute(views, timer);
+    return execute(views, config.gemmRoute(), timer);
 }
 
 std::unique_ptr<StagedFrame>
@@ -608,9 +598,8 @@ nn::Matrix
 PointNetPP::stagedFeature(StagedFrame &frame, const EdgePcConfig &config,
                           StageTimer *timer)
 {
-    (void)config;
     FramePlan *const one[] = {&static_cast<FramePlan &>(frame)};
-    return std::move(execute(one, timer)[0]);
+    return std::move(execute(one, config.gemmRoute(), timer)[0]);
 }
 
 nn::Matrix
@@ -623,7 +612,8 @@ PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
     FramePlan plan;
     planSample(plan, cloud, config, timer);
     planNeighbors(plan, config, timer);
-    trainMode = true;
+    const nn::GemmRoute route = config.gemmRoute();
+    trainEngine = &route.engine;
 
     // execute()'s compute for one plan, through the layers' training
     // forwards so that backward() finds their caches.
@@ -644,9 +634,9 @@ PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
                 nn::delayedSaFirstLinear(
                     cur.positions, feat[i], cur.sampleIndices,
                     cur.neighbors, block.firstLinear->weights().value,
-                    block.firstLinear->biases().value,
-                    nn::GemmEngine::globalEngine(), &block.delayedCache),
-                true);
+                    block.firstLinear->biases().value, route.engine,
+                    &block.delayedCache),
+                route, true);
         } else {
             nn::Matrix grouped;
             {
@@ -659,19 +649,20 @@ PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
                     // whose backward scatters the gradient back.
                     block.gather.setIndices(cur.neighbors.indices);
                     grouped = nn::concatCols(
-                        grouped, block.gather.forward(feat[i], true));
+                        grouped, block.gather.forward(feat[i], route, true));
                 }
             }
             StageScope scope(timer, kStageFeature);
-            activated = block.mlp.forward(grouped, true);
+            activated = block.mlp.forward(grouped, route, true);
         }
         StageScope scope(timer, kStageFeature);
-        feat[i + 1] = block.pool->forward(activated, true);
+        feat[i + 1] = block.pool->forward(activated, route, true);
     }
 
     if (isClassifier()) {
         StageScope scope(timer, kStageFeature);
-        return head.forward(globalPool.forward(feat.back(), true), true);
+        return head.forward(globalPool.forward(feat.back(), route, true),
+                            route, true);
     }
     for (std::size_t m = 0; m < fpBlocks.size(); ++m) {
         FpBlock &block = fpBlocks[m];
@@ -684,21 +675,22 @@ PointNetPP::forward(const PointCloud &cloud, const EdgePcConfig &config,
             nn::interpolatedFirstLinear(
                 feat[fine + 1], coarse_rows, upsample, feat[fine],
                 block.firstLinear->weights().value,
-                block.firstLinear->biases().value,
-                nn::GemmEngine::globalEngine(), &block.cache),
-            true);
+                block.firstLinear->biases().value, route.engine,
+                &block.cache),
+            route, true);
     }
     StageScope scope(timer, kStageFeature);
-    return head.forward(feat[0], true);
+    return head.forward(feat[0], route, true);
 }
 
 void
 PointNetPP::backward(const nn::Matrix &grad_logits)
 {
-    if (!trainMode) {
+    if (trainEngine == nullptr) {
         // NOLINTNEXTLINE(edgepc-R1): caller protocol violation, not data
         panic("PointNetPP::backward without forward(train=true)");
     }
+    nn::GemmEngine &engine = *trainEngine;
     const std::size_t num_levels = saBlocks.size() + 1;
 
     // Gradients w.r.t. each level's SA-output features.
@@ -723,8 +715,7 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
                 nn::interpolatedFirstLinearBackward(
                     block.cache, block.mlp.backwardFrom(1, grad_fp[fine]),
                     block.firstLinear->weights(),
-                    block.firstLinear->biases(),
-                    nn::GemmEngine::globalEngine());
+                    block.firstLinear->biases(), engine);
             if (coarse == num_levels - 1) {
                 accumulate(grad_sa[coarse], coarse_grad);
             } else {
@@ -752,7 +743,7 @@ PointNetPP::backward(const nn::Matrix &grad_logits)
             nn::Matrix pre_grad = block.mlp.backwardFrom(1, act_grad);
             nn::Matrix feat_grad = nn::delayedSaFirstLinearBackward(
                 block.delayedCache, pre_grad, block.firstLinear->weights(),
-                block.firstLinear->biases(), nn::GemmEngine::globalEngine());
+                block.firstLinear->biases(), engine);
             if (block.featDim > 0) {
                 accumulate(grad_sa[i], feat_grad);
             }

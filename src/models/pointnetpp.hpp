@@ -24,7 +24,6 @@
 
 #include <memory>
 
-#include "geometry/simd_distance.hpp"
 #include "models/model.hpp"
 #include "neighbor/neighbor_search.hpp"
 #include "nn/delayed_agg.hpp"
@@ -87,33 +86,6 @@ struct PointNetPPConfig
     std::vector<std::size_t> headMlp;
 
     /**
-     * Delayed aggregation (DESIGN.md §13): run each SA block's first
-     * Linear over the level's unique points before the neighborhood
-     * gather. Auto delays a block iff its first-layer FLOP ratio
-     * reaches nn::kDelayedAggFlopRatio; EDGEPC_DELAYED_AGG overrides.
-     * Checkpoint-compatible either way (same parameters, either route).
-     */
-    nn::DelayedAggMode delayedAggregation = nn::DelayedAggMode::Auto;
-
-    /**
-     * Int8 quantized inference (DESIGN.md §15): route the model's
-     * Linear layers through the quantized GEMM at inference. Off by
-     * default so default numerics match fp32 exactly; EDGEPC_GEMM=int8
-     * overrides, and Auto defers to the per-call shape heuristic.
-     * Training always runs fp32; checkpoints are unchanged.
-     */
-    nn::QuantMode quantizedInference = nn::QuantMode::Off;
-
-    /**
-     * Fixed-point neighbor search (DESIGN.md §15): snap coordinates to
-     * the per-cloud s16 grid in the baseline ball-query / k-NN stages.
-     * Off by default (exact fp32 distances); Auto engages ball query
-     * only when the grid step is much finer than the radius (k-NN
-     * stays fp32 under Auto). EDGEPC_SIMD=int8 overrides.
-     */
-    simd::FixedPointMode fixedPointSearch = simd::FixedPointMode::Off;
-
-    /**
      * The paper's PointNet++(s) for semantic segmentation: 4 SA + 4 FP
      * with the reference SSG widths, module point counts scaled from
      * @p num_points (N/8, N/32, N/128, N/512).
@@ -143,7 +115,10 @@ struct PointNetPPConfig
  * neighbor workers and execution on its feature worker, with the plan
  * as the staged frame. Inference writes no model member, so one
  * frame's plan halves may run while another frame executes, and
- * infer() may run between a training forward and its backward.
+ * infer() may run between a training forward and its backward. Every
+ * route comes from the EdgePcConfig a call passes: int8 search and
+ * delayed aggregation when planning, the variant's GEMM engine and the
+ * int8 GEMM route when executing.
  */
 class PointNetPP : public TrainableModel
 {
@@ -254,9 +229,10 @@ class PointNetPP : public TrainableModel
     void planNeighbors(FramePlan &plan, const EdgePcConfig &config,
                        StageTimer *timer) const;
 
-    /** The feature compute of @p plans, row-stacked; one logits matrix
-        per plan. Consumes each plan's input features. */
+    /** The feature compute of @p plans, row-stacked, on @p route; one
+        logits matrix per plan. Consumes each plan's input features. */
     std::vector<nn::Matrix> execute(std::span<FramePlan *const> plans,
+                                    const nn::GemmRoute &route,
                                     StageTimer *timer);
 
     PointNetPPConfig cfg;
@@ -264,7 +240,8 @@ class PointNetPP : public TrainableModel
     std::vector<FpBlock> fpBlocks;
     nn::Sequential head;
     nn::GlobalMaxPool globalPool; ///< Training cache (classifier).
-    bool trainMode = false;
+    /** The engine of the last training forward (null before one). */
+    nn::GemmEngine *trainEngine = nullptr;
 };
 
 } // namespace edgepc

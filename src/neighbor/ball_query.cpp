@@ -24,8 +24,8 @@ constexpr std::size_t kChunk = 256;
 
 } // namespace
 
-BallQuery::BallQuery(float radius, simd::FixedPointMode fixed_point)
-    : r(radius), fixedMode(fixed_point)
+BallQuery::BallQuery(float radius, Route int8_search)
+    : r(radius), fixedRoute(int8_search)
 {
     if (radius <= 0.0f) {
         raise(ErrorCode::InvalidArgument, "BallQuery: radius must be positive (got %f)",
@@ -62,14 +62,14 @@ BallQuery::search(std::span<const Vec3> queries,
     // madd kernel against the quantized query with the radius
     // threshold re-expressed in quantized units. In-ball membership
     // near the boundary can differ from fp32 by up to one grid step;
-    // the gate (env > per-searcher config > scale/radius heuristic)
-    // keeps the path off unless that error is acceptable.
+    // the route (On, or Auto's scale/radius heuristic) keeps the path
+    // off unless that error is acceptable.
     PointsFixed fixed;
     bool use_fixed = false;
-    if (simd::fixedPointConsidered(fixedMode)) {
+    if (fixedRoute != Route::Off) {
         fixed = PointsFixed(soa, caller_arena);
         use_fixed = fixed.valid() &&
-                    simd::resolveFixedPointBall(fixedMode, fixed.scale(),
+                    simd::resolveFixedPointBall(fixedRoute, fixed.scale(),
                                                 r);
     }
     const float r2q = use_fixed ? fixed.radiusSqQ(r) : r2;

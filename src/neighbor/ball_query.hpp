@@ -21,16 +21,15 @@ class BallQuery : public NeighborSearch
   public:
     /**
      * @param radius Ball radius R.
-     * @param fixed_point Fixed-point distance gate (DESIGN.md §15):
-     *     Off keeps the exact fp32 kernels (default, bit-identical to
-     *     the reference scan); On snaps candidates to the per-cloud
-     *     s16 grid when the cloud quantizes; Auto engages only when
-     *     the grid step is much finer than the radius. EDGEPC_SIMD
-     *     (int8 | scalar | simd) overrides this per-searcher config.
+     * @param int8_search Fixed-point distance route (DESIGN.md §15):
+     *     Off keeps the exact fp32 kernels (bit-identical to the
+     *     reference scan); On snaps candidates to the per-cloud s16
+     *     grid when the cloud quantizes; Auto engages only when the
+     *     grid step is much finer than the radius. Defaults to the
+     *     environment's EdgePcConfig::int8Search default.
      */
-    explicit BallQuery(
-        float radius,
-        simd::FixedPointMode fixed_point = simd::FixedPointMode::Off);
+    explicit BallQuery(float radius,
+                       Route int8_search = dispatchEnv().int8Search);
 
     [[nodiscard]]
     NeighborLists search(std::span<const Vec3> queries,
@@ -43,7 +42,7 @@ class BallQuery : public NeighborSearch
 
   private:
     float r;
-    simd::FixedPointMode fixedMode;
+    Route fixedRoute;
 };
 
 } // namespace edgepc

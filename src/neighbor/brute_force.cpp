@@ -104,7 +104,7 @@ BruteForceKnn::search(std::span<const Vec3> queries,
     // (Auto resolves Off for k-NN) — see resolveFixedPointKnn.
     PointsFixed fixed;
     bool use_fixed = false;
-    if (simd::resolveFixedPointKnn(fixedMode)) {
+    if (simd::resolveFixedPointKnn(fixedRoute)) {
         fixed = PointsFixed(soa, caller_arena);
         use_fixed = fixed.valid();
     }
@@ -144,7 +144,8 @@ BruteForceKnn::search(std::span<const Vec3> queries,
 NeighborLists
 BruteForceKnn::searchFeatureSpace(std::span<const float> queries,
                                   std::span<const float> candidates,
-                                  std::size_t dim, std::size_t k)
+                                  std::size_t dim, std::size_t k,
+                                  const nn::GemmEngine &engine)
 {
     EDGEPC_TRACE_SCOPE("brute-force-feature", "neighbor");
     static obs::Counter &qcount = obs::MetricsRegistry::global().counter(
@@ -177,8 +178,7 @@ BruteForceKnn::searchFeatureSpace(std::span<const float> queries,
     const ScratchArena::Frame frame(caller_arena);
     const std::span<float> mean = caller_arena.alloc<float>(dim);
     candidateMean(candidates.data(), nc, dim, mean.data());
-    const nn::PackedTransposedB packed(nn::GemmEngine::globalEngine(),
-                                       candidates.data(), nc, dim,
+    const nn::PackedTransposedB packed(engine, candidates.data(), nc, dim,
                                        mean.data(), caller_arena);
     const std::span<float> cnorm = caller_arena.alloc<float>(nc);
     packed.rowSquaredNorms(cnorm.data());

@@ -12,22 +12,26 @@
 
 namespace edgepc {
 
+namespace nn {
+class GemmEngine; // nn/gemm.hpp
+} // namespace nn
+
 /** Exact k-NN by exhaustive distance computation. */
 class BruteForceKnn : public NeighborSearch
 {
   public:
     /**
-     * @param fixed_point Fixed-point distance gate (DESIGN.md §15).
-     *     Off (default) keeps exact fp32 distances; On ranks neighbors
-     *     by s16 grid distance when the cloud quantizes. Auto stays
-     *     Off for k-NN — snap error reorders near-ties — so the
-     *     approximation is strictly opt-in; EDGEPC_SIMD (int8 |
-     *     scalar | simd) overrides. Coordinate-space search() only;
-     *     searchFeatureSpace has its own fp32 GEMM route.
+     * @param int8_search Fixed-point distance route (DESIGN.md
+     *     §15). Off keeps exact fp32 distances; On ranks neighbors by
+     *     s16 grid distance when the cloud quantizes. Auto stays Off
+     *     for k-NN — snap error reorders near-ties — so the
+     *     approximation is strictly opt-in. Defaults to the
+     *     environment's EdgePcConfig::int8Search default.
+     *     Coordinate-space search() only; searchFeatureSpace has its
+     *     own fp32 GEMM route.
      */
-    explicit BruteForceKnn(
-        simd::FixedPointMode fixed_point = simd::FixedPointMode::Off)
-        : fixedMode(fixed_point)
+    explicit BruteForceKnn(Route int8_search = dispatchEnv().int8Search)
+        : fixedRoute(int8_search)
     {
     }
 
@@ -46,8 +50,9 @@ class BruteForceKnn : public NeighborSearch
      * One GEMM-formulated route (DESIGN.md §16): queries and
      * candidates are centered on the candidates' mean, and each tile
      * of query rows gets ‖q‖² − 2q·c + ‖c‖² from the packed GEMM
-     * kernel — always fp32, under the layer GEMMs' microkernel
-     * dispatch but outside their accounting — clamped at +0 and
+     * kernel — always fp32, in the build @p engine's policy picks
+     * (the run's GEMM engine) but outside the layer GEMMs'
+     * accounting — clamped at +0 and
      * selected with KHeap. Near-ties within the expansion's forward
      * error may order differently from a direct Σ(q − c)² scan;
      * exact ties keep the first-encountered index. The lists depend
@@ -61,10 +66,11 @@ class BruteForceKnn : public NeighborSearch
     [[nodiscard]]
     static NeighborLists searchFeatureSpace(std::span<const float> queries,
                                             std::span<const float> candidates,
-                                            std::size_t dim, std::size_t k);
+                                            std::size_t dim, std::size_t k,
+                                            const nn::GemmEngine &engine);
 
   private:
-    simd::FixedPointMode fixedMode;
+    Route fixedRoute;
 };
 
 } // namespace edgepc

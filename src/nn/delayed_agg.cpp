@@ -1,9 +1,6 @@
 #include "nn/delayed_agg.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
@@ -13,35 +10,6 @@ namespace edgepc {
 namespace nn {
 
 namespace {
-
-DelayedAggMode
-initialModeFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_DELAYED_AGG");
-    if (env == nullptr) {
-        return DelayedAggMode::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "on") {
-        return DelayedAggMode::On;
-    }
-    if (v == "off") {
-        return DelayedAggMode::Off;
-    }
-    if (v != "auto") {
-        warn("EDGEPC_DELAYED_AGG=%s not understood (want on|off|auto); "
-             "using auto",
-             env);
-    }
-    return DelayedAggMode::Auto;
-}
-
-std::atomic<DelayedAggMode> &
-modeState()
-{
-    static std::atomic<DelayedAggMode> state{initialModeFromEnv()};
-    return state;
-}
 
 /** The @p rows x @p k matrix at @p a times rows [w_row, w_row + k) of
     @p weight, plus @p bias (weight.cols() floats, or null) in the
@@ -223,49 +191,15 @@ accumulateSlabGrad(const Matrix &a, const Matrix &b, Matrix &grad,
 
 } // namespace
 
-DelayedAggMode
-delayedAggMode()
-{
-    return modeState().load(std::memory_order_relaxed);
-}
-
-void
-setDelayedAggMode(DelayedAggMode mode)
-{
-    modeState().store(mode, std::memory_order_relaxed);
-}
-
-const char *
-delayedAggModeName()
-{
-    switch (delayedAggMode()) {
-      case DelayedAggMode::Off:
-        return "off";
-      case DelayedAggMode::On:
-        return "on";
-      case DelayedAggMode::Auto:
-        return "auto";
-    }
-    return "auto";
-}
-
 bool
-resolveDelayedAgg(DelayedAggMode config_mode, double flop_ratio)
+resolveDelayedAgg(Route route, double flop_ratio)
 {
-    switch (delayedAggMode()) {
-      case DelayedAggMode::On:
+    switch (route) {
+      case Route::On:
         return true;
-      case DelayedAggMode::Off:
+      case Route::Off:
         return false;
-      case DelayedAggMode::Auto:
-        break;
-    }
-    switch (config_mode) {
-      case DelayedAggMode::On:
-        return true;
-      case DelayedAggMode::Off:
-        return false;
-      case DelayedAggMode::Auto:
+      case Route::Auto:
         break;
     }
     return flop_ratio >= kDelayedAggFlopRatio;

@@ -57,11 +57,10 @@
  * collectParameters order, shapes and serialized streams are identical
  * to the eager Linear + gather composition.
  *
- * Dispatch mirrors EDGEPC_GEMM / EDGEPC_SIMD: the
- * EDGEPC_DELAYED_AGG=on|off|auto environment variable (read once at
- * startup) or setDelayedAggMode() overrides the per-model config;
- * when both say auto, the block is delayed iff the first-layer GEMM
- * FLOP ratio (eager / delayed) reaches kDelayedAggFlopRatio.
+ * Dispatch: the run's EdgePcConfig::delayedAggregation route
+ * (default Auto; EDGEPC_DELAYED_AGG=on|off|auto sets the default).
+ * On and Off decide; under Auto a block is delayed iff its first-layer
+ * GEMM FLOP ratio (eager / delayed) reaches kDelayedAggFlopRatio.
  */
 
 #ifndef EDGEPC_NN_DELAYED_AGG_HPP
@@ -81,36 +80,15 @@
 namespace edgepc {
 namespace nn {
 
-/** Delayed-aggregation selection (env override and model config). */
-enum class DelayedAggMode
-{
-    Off,  ///< Always the eager gather-then-MLP composition.
-    On,   ///< Always the delayed per-point-MLP-then-gather route.
-    Auto, ///< Defer (env: to the model config; config: to the FLOP
-          ///< ratio heuristic).
-};
-
 /** Minimum eager/delayed first-layer FLOP ratio for Auto to delay. */
 inline constexpr double kDelayedAggFlopRatio = 2.0;
 
 /**
- * Process-wide override (EDGEPC_DELAYED_AGG=on|off|auto, read once at
- * startup; setter for tests and A/B runs). Auto defers to the model
- * config.
- */
-DelayedAggMode delayedAggMode();
-void setDelayedAggMode(DelayedAggMode mode);
-
-/** "on" / "off" / "auto" — echoed as config.delayed_agg in BENCH json. */
-const char *delayedAggModeName();
-
-/**
- * Resolve the effective route for one block: the env override wins,
- * then the model config, and when both are Auto the block is delayed
+ * Resolve the route of one block: On and Off decide, and Auto delays
  * iff @p flop_ratio (eager / delayed first-layer GEMM FLOPs) >=
  * kDelayedAggFlopRatio.
  */
-bool resolveDelayedAgg(DelayedAggMode config_mode, double flop_ratio);
+bool resolveDelayedAgg(Route route, double flop_ratio);
 
 /**
  * First-layer GEMM FLOP ratio of a PointNet++ SA block: eager runs the

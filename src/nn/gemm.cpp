@@ -1,11 +1,8 @@
 #include "nn/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <immintrin.h>
-#include <string_view>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -43,70 +40,27 @@ constexpr std::size_t kSmallMJB = 64;
 bool
 fmaAvailable()
 {
-    static const bool available = __builtin_cpu_supports("avx2") &&
-                                  __builtin_cpu_supports("fma");
-    return available;
+    return cpuHasAvx2Fma();
 }
 
 bool
 int8Available()
 {
     // maddubs/madd are AVX2; the int8 kernel needs no FMA.
-    static const bool available = __builtin_cpu_supports("avx2");
-    return available;
-}
-
-GemmDispatchPath
-initialPathFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_GEMM");
-    if (env == nullptr) {
-        return GemmDispatchPath::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "scalar") {
-        return GemmDispatchPath::ForceScalar;
-    }
-    if (v == "fast" || v == "force" || v == "avx2") {
-        if (!fmaAvailable()) {
-            warn("EDGEPC_GEMM=%s requested but the CPU lacks AVX2+FMA; "
-                 "falling back to auto dispatch",
-                 env);
-            return GemmDispatchPath::Auto;
-        }
-        return GemmDispatchPath::ForceFast;
-    }
-    if (v == "int8") {
-        // Quantized-inference override (nn/quant.hpp reads the same
-        // variable); the fp32 microkernel dispatch itself stays Auto.
-        return GemmDispatchPath::Auto;
-    }
-    if (v != "auto") {
-        warn("EDGEPC_GEMM=%s not understood (want scalar|fast|int8|auto); "
-             "using auto",
-             env);
-    }
-    return GemmDispatchPath::Auto;
-}
-
-std::atomic<GemmDispatchPath> &
-pathState()
-{
-    static std::atomic<GemmDispatchPath> state{initialPathFromEnv()};
-    return state;
+    return cpuHasAvx2();
 }
 
 /** Whether a call the policy sent to the fast (or scalar) path runs the
- *  AVX2+FMA build under the process-wide dispatch override. */
+ *  AVX2+FMA build under the process's GEMM build. */
 bool
 fmaBuildForPolicy(bool fast)
 {
-    switch (GemmEngine::dispatchPath()) {
-      case GemmDispatchPath::ForceScalar:
+    switch (kernelBuild(KernelFamily::Gemm)) {
+      case KernelBuild::Scalar:
         return false;
-      case GemmDispatchPath::ForceFast:
+      case KernelBuild::Avx2:
         return fmaAvailable();
-      case GemmDispatchPath::Auto:
+      case KernelBuild::Auto:
         break;
     }
     return fast && fmaAvailable();
@@ -1352,7 +1306,7 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
         fusedCalls.add(1);
     }
     // The counters track the policy decision (the device model); the
-    // process-wide dispatch override only swaps the executed build.
+    // process's GEMM build only swaps the executed build.
     const bool fast = policyFast(k);
     if (fast) {
         fastCalls.fetch_add(1, std::memory_order_relaxed);
@@ -1568,18 +1522,11 @@ GemmEngine::gemmQuantized(const float *a, std::size_t m,
         fusedCalls.add(1);
     }
     // The int8 route models the tensor cores' int8 mode: it does not
-    // disturb the fp32 fast/scalar policy counters. The process-wide
-    // dispatch override still picks which build executes.
-    bool use_avx2 = false;
-    switch (dispatchPath()) {
-      case GemmDispatchPath::ForceScalar:
-        use_avx2 = false;
-        break;
-      case GemmDispatchPath::ForceFast:
-      case GemmDispatchPath::Auto:
-        use_avx2 = int8Available();
-        break;
-    }
+    // disturb the fp32 fast/scalar policy counters. The process's GEMM
+    // build still picks which build executes.
+    const bool use_avx2 =
+        kernelBuild(KernelFamily::Gemm) != KernelBuild::Scalar &&
+        int8Available();
     gemmQuantizedPacked(a, m, wq, c, epilogue, bias, use_avx2);
 }
 
@@ -1623,10 +1570,20 @@ GemmEngine::resetStats()
 }
 
 GemmEngine &
-GemmEngine::globalEngine()
+GemmEngine::shared(GemmMode mode)
 {
-    static GemmEngine engine(GemmMode::Scalar);
-    return engine;
+    static GemmEngine scalar(GemmMode::Scalar);
+    static GemmEngine fast(GemmMode::Fast);
+    static GemmEngine automatic(GemmMode::Auto);
+    switch (mode) {
+      case GemmMode::Scalar:
+        return scalar;
+      case GemmMode::Fast:
+        return fast;
+      case GemmMode::Auto:
+        break;
+    }
+    return automatic;
 }
 
 bool
@@ -1635,35 +1592,10 @@ GemmEngine::fastKernelAvailable()
     return fmaAvailable();
 }
 
-void
-GemmEngine::setDispatchPath(GemmDispatchPath path)
-{
-    if (path == GemmDispatchPath::ForceFast && !fmaAvailable()) {
-        raise(ErrorCode::InvalidArgument,
-              "GemmEngine::setDispatchPath: ForceFast requested but the "
-              "CPU lacks AVX2+FMA");
-    }
-    pathState().store(path, std::memory_order_relaxed);
-}
-
-GemmDispatchPath
-GemmEngine::dispatchPath()
-{
-    return pathState().load(std::memory_order_relaxed);
-}
-
 const char *
 GemmEngine::activeKernelName()
 {
-    switch (dispatchPath()) {
-      case GemmDispatchPath::ForceScalar:
-        return "scalar";
-      case GemmDispatchPath::ForceFast:
-        return "avx2-fma";
-      case GemmDispatchPath::Auto:
-        break;
-    }
-    return fmaAvailable() ? "avx2-fma" : "scalar";
+    return fmaBuildForPolicy(true) ? "avx2-fma" : "scalar";
 }
 
 bool
@@ -1675,7 +1607,7 @@ GemmEngine::int8KernelAvailable()
 const char *
 GemmEngine::int8KernelName()
 {
-    if (dispatchPath() == GemmDispatchPath::ForceScalar) {
+    if (kernelBuild(KernelFamily::Gemm) == KernelBuild::Scalar) {
         return "scalar-int8";
     }
     return int8Available() ? "avx2-int8" : "scalar-int8";

@@ -25,11 +25,13 @@
  * still in registers, collapsing Linear + activation into one pass
  * over C.
  *
- * Dispatch mirrors the geometry/simd_distance convention: the
- * EDGEPC_GEMM=scalar|fast|auto environment variable (read once at
- * startup) or GemmEngine::setDispatchPath() force either microkernel
- * build process-wide for A/B runs and bit-exactness tests, without
- * touching the per-engine CUDA/Tensor-core policy.
+ * An engine's policy (the CUDA-core vs Tensor-core model) is fixed
+ * when it is constructed; each run picks the engine of its variant
+ * and hands it down by argument (GemmRoute, DESIGN.md §9). Which
+ * microkernel build executes the policy's choice is a per-process
+ * setting (EDGEPC_GEMM=scalar|fast, common/dispatch.hpp), so A/B runs
+ * and the bit-exactness tests can force either build without touching
+ * any engine's policy.
  */
 
 #ifndef EDGEPC_NN_GEMM_HPP
@@ -39,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/dispatch.hpp"
 #include "nn/tensor.hpp"
 
 namespace edgepc {
@@ -55,17 +58,6 @@ enum class GemmMode
     Scalar, ///< Always the generic-ISA path (CUDA-core model).
     Fast,   ///< Always the wide-MAC path (forced Tensor-core model).
     Auto,   ///< Fast path only when K >= the channel threshold.
-};
-
-/**
- * Process-wide microkernel override (the substrate: which build
- * executes whatever the policy picked). Mirrors simd::DispatchPath.
- */
-enum class GemmDispatchPath
-{
-    Auto,        ///< AVX2+FMA build when the policy asks for fast.
-    ForceScalar, ///< Always the structured scalar microkernel.
-    ForceFast,   ///< Always the AVX2+FMA build (raises if unsupported).
 };
 
 /** Epilogue fused into the tile store of a GEMM call. */
@@ -152,11 +144,7 @@ class GemmEngine
                        const QuantizedWeights &wq, float *c,
                        GemmEpilogue epilogue, const float *bias);
 
-    GemmMode mode() const { return policy.load(std::memory_order_relaxed); }
-    void setMode(GemmMode mode)
-    {
-        policy.store(mode, std::memory_order_relaxed);
-    }
+    GemmMode mode() const { return policy; }
 
     /** Calls dispatched to the fast (tensor-core) path. */
     std::uint64_t fastPathCalls() const
@@ -176,38 +164,29 @@ class GemmEngine
     /** Reset the dispatch counters. */
     void resetStats();
 
-    /** Process-wide engine used by the layers by default. */
-    static GemmEngine &globalEngine();
-
-    // ---- process-wide microkernel dispatch (EDGEPC_GEMM convention)
+    /**
+     * The process's engine for @p mode: one per policy, so the runs of
+     * one variant share its fast/scalar call counts. Runs pick theirs
+     * through EdgePcConfig::gemmRoute().
+     */
+    static GemmEngine &shared(GemmMode mode);
 
     /** True when the host CPU supports the AVX2+FMA microkernel. */
     static bool fastKernelAvailable();
-
-    /**
-     * Override which microkernel build executes (tests / A-B runs).
-     * ForceFast on a host without AVX2 raises InvalidArgument. The
-     * initial value comes from EDGEPC_GEMM (scalar | fast | auto),
-     * read once at startup.
-     */
-    static void setDispatchPath(GemmDispatchPath path);
-
-    /** Current override (Auto unless forced). */
-    static GemmDispatchPath dispatchPath();
-
-    /**
-     * "avx2-fma" or "scalar": the build the fast path resolves to —
-     * echoed into BENCH_*.json metadata as config.gemm_path.
-     */
-    static const char *activeKernelName();
 
     /** True when the host CPU supports the AVX2 maddubs microkernel
         (AVX2 only — the int8 path needs no FMA). */
     static bool int8KernelAvailable();
 
     /**
+     * "avx2-fma" or "scalar": the build the fast path resolves to under
+     * the process's GEMM build — echoed as config.gemm_path.
+     */
+    static const char *activeKernelName();
+
+    /**
      * "avx2-int8" or "scalar-int8": the build gemmQuantized resolves
-     * to under the current dispatch path — echoed as
+     * to under the process's GEMM build — echoed as
      * config.gemm_int8_kernel.
      */
     static const char *int8KernelName();
@@ -227,15 +206,24 @@ class GemmEngine
     /** The policy's fast/scalar decision for reduction @p k. */
     bool policyFast(std::size_t k) const;
 
-    // Relaxed atomics: threads inferring at once share the global
-    // engine, and neither the policy nor the counts order anything.
-    // Each inference route stores its configuration's policy before
-    // its GEMMs run (core/config applyGemmMode), so a retry on one
-    // thread and the staged feature worker both write it.
-    std::atomic<GemmMode> policy;
+    GemmMode policy;
     std::size_t channelThreshold;
+    // Relaxed atomics: threads inferring at once share an engine, and
+    // the counts order nothing.
     std::atomic<std::uint64_t> fastCalls{0};
     std::atomic<std::uint64_t> scalarCalls{0};
+};
+
+/**
+ * The GEMM half of a run's routes (DESIGN.md §9), handed down by
+ * argument from each model entry point: the engine whose policy the
+ * run's variant picked, and the run's int8 route. Only inference reads
+ * int8; training forwards and every backward pass run fp32.
+ */
+struct GemmRoute
+{
+    GemmEngine &engine;
+    Route int8 = Route::Off;
 };
 
 /**
@@ -248,7 +236,7 @@ class GemmEngine
  * A product runs the packed microkernel on its calling thread (no pool
  * launch), so pool workers may multiply their own row tiles against one
  * shared packing. The build is the one @p engine picks for reduction K
- * (policy, threshold and the EDGEPC_GEMM override), always fp32, but
+ * (policy, threshold and the process's GEMM build), always fp32, but
  * outside the layer-GEMM accounting: no nn/gemm span, no gemm.*
  * counters, no fast/scalar call counts.
  */

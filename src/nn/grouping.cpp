@@ -259,7 +259,7 @@ GroupingLayer::setIndices(std::span<const std::uint32_t> indices)
 }
 
 Matrix
-GroupingLayer::forward(const Matrix &input, bool train)
+GroupingLayer::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     if (train) {
         savedRows = input.rows();
@@ -294,7 +294,7 @@ EdgeFeatureLayer::setNeighbors(NeighborLists lists)
 }
 
 Matrix
-EdgeFeatureLayer::forward(const Matrix &input, bool train)
+EdgeFeatureLayer::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     if (train) {
         savedRows = input.rows();

@@ -150,7 +150,8 @@ class GroupingLayer : public Layer
     /** Indices to gather on the next forward (copied). */
     void setIndices(std::span<const std::uint32_t> indices);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
 
   private:
@@ -171,7 +172,8 @@ class EdgeFeatureLayer : public Layer
     /** Neighbor lists to use on the next forward (copied). */
     void setNeighbors(NeighborLists lists);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
 
   private:

@@ -13,9 +13,7 @@ namespace nn {
 // Linear
 // ---------------------------------------------------------------------
 
-Linear::Linear(std::size_t in, std::size_t out, Rng &rng,
-               GemmEngine *engine)
-    : engineOverride(engine)
+Linear::Linear(std::size_t in, std::size_t out, Rng &rng)
 {
     weight.init(in, out);
     bias.init(1, out);
@@ -24,33 +22,27 @@ Linear::Linear(std::size_t in, std::size_t out, Rng &rng,
     weight.value.fillNormal(rng, stddev);
 }
 
-GemmEngine &
-Linear::gemm()
-{
-    return engineOverride ? *engineOverride : GemmEngine::globalEngine();
-}
-
 Matrix
-Linear::forward(const Matrix &input, bool train)
+Linear::forward(const Matrix &input, const GemmRoute &route, bool train)
 {
     if (input.cols() != weight.value.rows()) {
         fatal("Linear::forward: input dim %zu != weight dim %zu",
               input.cols(), weight.value.rows());
     }
-    if (!train &&
-        resolveQuantGemm(quantConfig, input.rows(), input.cols())) {
+    if (!train && resolveQuantGemm(route.int8, input.rows(), input.cols())) {
         // Int8 inference route: cached quantized panels, dynamic
         // activation scales, dequant+bias fused into the tile store.
         auto wq = quantCache.get(weight.value);
-        return gemm().multiplyQuantized(input, *wq, GemmEpilogue::Bias,
-                                        bias.value);
+        return route.engine.multiplyQuantized(input, *wq, GemmEpilogue::Bias,
+                                              bias.value);
     }
     // Bias is added in the GEMM epilogue: one pass over the output
     // instead of a second sweep.
-    Matrix out = gemm().multiply(input, weight.value, GemmEpilogue::Bias,
-                                 bias.value);
+    Matrix out = route.engine.multiply(input, weight.value,
+                                       GemmEpilogue::Bias, bias.value);
     if (train) {
         savedInput = input;
+        trainEngine = &route.engine;
     }
     return out;
 }
@@ -58,8 +50,12 @@ Linear::forward(const Matrix &input, bool train)
 Matrix
 Linear::backward(const Matrix &grad_output)
 {
+    if (trainEngine == nullptr) {
+        panic("Linear::backward without forward(train=true)");
+    }
+    GemmEngine &engine = *trainEngine;
     // dW += X^T * dY ; db += column sums of dY ; dX = dY * W^T.
-    gemm().multiplyLeftTransposedAdd(savedInput, grad_output, weight.grad);
+    engine.multiplyLeftTransposedAdd(savedInput, grad_output, weight.grad);
 
     for (std::size_t r = 0; r < grad_output.rows(); ++r) {
         const float *row = grad_output.data() + r * grad_output.cols();
@@ -68,7 +64,7 @@ Linear::backward(const Matrix &grad_output)
             bg[c] += row[c];
         }
     }
-    return gemm().multiplyTransposed(grad_output, weight.value);
+    return engine.multiplyTransposed(grad_output, weight.value);
 }
 
 void
@@ -82,9 +78,7 @@ Linear::collectParameters(std::vector<Parameter *> &out)
 // LinearRelu
 // ---------------------------------------------------------------------
 
-LinearRelu::LinearRelu(std::size_t in, std::size_t out, Rng &rng,
-                       GemmEngine *engine)
-    : engineOverride(engine)
+LinearRelu::LinearRelu(std::size_t in, std::size_t out, Rng &rng)
 {
     weight.init(in, out);
     bias.init(1, out);
@@ -92,33 +86,27 @@ LinearRelu::LinearRelu(std::size_t in, std::size_t out, Rng &rng,
     weight.value.fillNormal(rng, stddev);
 }
 
-GemmEngine &
-LinearRelu::gemm()
-{
-    return engineOverride ? *engineOverride : GemmEngine::globalEngine();
-}
-
 Matrix
-LinearRelu::forward(const Matrix &input, bool train)
+LinearRelu::forward(const Matrix &input, const GemmRoute &route, bool train)
 {
     if (input.cols() != weight.value.rows()) {
         fatal("LinearRelu::forward: input dim %zu != weight dim %zu",
               input.cols(), weight.value.rows());
     }
-    if (!train &&
-        resolveQuantGemm(quantConfig, input.rows(), input.cols())) {
+    if (!train && resolveQuantGemm(route.int8, input.rows(), input.cols())) {
         // Int8 inference route (see Linear::forward); ReLU joins the
         // fused dequant epilogue. Training never reaches this branch,
         // so the saved input and ReLU mask stay fp32-derived.
         auto wq = quantCache.get(weight.value);
-        return gemm().multiplyQuantized(input, *wq,
-                                        GemmEpilogue::BiasRelu,
-                                        bias.value);
+        return route.engine.multiplyQuantized(input, *wq,
+                                              GemmEpilogue::BiasRelu,
+                                              bias.value);
     }
-    Matrix out = gemm().multiply(input, weight.value,
-                                 GemmEpilogue::BiasRelu, bias.value);
+    Matrix out = route.engine.multiply(input, weight.value,
+                                       GemmEpilogue::BiasRelu, bias.value);
     if (train) {
         savedInput = input;
+        trainEngine = &route.engine;
         // The pre-activation is positive exactly where the output is,
         // so the ReLU mask is recoverable from the fused output.
         mask.assign(out.numel(), 0);
@@ -137,6 +125,10 @@ LinearRelu::backward(const Matrix &grad_output)
 {
     // Gate the incoming gradient by the ReLU mask, then backprop
     // through the affine part exactly as Linear does.
+    if (trainEngine == nullptr) {
+        panic("LinearRelu::backward without forward(train=true)");
+    }
+    GemmEngine &engine = *trainEngine;
     Matrix gated = grad_output;
     float *gd = gated.data();
     for (std::size_t i = 0; i < gated.numel(); ++i) {
@@ -145,7 +137,7 @@ LinearRelu::backward(const Matrix &grad_output)
         }
     }
 
-    gemm().multiplyLeftTransposedAdd(savedInput, gated, weight.grad);
+    engine.multiplyLeftTransposedAdd(savedInput, gated, weight.grad);
 
     for (std::size_t r = 0; r < gated.rows(); ++r) {
         const float *row = gated.data() + r * gated.cols();
@@ -154,7 +146,7 @@ LinearRelu::backward(const Matrix &grad_output)
             bg[c] += row[c];
         }
     }
-    return gemm().multiplyTransposed(gated, weight.value);
+    return engine.multiplyTransposed(gated, weight.value);
 }
 
 void
@@ -204,7 +196,7 @@ BatchNorm::statistics(const float *x, std::size_t rows,
 }
 
 Matrix
-BatchNorm::forward(const Matrix &input, bool train)
+BatchNorm::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     const std::size_t rows = input.rows();
     const std::size_t cols = input.cols();
@@ -364,7 +356,7 @@ activationForward(const Matrix &input, Activation act, bool train,
 } // namespace
 
 Matrix
-ReLU::forward(const Matrix &input, bool train)
+ReLU::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     return activationForward(input, Activation::relu(), train, mask);
 }
@@ -389,7 +381,7 @@ ReLU::backward(const Matrix &grad_output)
 LeakyReLU::LeakyReLU(float negative_slope) : slope(negative_slope) {}
 
 Matrix
-LeakyReLU::forward(const Matrix &input, bool train)
+LeakyReLU::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     return activationForward(input, Activation::leakyRelu(slope), train,
                              mask);
@@ -419,36 +411,36 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 void
-Sequential::addLinearBnRelu(std::size_t in, std::size_t out, Rng &rng,
-                            GemmEngine *engine)
+Sequential::addLinearBnRelu(std::size_t in, std::size_t out, Rng &rng)
 {
-    add(std::make_unique<Linear>(in, out, rng, engine));
+    add(std::make_unique<Linear>(in, out, rng));
     add(std::make_unique<BatchNorm>(out));
     add(std::make_unique<ReLU>());
 }
 
 void
-Sequential::addLinearRelu(std::size_t in, std::size_t out, Rng &rng,
-                          GemmEngine *engine)
+Sequential::addLinearRelu(std::size_t in, std::size_t out, Rng &rng)
 {
-    add(std::make_unique<LinearRelu>(in, out, rng, engine));
+    add(std::make_unique<LinearRelu>(in, out, rng));
 }
 
 Matrix
-Sequential::forward(const Matrix &input, bool train)
+Sequential::forward(const Matrix &input, const GemmRoute &route, bool train)
 {
     if (!train) {
         const std::size_t segment[] = {input.rows()};
-        return infer(&input, Matrix{}, segment, 0);
+        return infer(&input, Matrix{}, segment, route, 0);
     }
     if (layers.empty()) {
         return input;
     }
-    return forwardFrom(1, layers[0]->forward(input, true), true);
+    return forwardFrom(1, layers[0]->forward(input, route, true), route,
+                       true);
 }
 
 Matrix
-Sequential::forwardFrom(std::size_t first, Matrix input, bool train)
+Sequential::forwardFrom(std::size_t first, Matrix input,
+                        const GemmRoute &route, bool train)
 {
     if (first > layers.size()) {
         fatal("forwardFrom: first layer %zu > size %zu", first,
@@ -456,10 +448,10 @@ Sequential::forwardFrom(std::size_t first, Matrix input, bool train)
     }
     if (!train) {
         const std::size_t segment[] = {input.rows()};
-        return infer(nullptr, std::move(input), segment, first);
+        return infer(nullptr, std::move(input), segment, route, first);
     }
     for (std::size_t i = first; i < layers.size(); ++i) {
-        input = layers[i]->forward(input, true);
+        input = layers[i]->forward(input, route, true);
     }
     return input;
 }
@@ -478,19 +470,11 @@ Sequential::backwardFrom(std::size_t first, const Matrix &grad_output)
     return g;
 }
 
-void
-Sequential::setQuantMode(QuantMode mode)
-{
-    for (auto &layer : layers) {
-        layer->setQuantMode(mode);
-    }
-}
-
 bool
-Sequential::rowIndependentInference() const
+Sequential::rowIndependentInference(Route int8) const
 {
     for (const auto &layer : layers) {
-        if (!layer->rowIndependentInference()) {
+        if (!layer->rowIndependentInference(int8)) {
             return false;
         }
     }
@@ -500,19 +484,21 @@ Sequential::rowIndependentInference() const
 Matrix
 Sequential::forwardSegmented(Matrix input,
                              std::span<const std::size_t> segment_rows,
+                             const GemmRoute &route,
                              std::size_t first_layer)
 {
     if (first_layer > layers.size()) {
         fatal("forwardSegmented: first layer %zu > size %zu", first_layer,
               layers.size());
     }
-    return infer(nullptr, std::move(input), segment_rows, first_layer);
+    return infer(nullptr, std::move(input), segment_rows, route,
+                 first_layer);
 }
 
 Matrix
 Sequential::infer(const Matrix *borrowed, Matrix owned,
                   std::span<const std::size_t> segment_rows,
-                  std::size_t first)
+                  const GemmRoute &route, std::size_t first)
 {
     const Matrix &input = borrowed ? *borrowed : owned;
     std::size_t total = 0;
@@ -566,8 +552,9 @@ Sequential::infer(const Matrix *borrowed, Matrix owned,
             continue;
         }
         const Matrix &x = borrowed ? *borrowed : owned;
-        if (layer.rowIndependentInference() || segment_rows.size() == 1) {
-            Matrix y = layer.forward(x, false);
+        if (layer.rowIndependentInference(route.int8) ||
+            segment_rows.size() == 1) {
+            Matrix y = layer.forward(x, route, false);
             whole = y.rows();
             owned = std::move(y);
             borrowed = nullptr;
@@ -577,7 +564,7 @@ Sequential::infer(const Matrix *borrowed, Matrix owned,
         std::size_t offset = 0;
         for (std::size_t s = 0; s < segment_rows.size(); ++s) {
             Matrix seg = sliceRows(x, offset, offset + segment_rows[s]);
-            Matrix y = layer.forward(seg, false);
+            Matrix y = layer.forward(seg, route, false);
             if (y.rows() != segment_rows[s]) {
                 fatal("forwardSegmented: layer changed segment rows "
                       "(%zu -> %zu)",
@@ -647,7 +634,7 @@ MaxPoolNeighbors::MaxPoolNeighbors(std::size_t group_size) : k(group_size)
 }
 
 Matrix
-MaxPoolNeighbors::forward(const Matrix &input, bool train)
+MaxPoolNeighbors::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     if (input.rows() % k != 0) {
         fatal("MaxPoolNeighbors: rows %zu not a multiple of k=%zu",
@@ -703,7 +690,7 @@ MaxPoolNeighbors::backward(const Matrix &grad_output)
 // ---------------------------------------------------------------------
 
 Matrix
-GlobalMaxPool::forward(const Matrix &input, bool train)
+GlobalMaxPool::forward(const Matrix &input, const GemmRoute &, bool train)
 {
     if (input.rows() == 0) {
         fatal("GlobalMaxPool: empty input");

@@ -35,9 +35,13 @@ class Layer
      * Forward pass.
      *
      * @param input Input activations (rows x in features).
+     * @param route The run's GEMM route (engine and int8 route); only
+     *        layers that multiply read it, and training reads only its
+     *        engine.
      * @param train Keep intermediates for backward() when true.
      */
-    virtual Matrix forward(const Matrix &input, bool train) = 0;
+    virtual Matrix forward(const Matrix &input, const GemmRoute &route,
+                           bool train) = 0;
 
     /**
      * Backward pass: given dLoss/dOutput return dLoss/dInput and
@@ -47,14 +51,19 @@ class Layer
     virtual Matrix backward(const Matrix &grad_output) = 0;
 
     /**
-     * True when inference-mode forward() treats every row
-     * independently (row-wise fp32 Linear / activation layers).
-     * Sequential::forwardSegmented runs such layers once over a whole
-     * row-stacked batch of clouds (large-M GEMM), while layers with
-     * cross-row state (BatchNorm's per-cloud instance stats, the int8
-     * route's per-call activation scale) run per segment.
+     * True when inference-mode forward() under int8 route @p int8
+     * treats every row independently (row-wise fp32 Linear /
+     * activation layers). Sequential::forwardSegmented runs such
+     * layers once over a whole row-stacked batch of clouds (large-M
+     * GEMM), while layers with cross-row state (BatchNorm's per-cloud
+     * instance stats, the int8 route's per-call activation scale) run
+     * per segment.
      */
-    virtual bool rowIndependentInference() const { return false; }
+    virtual bool rowIndependentInference(Route int8) const
+    {
+        (void)int8;
+        return false;
+    }
 
     /**
      * The element-wise function of an activation layer, which
@@ -80,14 +89,6 @@ class Layer
     {
         (void)out;
     }
-
-    /**
-     * Per-layer int8-inference config (DESIGN.md §15). Linear layers
-     * store it and consult resolveQuantGemm per inference forward;
-     * Sequential recurses; everything else ignores it. Training and
-     * backward always run fp32 regardless of this setting.
-     */
-    virtual void setQuantMode(QuantMode mode) { (void)mode; }
 };
 
 /**
@@ -101,20 +102,20 @@ class Linear : public Layer
      * @param in Input feature dimension.
      * @param out Output feature dimension.
      * @param rng Weight initialization stream (He init).
-     * @param engine GEMM engine (defaults to the global engine, whose
-     *        mode selects the CUDA-core vs Tensor-core path).
      */
-    Linear(std::size_t in, std::size_t out, Rng &rng,
-           GemmEngine *engine = nullptr);
+    Linear(std::size_t in, std::size_t out, Rng &rng);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    /** Inference runs int8 when resolveQuantGemm(route.int8, ...)
+        says so; training runs fp32 on route.engine, which backward()
+        reuses. */
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
-    bool rowIndependentInference() const override
+    bool rowIndependentInference(Route int8) const override
     {
-        return !quantGemmPossible(quantConfig);
+        return int8 == Route::Off;
     }
-    void setQuantMode(QuantMode mode) override { quantConfig = mode; }
 
     std::size_t inDim() const { return weight.value.rows(); }
     std::size_t outDim() const { return weight.value.cols(); }
@@ -126,13 +127,11 @@ class Linear : public Layer
     std::uint64_t quantRebuilds() const { return quantCache.rebuilds(); }
 
   private:
-    GemmEngine &gemm();
-
     Parameter weight; ///< in x out.
     Parameter bias;   ///< 1 x out.
     Matrix savedInput;
-    GemmEngine *engineOverride;
-    QuantMode quantConfig = QuantMode::Off;
+    /** The engine of the last train forward, which backward reuses. */
+    GemmEngine *trainEngine = nullptr;
     QuantPanelCache quantCache;
 };
 
@@ -147,17 +146,16 @@ class Linear : public Layer
 class LinearRelu : public Layer
 {
   public:
-    LinearRelu(std::size_t in, std::size_t out, Rng &rng,
-               GemmEngine *engine = nullptr);
+    LinearRelu(std::size_t in, std::size_t out, Rng &rng);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
-    bool rowIndependentInference() const override
+    bool rowIndependentInference(Route int8) const override
     {
-        return !quantGemmPossible(quantConfig);
+        return int8 == Route::Off;
     }
-    void setQuantMode(QuantMode mode) override { quantConfig = mode; }
 
     std::size_t inDim() const { return weight.value.rows(); }
     std::size_t outDim() const { return weight.value.cols(); }
@@ -169,15 +167,13 @@ class LinearRelu : public Layer
     std::uint64_t quantRebuilds() const { return quantCache.rebuilds(); }
 
   private:
-    GemmEngine &gemm();
-
     Parameter weight; ///< in x out.
     Parameter bias;   ///< 1 x out.
     Matrix savedInput;
     /** ReLU mask from the last train forward (out > 0 iff pre > 0). */
     std::vector<std::uint8_t> mask;
-    GemmEngine *engineOverride;
-    QuantMode quantConfig = QuantMode::Off;
+    /** The engine of the last train forward, which backward reuses. */
+    GemmEngine *trainEngine = nullptr;
     QuantPanelCache quantCache;
 };
 
@@ -196,7 +192,8 @@ class BatchNorm : public Layer
     explicit BatchNorm(std::size_t features, float momentum = 0.1f,
                        float epsilon = 1e-5f);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     void collectBuffers(std::vector<std::vector<float> *> &out) override;
@@ -245,9 +242,10 @@ class BatchNorm : public Layer
 class ReLU : public Layer
 {
   public:
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
-    bool rowIndependentInference() const override { return true; }
+    bool rowIndependentInference(Route) const override { return true; }
     std::optional<Activation> activation() const override
     {
         return Activation::relu();
@@ -267,9 +265,10 @@ class LeakyReLU : public Layer
   public:
     explicit LeakyReLU(float negative_slope = 0.2f);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
-    bool rowIndependentInference() const override { return true; }
+    bool rowIndependentInference(Route) const override { return true; }
     std::optional<Activation> activation() const override
     {
         return Activation::leakyRelu(slope);
@@ -290,21 +289,19 @@ class Sequential : public Layer
     void add(std::unique_ptr<Layer> layer);
 
     /** Convenience: Linear -> BatchNorm -> ReLU block. */
-    void addLinearBnRelu(std::size_t in, std::size_t out, Rng &rng,
-                         GemmEngine *engine = nullptr);
+    void addLinearBnRelu(std::size_t in, std::size_t out, Rng &rng);
 
     /** Convenience: epilogue-fused Linear + ReLU block (no BN). */
-    void addLinearRelu(std::size_t in, std::size_t out, Rng &rng,
-                       GemmEngine *engine = nullptr);
+    void addLinearRelu(std::size_t in, std::size_t out, Rng &rng);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     void collectBuffers(std::vector<std::vector<float> *> &out) override;
-    void setQuantMode(QuantMode mode) override;
 
     /** True when every child layer is row-independent at inference. */
-    bool rowIndependentInference() const override;
+    bool rowIndependentInference(Route int8) const override;
 
     /**
      * Inference-only forward over a row-stacked batch of independent
@@ -314,11 +311,12 @@ class Sequential : public Layer
      * height — this is where the packed GEMM gets its large-M shape —
      * while BatchNorm normalizes each segment with its own statistics,
      * fused with the activation after it into one in-place pass, and
-     * any other layer (an int8-capable Linear) runs per segment, so
-     * each segment's rows equal its per-cloud forward() bit for bit.
+     * any other layer (a Linear that route.int8 may quantize) runs per
+     * segment, so each segment's rows equal its per-cloud forward()
+     * bit for bit.
      *
-     * This is the one inference loop: forward(x, false) and
-     * forwardFrom(first, x, false) run it as a single segment.
+     * This is the one inference loop: forward(x, route, false) and
+     * forwardFrom(first, x, route, false) run it as a single segment.
      *
      * @param first_layer Skip layers [0, first_layer): the delayed
      *        aggregation and split first-Linear routes (DESIGN.md §13)
@@ -328,6 +326,7 @@ class Sequential : public Layer
      */
     Matrix forwardSegmented(Matrix input,
                             std::span<const std::size_t> segment_rows,
+                            const GemmRoute &route,
                             std::size_t first_layer = 0);
 
     /** Child layer @p i (0-based, owned; bounds-checked). */
@@ -340,7 +339,8 @@ class Sequential : public Layer
      * Callers that own the input move it in, so inference updates it
      * in place.
      */
-    Matrix forwardFrom(std::size_t first, Matrix input, bool train);
+    Matrix forwardFrom(std::size_t first, Matrix input,
+                       const GemmRoute &route, bool train);
 
     /**
      * backward() stopping before layer @p first: runs the layers in
@@ -360,7 +360,7 @@ class Sequential : public Layer
      */
     Matrix infer(const Matrix *borrowed, Matrix owned,
                  std::span<const std::size_t> segment_rows,
-                 std::size_t first);
+                 const GemmRoute &route, std::size_t first);
 
     std::vector<std::unique_ptr<Layer>> layers;
 };
@@ -376,7 +376,8 @@ class MaxPoolNeighbors : public Layer
     /** @param group_size Rows pooled per output row (k). */
     explicit MaxPoolNeighbors(std::size_t group_size);
 
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
 
   private:
@@ -398,7 +399,8 @@ Matrix maxPoolRows(const Matrix &x, std::size_t begin, std::size_t rows,
 class GlobalMaxPool : public Layer
 {
   public:
-    Matrix forward(const Matrix &input, bool train) override;
+    Matrix forward(const Matrix &input, const GemmRoute &route,
+                   bool train) override;
     Matrix backward(const Matrix &grad_output) override;
 
   private:

@@ -1,47 +1,14 @@
 #include "nn/quant.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
-#include "common/logging.hpp"
 #include "nn/gemm.hpp"
 
 namespace edgepc {
 namespace nn {
 
 namespace {
-
-QuantMode
-initialModeFromEnv()
-{
-    // EDGEPC_GEMM multiplexes the fp32 microkernel override and the
-    // int8 route: "int8" turns quantized inference on process-wide,
-    // the fp32 forces ("scalar"/"fast") pin it off, anything else
-    // defers to the per-layer config. Unknown values are warned about
-    // by the gemm.cpp parse of the same variable.
-    const char *env = std::getenv("EDGEPC_GEMM");
-    if (env == nullptr) {
-        return QuantMode::Auto;
-    }
-    const std::string_view v(env);
-    if (v == "int8") {
-        return QuantMode::On;
-    }
-    if (v == "scalar" || v == "fast" || v == "force" || v == "avx2") {
-        return QuantMode::Off;
-    }
-    return QuantMode::Auto;
-}
-
-std::atomic<QuantMode> &
-modeState()
-{
-    static std::atomic<QuantMode> state{initialModeFromEnv()};
-    return state;
-}
 
 /** 8-byte block mixer (splitmix64 finalizer) over the weight bytes:
     ~8x faster than byte-wise FNV at identical sensitivity, which
@@ -74,60 +41,18 @@ mixBlocks(const unsigned char *bytes, std::size_t len)
 
 } // namespace
 
-QuantMode
-quantGemmMode()
-{
-    return modeState().load(std::memory_order_relaxed);
-}
-
-void
-setQuantGemmMode(QuantMode mode)
-{
-    modeState().store(mode, std::memory_order_relaxed);
-}
-
-const char *
-quantGemmModeName()
-{
-    switch (quantGemmMode()) {
-      case QuantMode::Off:
-        return "fp32";
-      case QuantMode::On:
-        return "int8";
-      case QuantMode::Auto:
-        return "auto";
-    }
-    return "auto";
-}
-
 bool
-resolveQuantGemm(QuantMode config_mode, std::size_t m, std::size_t k)
+resolveQuantGemm(Route route, std::size_t m, std::size_t k)
 {
-    switch (quantGemmMode()) {
-      case QuantMode::On:
+    switch (route) {
+      case Route::On:
         return true;
-      case QuantMode::Off:
+      case Route::Off:
         return false;
-      case QuantMode::Auto:
-        break;
-    }
-    switch (config_mode) {
-      case QuantMode::On:
-        return true;
-      case QuantMode::Off:
-        return false;
-      case QuantMode::Auto:
+      case Route::Auto:
         break;
     }
     return m >= kQuantMinRows && k >= kQuantMinK;
-}
-
-bool
-quantGemmPossible(QuantMode config_mode)
-{
-    const QuantMode env = quantGemmMode();
-    return env == QuantMode::On ||
-           (env == QuantMode::Auto && config_mode != QuantMode::Off);
 }
 
 ActQuant

@@ -27,12 +27,11 @@
  * take this path) — optimizer steps, deserialization and direct
  * data() writes all invalidate naturally.
  *
- * Dispatch mirrors EDGEPC_DELAYED_AGG: the EDGEPC_GEMM=int8
- * environment variable (read once at startup) or setQuantGemmMode()
- * overrides the per-layer config; EDGEPC_GEMM=scalar|fast force the
- * fp32 route. When both are Auto the heuristic quantizes shapes with
- * m >= kQuantMinRows and k >= kQuantMinK. Training forwards and every
- * backward pass always run fp32 regardless.
+ * Dispatch: the run's EdgePcConfig::int8Gemm route (default Off;
+ * EDGEPC_GEMM=int8 defaults it On) reaches each Linear by argument
+ * (GemmRoute). On quantizes every inference call, Off none, and Auto
+ * the shapes with m >= kQuantMinRows and k >= kQuantMinK. Training
+ * forwards and every backward pass always run fp32 regardless.
  */
 
 #ifndef EDGEPC_NN_QUANT_HPP
@@ -43,6 +42,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/dispatch.hpp"
 #include "common/thread_annotations.hpp"
 #include "nn/tensor.hpp"
 
@@ -50,15 +50,6 @@ namespace edgepc {
 namespace nn {
 
 enum class GemmEpilogue; // nn/gemm.hpp
-
-/** Quantized-inference selection (env override and layer config). */
-enum class QuantMode
-{
-    Off,  ///< Always the fp32 GEMM route.
-    On,   ///< Always the int8 route (inference only; training is fp32).
-    Auto, ///< Defer (env: to the layer config; config: to the shape
-          ///< heuristic).
-};
 
 /** Auto-heuristic floor: rows below this stay fp32 (the per-call
     activation-quantization pass would dominate skinny GEMMs). */
@@ -68,31 +59,11 @@ inline constexpr std::size_t kQuantMinRows = 32;
 inline constexpr std::size_t kQuantMinK = 64;
 
 /**
- * Process-wide override (EDGEPC_GEMM=int8 -> On, scalar|fast -> Off,
- * auto/unset -> Auto; setter for tests and A/B runs). Auto defers to
- * the per-layer config.
+ * Resolve the route of one inference GEMM of @p m rows and reduction
+ * @p k: On and Off decide, Auto quantizes iff the shape clears the
+ * kQuantMinRows/kQuantMinK floors.
  */
-QuantMode quantGemmMode();
-void setQuantGemmMode(QuantMode mode);
-
-/** "int8" / "fp32" / "auto" — echoed as config.gemm_quant in BENCH json. */
-const char *quantGemmModeName();
-
-/**
- * Resolve the effective route for one inference GEMM: the env override
- * wins, then the layer config, and when both are Auto the call is
- * quantized iff the shape clears the kQuantMinRows/kQuantMinK floors.
- */
-bool resolveQuantGemm(QuantMode config_mode, std::size_t m, std::size_t k);
-
-/**
- * True when resolveQuantGemm may pick the int8 route for a layer with
- * config @p config_mode: the env override is On, or it is Auto and the
- * config is not Off. Such a layer is not row-independent at inference:
- * one activation scale spans all rows of a call, and Auto's row floor
- * sees the call's height.
- */
-bool quantGemmPossible(QuantMode config_mode);
+bool resolveQuantGemm(Route route, std::size_t m, std::size_t k);
 
 // ---- packed-panel layout constants (shared with gemm.cpp) ----
 

@@ -392,12 +392,12 @@ ServingEngine::executeBatch(std::size_t count)
         executeSingle(*batchStreams[0], batchScratch[0]);
         return;
     }
-    const bool staged = resolvePipeline(model, count);
-    EDGEPC_TRACE_SCOPE(staged ? "serve.pipeline" : "serve.batch", "serve");
-    const double dispatch_ms = epoch.elapsedMs();
     const int lvl = batchStreams[0]->robust->ladderLevel();
     const EdgePcConfig cfg_lvl =
         batchStreams[0]->robust->configForLevel(lvl);
+    const bool staged = resolvePipeline(model, cfg_lvl, count);
+    EDGEPC_TRACE_SCOPE(staged ? "serve.pipeline" : "serve.batch", "serve");
+    const double dispatch_ms = epoch.elapsedMs();
 
     // Sanitize (and subsample at the deepest degraded level) each
     // frame exactly as RobustPipeline::process would.
@@ -470,7 +470,6 @@ ServingEngine::executeBatch(std::size_t count)
             slot.logits = std::move(r.logits);
         }
     } else if (!live_clouds.empty()) {
-        applyGemmMode(cfg_lvl);
         try {
             std::vector<nn::Matrix> logits =
                 model.inferBatch(live_clouds, cfg_lvl);
@@ -495,9 +494,8 @@ ServingEngine::executeBatch(std::size_t count)
         resp.seq = rq.seq;
         resp.queueMs = dispatch_ms - rq.submitMs;
         resp.ladderLevel = lvl;
-        // A sanitize-dropped frame still counts as batched on the
-        // batch route, but not as pipelined on the staged route.
-        resp.batched = !staged;
+        // A sanitize-dropped frame reached neither route.
+        resp.batched = !staged && slot.ok;
         resp.pipelined = staged && slot.ok;
 
         if (!slot.ok) {

@@ -230,7 +230,7 @@ struct ServingOptions
 
     /** Max heads dispatched together, micro-batched through one
         inferBatch call or overlapped on the staged executor when
-        resolvePipeline() (EDGEPC_PIPELINE) picks it (1 disables
+        resolvePipeline() (the config's pipeline route) picks it (1 disables
         cross-stream batching). */
     std::size_t maxBatch = 4;
 

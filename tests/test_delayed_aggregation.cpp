@@ -29,47 +29,30 @@
 #include "nn/delayed_agg.hpp"
 #include "nn/grouping.hpp"
 #include "nn/layers.hpp"
-#include "nn/quant.hpp"
 #include "nn/tensor.hpp"
+
+#include "build_guard.hpp"
 
 namespace edgepc {
 namespace {
 
 /**
- * Save/restore every dispatch knob the matrix sweep mutates, and pin
- * the quantized GEMM route off for the guard's lifetime: the parity
- * bounds here are fp32 reassociation budgets, and an EDGEPC_GEMM=int8
- * environment would swap the very numerics under test.
+ * The parity bounds here are fp32 reassociation budgets: every product
+ * runs on the scalar-policy engine with the int8 route off, whatever
+ * the environment says, and each dispatch case forces the builds.
  */
-class DispatchGuard
+nn::GemmEngine &
+fp32Engine()
 {
-  public:
-    DispatchGuard()
-        : gemmPath(nn::GemmEngine::dispatchPath()),
-          simdPath(simd::dispatchPath()), mode(nn::delayedAggMode()),
-          quant(nn::quantGemmMode())
-    {
-        nn::setQuantGemmMode(nn::QuantMode::Off);
-    }
-    ~DispatchGuard()
-    {
-        nn::GemmEngine::setDispatchPath(gemmPath);
-        simd::setDispatchPath(simdPath);
-        nn::setDelayedAggMode(mode);
-        nn::setQuantGemmMode(quant);
-    }
+    return nn::GemmEngine::shared(nn::GemmMode::Scalar);
+}
 
-  private:
-    nn::GemmDispatchPath gemmPath;
-    simd::DispatchPath simdPath;
-    nn::DelayedAggMode mode;
-    nn::QuantMode quant;
-};
+const nn::GemmRoute kFp32{fp32Engine()};
 
 struct DispatchCase
 {
-    nn::GemmDispatchPath gemm;
-    simd::DispatchPath simd;
+    KernelBuild gemm;
+    KernelBuild simd;
     float tol;
     std::string tag;
 };
@@ -79,38 +62,26 @@ std::vector<DispatchCase>
 dispatchMatrix()
 {
     std::vector<DispatchCase> cases;
-    std::vector<nn::GemmDispatchPath> gemms = {
-        nn::GemmDispatchPath::ForceScalar};
-    if (nn::GemmEngine::fastKernelAvailable()) {
-        gemms.push_back(nn::GemmDispatchPath::ForceFast);
+    std::vector<KernelBuild> builds = {KernelBuild::Scalar};
+    if (cpuHasAvx2Fma()) {
+        builds.push_back(KernelBuild::Avx2);
     }
-    std::vector<simd::DispatchPath> simds = {
-        simd::DispatchPath::ForceScalar};
-    if (simd::simdAvailable()) {
-        simds.push_back(simd::DispatchPath::ForceSimd);
-    }
+    const std::vector<KernelBuild> &gemms = builds;
+    const std::vector<KernelBuild> &simds = builds;
     for (const auto g : gemms) {
         for (const auto s : simds) {
             DispatchCase c;
             c.gemm = g;
             c.simd = s;
-            c.tol = g == nn::GemmDispatchPath::ForceScalar ? 2e-5f : 1e-4f;
-            c.tag = std::string(g == nn::GemmDispatchPath::ForceScalar
-                                    ? "gemm=scalar"
-                                    : "gemm=fast") +
-                    (s == simd::DispatchPath::ForceScalar ? " simd=scalar"
-                                                          : " simd=simd");
+            c.tol = g == KernelBuild::Scalar ? 2e-5f : 1e-4f;
+            c.tag = std::string(g == KernelBuild::Scalar ? "gemm=scalar"
+                                                         : "gemm=fast") +
+                    (s == KernelBuild::Scalar ? " simd=scalar"
+                                              : " simd=simd");
             cases.push_back(std::move(c));
         }
     }
     return cases;
-}
-
-void
-applyCase(const DispatchCase &c)
-{
-    nn::GemmEngine::setDispatchPath(c.gemm);
-    simd::setDispatchPath(c.simd);
 }
 
 /** Random neighbor lists with entries in [0, n_source). */
@@ -181,7 +152,7 @@ expectGatherMaxPoolBitExact(const nn::Matrix &features,
     const nn::Matrix fused = nn::gatherMaxPool(features, lists);
     const nn::Matrix gathered = nn::gatherRows(features, lists.indices);
     nn::MaxPoolNeighbors pool(lists.k);
-    const nn::Matrix reference = pool.forward(gathered, false);
+    const nn::Matrix reference = pool.forward(gathered, kFp32, false);
     ASSERT_EQ(fused.rows(), reference.rows());
     ASSERT_EQ(fused.cols(), reference.cols());
     for (std::size_t i = 0; i < fused.numel(); ++i) {
@@ -289,7 +260,7 @@ eagerSaFirstLinear(const SaProblem &p)
     lin.biases().value = p.bias;
     const nn::Matrix grouped = nn::groupWithRelativeCoords(
         p.positions, p.features, p.samples, p.neighbors);
-    return lin.forward(grouped, false);
+    return lin.forward(grouped, kFp32, false);
 }
 
 void
@@ -298,19 +269,19 @@ expectSaParity(const SaProblem &p, const DispatchCase &c)
     const nn::Matrix eager = eagerSaFirstLinear(p);
     const nn::Matrix delayed = nn::delayedSaFirstLinear(
         p.positions, p.features, p.samples, p.neighbors, p.weight,
-        p.bias, nn::GemmEngine::globalEngine(), nullptr);
+        p.bias, fp32Engine(), nullptr);
     expectNear(eager, delayed, c.tol, c.tag);
 }
 
 TEST(DelayedAggregation, SaFirstLinearMatchesEagerAcrossDispatchMatrix)
 {
-    DispatchGuard guard;
     const SaProblem with_features =
         makeSaProblem(201, 64, 24, 8, 13, 17);
     const SaProblem coords_only = makeSaProblem(202, 48, 16, 6, 0, 10);
     const SaProblem k_one = makeSaProblem(203, 32, 12, 1, 5, 8);
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         expectSaParity(with_features, c);
         expectSaParity(coords_only, c);
         expectSaParity(k_one, c);
@@ -319,7 +290,6 @@ TEST(DelayedAggregation, SaFirstLinearMatchesEagerAcrossDispatchMatrix)
 
 TEST(DelayedAggregation, SaFirstLinearDuplicateNeighborParity)
 {
-    DispatchGuard guard;
     SaProblem p = makeSaProblem(204, 40, 14, 4, 7, 9);
     // Pad-style rows: every neighbor the same point.
     for (std::size_t q = 0; q < 14; ++q) {
@@ -329,7 +299,8 @@ TEST(DelayedAggregation, SaFirstLinearDuplicateNeighborParity)
         }
     }
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         expectSaParity(p, c);
     }
 }
@@ -368,17 +339,16 @@ expectEdgeParity(const EdgeProblem &p, const DispatchCase &c)
     lin.weights().value = p.weight;
     lin.biases().value = p.bias;
     const nn::Matrix edges = nn::edgeFeatures(p.features, p.neighbors);
-    const nn::Matrix eager = lin.forward(edges, false);
+    const nn::Matrix eager = lin.forward(edges, kFp32, false);
 
     const nn::Matrix delayed = nn::delayedEdgeFirstLinear(
         p.features, p.neighbors, p.weight, p.bias,
-        nn::GemmEngine::globalEngine(), nullptr);
+        fp32Engine(), nullptr);
     expectNear(eager, delayed, c.tol, c.tag);
 }
 
 TEST(DelayedAggregation, EdgeFirstLinearMatchesEagerAcrossDispatchMatrix)
 {
-    DispatchGuard guard;
     const EdgeProblem wide = makeEdgeProblem(301, 40, 9, 11, 15);
     const EdgeProblem k_one = makeEdgeProblem(302, 24, 1, 6, 8);
     EdgeProblem duplicates = makeEdgeProblem(303, 20, 5, 7, 9);
@@ -389,7 +359,8 @@ TEST(DelayedAggregation, EdgeFirstLinearMatchesEagerAcrossDispatchMatrix)
         }
     }
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         expectEdgeParity(wide, c);
         expectEdgeParity(k_one, c);
         expectEdgeParity(duplicates, c);
@@ -402,10 +373,10 @@ TEST(DelayedAggregation, EdgeFirstLinearMatchesEagerAcrossDispatchMatrix)
 
 TEST(DelayedAggregation, SingleStageInferMatchesEagerAcrossDispatchMatrix)
 {
-    DispatchGuard guard;
     const SaProblem p = makeSaProblem(401, 56, 20, 7, 9, 12);
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         // Eager: LinearRelu over the grouped rows, then the neighbor
         // max-pool.
         Rng rng(1);
@@ -414,13 +385,13 @@ TEST(DelayedAggregation, SingleStageInferMatchesEagerAcrossDispatchMatrix)
         lr.biases().value = p.bias;
         const nn::Matrix grouped = nn::groupWithRelativeCoords(
             p.positions, p.features, p.samples, p.neighbors);
-        const nn::Matrix act = lr.forward(grouped, false);
+        const nn::Matrix act = lr.forward(grouped, kFp32, false);
         nn::MaxPoolNeighbors pool(p.neighbors.k);
-        const nn::Matrix eager = pool.forward(act, false);
+        const nn::Matrix eager = pool.forward(act, kFp32, false);
 
         const nn::Matrix delayed = nn::delayedSaSingleStageInfer(
             p.positions, p.features, p.samples, p.neighbors, p.weight,
-            p.bias, nn::GemmEngine::globalEngine());
+            p.bias, fp32Engine());
         expectNear(eager, delayed, c.tol, c.tag);
     }
 }
@@ -440,7 +411,7 @@ referenceLinear(const nn::Matrix &input, const nn::Matrix &weight,
     nn::Linear lin(weight.rows(), weight.cols(), rng);
     lin.weights().value = weight;
     lin.biases().value = bias;
-    return lin.forward(input, false);
+    return lin.forward(input, kFp32, false);
 }
 
 struct BroadcastProblem
@@ -480,7 +451,7 @@ expectBroadcastParity(const BroadcastProblem &b, const DispatchCase &c)
         }
     }
     const nn::Matrix split = nn::broadcastFirstLinear(
-        b.local, b.global, b.weight, b.bias, nn::GemmEngine::globalEngine(),
+        b.local, b.global, b.weight, b.bias, fp32Engine(),
         nullptr);
     expectNear(referenceLinear(concat, b.weight, b.bias), split, c.tol,
                c.tag);
@@ -488,12 +459,12 @@ expectBroadcastParity(const BroadcastProblem &b, const DispatchCase &c)
 
 TEST(SplitFirstLinear, BroadcastMatchesConcatAcrossDispatchMatrix)
 {
-    DispatchGuard guard;
     const BroadcastProblem wide = makeBroadcastProblem(501, 37, 11, 9, 13);
     const BroadcastProblem one_row = makeBroadcastProblem(502, 1, 6, 10, 7);
     const BroadcastProblem thin = makeBroadcastProblem(503, 20, 1, 3, 5);
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         expectBroadcastParity(wide, c);
         expectBroadcastParity(one_row, c);
         expectBroadcastParity(thin, c);
@@ -545,7 +516,7 @@ splitInterp(const InterpProblem &p)
     const InterpolationPlan *const plans[] = {&p.plan};
     return nn::interpolatedFirstLinear(p.coarse, coarse_rows, plans, p.skip,
                                        p.weight, p.bias,
-                                       nn::GemmEngine::globalEngine(),
+                                       fp32Engine(),
                                        nullptr);
 }
 
@@ -575,7 +546,6 @@ expectInterpParity(const InterpProblem &p, const DispatchCase &c)
 
 TEST(SplitFirstLinear, InterpolationMatchesConcatAcrossDispatchMatrix)
 {
-    DispatchGuard guard;
     const InterpProblem with_skip = makeInterpProblem(601, 9, 33, 3, 10, 7,
                                                       12);
     const InterpProblem no_skip = makeInterpProblem(602, 8, 29, 3, 13, 0, 9);
@@ -590,7 +560,8 @@ TEST(SplitFirstLinear, InterpolationMatchesConcatAcrossDispatchMatrix)
         duplicates.plan.indices[t * 3 + 2] = duplicates.plan.indices[t * 3];
     }
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         expectInterpParity(with_skip, c);
         expectInterpParity(no_skip, c);
         expectInterpParity(k_one, c);
@@ -603,13 +574,13 @@ TEST(SplitFirstLinear, StackedInterpolationRowsEqualPerCloud)
 {
     // Two clouds with different coarse and fine row counts, stacked:
     // each cloud's rows must equal its own call bit for bit.
-    DispatchGuard guard;
     InterpProblem a = makeInterpProblem(701, 6, 19, 3, 9, 5, 11);
     InterpProblem b = makeInterpProblem(702, 11, 40, 3, 9, 5, 11);
     b.weight = a.weight;
     b.bias = a.bias;
     for (const DispatchCase &c : dispatchMatrix()) {
-        applyCase(c);
+        const test::BuildGuard gemm(KernelFamily::Gemm, c.gemm);
+        const test::BuildGuard simd(KernelFamily::Distance, c.simd);
         const nn::Matrix coarse_parts[] = {a.coarse, b.coarse};
         const nn::Matrix skip_parts[] = {a.skip, b.skip};
         const std::size_t coarse_rows[] = {a.coarse.rows(), b.coarse.rows()};
@@ -617,7 +588,7 @@ TEST(SplitFirstLinear, StackedInterpolationRowsEqualPerCloud)
         const nn::Matrix stacked = nn::interpolatedFirstLinear(
             nn::concatRows(coarse_parts), coarse_rows, plans,
             nn::concatRows(skip_parts), a.weight, a.bias,
-            nn::GemmEngine::globalEngine(), nullptr);
+            fp32Engine(), nullptr);
         const nn::Matrix parts[] = {splitInterp(a), splitInterp(b)};
         EXPECT_EQ(stacked.storage(), nn::concatRows(parts).storage())
             << c.tag;
@@ -625,30 +596,20 @@ TEST(SplitFirstLinear, StackedInterpolationRowsEqualPerCloud)
 }
 
 // ---------------------------------------------------------------------
-// Mode resolution and FLOP-ratio heuristics.
+// Route resolution and FLOP-ratio heuristics.
 // ---------------------------------------------------------------------
 
-TEST(DelayedAggregation, ResolvePrecedenceEnvThenConfigThenRatio)
+TEST(DelayedAggregation, ResolveRouteThenRatio)
 {
-    DispatchGuard guard;
+    // On and Off decide whatever the ratio.
+    EXPECT_TRUE(nn::resolveDelayedAgg(Route::On, 0.1));
+    EXPECT_FALSE(nn::resolveDelayedAgg(Route::Off, 100.0));
 
-    // Process-wide On/Off wins over everything.
-    nn::setDelayedAggMode(nn::DelayedAggMode::On);
-    EXPECT_TRUE(nn::resolveDelayedAgg(nn::DelayedAggMode::Off, 0.1));
-    EXPECT_STREQ(nn::delayedAggModeName(), "on");
-    nn::setDelayedAggMode(nn::DelayedAggMode::Off);
-    EXPECT_FALSE(nn::resolveDelayedAgg(nn::DelayedAggMode::On, 100.0));
-    EXPECT_STREQ(nn::delayedAggModeName(), "off");
-
-    // Auto defers to the config, then to the ratio threshold.
-    nn::setDelayedAggMode(nn::DelayedAggMode::Auto);
-    EXPECT_STREQ(nn::delayedAggModeName(), "auto");
-    EXPECT_TRUE(nn::resolveDelayedAgg(nn::DelayedAggMode::On, 0.1));
-    EXPECT_FALSE(nn::resolveDelayedAgg(nn::DelayedAggMode::Off, 100.0));
-    EXPECT_FALSE(nn::resolveDelayedAgg(nn::DelayedAggMode::Auto,
+    // Auto defers to the ratio threshold.
+    EXPECT_FALSE(nn::resolveDelayedAgg(Route::Auto,
                                        nn::kDelayedAggFlopRatio - 0.01));
-    EXPECT_TRUE(nn::resolveDelayedAgg(nn::DelayedAggMode::Auto,
-                                      nn::kDelayedAggFlopRatio));
+    EXPECT_TRUE(
+        nn::resolveDelayedAgg(Route::Auto, nn::kDelayedAggFlopRatio));
 }
 
 TEST(DelayedAggregation, FlopRatioFormulas)

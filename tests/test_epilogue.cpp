@@ -27,6 +27,9 @@ namespace edgepc {
 namespace nn {
 namespace {
 
+/** fp32 on the scalar engine, whatever the environment says. */
+const GemmRoute kFp32{GemmEngine::shared(GemmMode::Scalar)};
+
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kDenorm = 1e-39f;
@@ -175,13 +178,13 @@ expectFusedMatchesLayerByLayer(
                            rows);
         const Matrix x = randomActivations(rows, cols, rows);
 
-        const Matrix fused = seq.forward(x, false);
-        const Matrix normalized = seq.layerAt(0)->forward(x, false);
+        const Matrix fused = seq.forward(x, kFp32, false);
+        const Matrix normalized = seq.layerAt(0)->forward(x, kFp32, false);
         EXPECT_TRUE(
-            sameBits(fused, seq.layerAt(1)->forward(normalized, false)))
+            sameBits(fused, seq.layerAt(1)->forward(normalized, kFp32, false)))
             << rows << " rows";
         // The owned-input route normalizes the moved-in copy in place.
-        EXPECT_TRUE(sameBits(seq.forwardFrom(0, x, false), fused))
+        EXPECT_TRUE(sameBits(seq.forwardFrom(0, x, kFp32, false), fused))
             << rows << " rows";
     }
 }
@@ -220,11 +223,11 @@ TEST(Epilogue, SegmentedMatchesPerSegmentForward)
         parts.push_back(randomActivations(segments[s], cols, 40 + s));
     }
     const Matrix stacked =
-        seq.forwardSegmented(concatRows(parts), segments);
+        seq.forwardSegmented(concatRows(parts), segments, kFp32);
 
     std::size_t offset = 0;
     for (std::size_t s = 0; s < segments.size(); ++s) {
-        const Matrix alone = seq.forward(parts[s], false);
+        const Matrix alone = seq.forward(parts[s], kFp32, false);
         EXPECT_TRUE(sameBits(
             sliceRows(stacked, offset, offset + segments[s]), alone))
             << "segment " << s;
@@ -284,8 +287,8 @@ std::vector<float>
 activateBothWays(Layer &layer, const std::vector<float> &in)
 {
     const Matrix x(1, in.size(), in);
-    const Matrix infer = layer.forward(x, false);
-    const Matrix train = layer.forward(x, true);
+    const Matrix infer = layer.forward(x, kFp32, false);
+    const Matrix train = layer.forward(x, kFp32, true);
     EXPECT_TRUE(sameBits(infer, train));
     return {infer.data(), infer.data() + infer.numel()};
 }
@@ -329,15 +332,16 @@ TEST(Epilogue, MaxPoolMatchesTrainingPool)
     const Matrix x(points * k, cols, values);
 
     MaxPoolNeighbors pool(k);
-    const Matrix infer = pool.forward(x, false);
-    EXPECT_TRUE(sameBits(infer, pool.forward(x, true)));
+    const Matrix infer = pool.forward(x, kFp32, false);
+    EXPECT_TRUE(sameBits(infer, pool.forward(x, kFp32, true)));
 
     // A row range of a stacked matrix pools like the range alone.
     const Matrix range = maxPoolRows(x, 5 * k, 7 * k, k);
     EXPECT_TRUE(sameBits(range, sliceRows(infer, 5, 12)));
 
     GlobalMaxPool global;
-    EXPECT_TRUE(sameBits(global.forward(x, false), global.forward(x, true)));
+    EXPECT_TRUE(sameBits(global.forward(x, kFp32, false),
+                         global.forward(x, kFp32, true)));
 }
 
 TEST(Epilogue, MaxPoolKeepsFirstOnTiesAndNaN)

@@ -156,7 +156,8 @@ TEST(FatalPathsDeathTest, MaxPoolRejectsBadGroups)
     EXPECT_DEATH(nn::MaxPoolNeighbors(0), "group size");
     nn::MaxPoolNeighbors pool(3);
     nn::Matrix x(4, 1);
-    EXPECT_DEATH(pool.forward(x, false), "multiple");
+    const nn::GemmRoute route{nn::GemmEngine::shared(nn::GemmMode::Scalar)};
+    EXPECT_DEATH(pool.forward(x, route, false), "multiple");
 }
 
 TEST(FatalPathsDeathTest, TrainerRejectsEmptyDataset)

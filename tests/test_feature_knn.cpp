@@ -33,6 +33,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+#include "build_guard.hpp"
+
 namespace edgepc {
 namespace {
 
@@ -47,20 +49,8 @@ namespace {
         }                                                                 \
     } while (0)
 
-/** Restores the process-wide GEMM microkernel override on scope exit. */
-class GemmPathGuard
-{
-  public:
-    explicit GemmPathGuard(nn::GemmDispatchPath path)
-        : saved(nn::GemmEngine::dispatchPath())
-    {
-        nn::GemmEngine::setDispatchPath(path);
-    }
-    ~GemmPathGuard() { nn::GemmEngine::setDispatchPath(saved); }
-
-  private:
-    nn::GemmDispatchPath saved;
-};
+/** The S+N+F run's engine, whose policy packs the feature k-NN. */
+const nn::GemmEngine &kEngine = nn::GemmEngine::shared(nn::GemmMode::Auto);
 
 /** n x dim standard-normal features plus a common @p offset. */
 std::vector<float>
@@ -206,11 +196,11 @@ oracleMismatch(const std::vector<float> &queries,
     return std::to_string(bad) + " bad rows; first " + first.str();
 }
 
-/** The oracle over every data kind, dim and size, under @p path. */
+/** The oracle over every data kind, dim and size, under @p build. */
 void
-runOracleMatrix(nn::GemmDispatchPath path)
+runOracleMatrix(KernelBuild build)
 {
-    const GemmPathGuard guard(path);
+    const test::BuildGuard guard(KernelFamily::Gemm, build);
     constexpr std::size_t kDims[] = {3, 16, 17, 64, 128};
     constexpr std::size_t kSizes[] = {1, 5, 6, 7, 255, 2048};
     constexpr std::size_t kNeighbors = 20;
@@ -222,7 +212,8 @@ runOracleMatrix(nn::GemmDispatchPath path)
                     lifted ? liftedFeatures(n, dim, seed)
                            : randomFeatures(n, dim, seed);
                 const NeighborLists lists =
-                    BruteForceKnn::searchFeatureSpace(f, f, dim, kNeighbors);
+                    BruteForceKnn::searchFeatureSpace(
+                        f, f, dim, kNeighbors, kEngine);
                 // The search always covers every row; the double oracle
                 // checks a stride of them on the largest clouds.
                 const std::size_t stride = n > 255 ? 7 : 1;
@@ -238,7 +229,7 @@ runOracleMatrix(nn::GemmDispatchPath path)
 
 TEST(FeatureKnn, MatchesOracleScalarBuild)
 {
-    runOracleMatrix(nn::GemmDispatchPath::ForceScalar);
+    runOracleMatrix(KernelBuild::Scalar);
 }
 
 TEST(FeatureKnn, MatchesOracleFmaBuild)
@@ -246,7 +237,7 @@ TEST(FeatureKnn, MatchesOracleFmaBuild)
     if (!nn::GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    runOracleMatrix(nn::GemmDispatchPath::ForceFast);
+    runOracleMatrix(KernelBuild::Avx2);
 }
 
 TEST(FeatureKnn, QueriesDifferFromCandidates)
@@ -255,7 +246,7 @@ TEST(FeatureKnn, QueriesDifferFromCandidates)
     const auto cands = liftedFeatures(1000, dim, 71);
     const auto queries = randomFeatures(300, dim, 72);
     const auto lists =
-        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20, kEngine);
     EXPECT_EQ(oracleMismatch(queries, cands, dim, 20, lists), "");
 }
 
@@ -265,8 +256,8 @@ TEST(FeatureKnn, KAtLeastCandidateCountClamps)
     const auto cands = randomFeatures(7, dim, 81);
     const auto queries = randomFeatures(40, dim, 82);
     for (const std::size_t k : {7u, 8u, 50u}) {
-        const auto lists =
-            BruteForceKnn::searchFeatureSpace(queries, cands, dim, k);
+        const auto lists = BruteForceKnn::searchFeatureSpace(
+            queries, cands, dim, k, kEngine);
         ASSERT_EQ(lists.k, 7u);
         EXPECT_EQ(oracleMismatch(queries, cands, dim, k, lists), "");
         for (std::size_t q = 0; q < lists.queries(); ++q) {
@@ -293,7 +284,8 @@ TEST(FeatureKnn, DuplicatedRowsKeepFirstIndexTieRule)
     std::copy(f.begin(), f.begin() + h * dim, f.begin() + h * dim);
     std::copy(f.begin(), f.begin() + h * dim, f.begin() + 2 * h * dim);
     for (const std::size_t k : {2u, 20u}) {
-        const auto lists = BruteForceKnn::searchFeatureSpace(f, f, dim, k);
+        const auto lists = BruteForceKnn::searchFeatureSpace(
+            f, f, dim, k, kEngine);
         EXPECT_EQ(oracleMismatch(f, f, dim, k, lists), "");
         for (std::size_t q = 0; q < lists.queries(); ++q) {
             const auto row = lists.row(q);
@@ -327,7 +319,8 @@ TEST(FeatureKnn, AllRowsIdenticalReturnsFirstIndices)
     for (std::size_t i = 0; i < n; ++i) {
         f.insert(f.end(), one.begin(), one.end());
     }
-    const auto lists = BruteForceKnn::searchFeatureSpace(f, f, dim, k);
+    const auto lists =
+        BruteForceKnn::searchFeatureSpace(f, f, dim, k, kEngine);
     for (std::size_t q = 0; q < n; ++q) {
         const auto row = lists.row(q);
         for (std::size_t j = 0; j < k; ++j) {
@@ -347,7 +340,8 @@ TEST(FeatureKnn, CommonOffsetIsCenteredAway)
     for (const bool lifted : {false, true}) {
         const auto f = lifted ? liftedFeatures(n, dim, 111, 1e3f)
                               : randomFeatures(n, dim, 112, 1e3f);
-        const auto lists = BruteForceKnn::searchFeatureSpace(f, f, dim, k);
+        const auto lists = BruteForceKnn::searchFeatureSpace(
+            f, f, dim, k, kEngine);
         EXPECT_EQ(oracleMismatch(f, f, dim, k, lists, 7), "")
             << (lifted ? "lifted" : "random");
     }
@@ -357,8 +351,8 @@ TEST(FeatureKnn, RepeatCallsReturnIdenticalLists)
 {
     const std::size_t dim = 64;
     const auto f = liftedFeatures(2048, dim, 121);
-    const auto a = BruteForceKnn::searchFeatureSpace(f, f, dim, 20);
-    const auto b = BruteForceKnn::searchFeatureSpace(f, f, dim, 20);
+    const auto a = BruteForceKnn::searchFeatureSpace(f, f, dim, 20, kEngine);
+    const auto b = BruteForceKnn::searchFeatureSpace(f, f, dim, 20, kEngine);
     EXPECT_EQ(a.indices, b.indices);
 }
 
@@ -371,9 +365,11 @@ TEST(FeatureKnn, ListsDoNotDependOnThreadCount)
 {
     const std::size_t dim = 64;
     const auto f = liftedFeatures(1024, dim, 131); // 5 tiles
-    const auto pooled = BruteForceKnn::searchFeatureSpace(f, f, dim, 20);
+    const auto pooled = BruteForceKnn::searchFeatureSpace(
+        f, f, dim, 20, kEngine);
     ThreadPool::globalPool().runOnEachThread([&] {
-        const auto alone = BruteForceKnn::searchFeatureSpace(f, f, dim, 20);
+        const auto alone = BruteForceKnn::searchFeatureSpace(
+            f, f, dim, 20, kEngine);
         EXPECT_EQ(alone.indices, pooled.indices);
     });
 }
@@ -399,9 +395,7 @@ TEST(FeatureKnn, RunsOutsideLayerGemmAccounting)
     obs::Counter &query_count =
         metrics.counter("neighbor.brute-force-feature.queries");
     const std::uint64_t queries_before = query_count.value();
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
-    const nn::GemmMode saved = engine.mode();
-    engine.setMode(nn::GemmMode::Auto);
+    nn::GemmEngine &engine = nn::GemmEngine::shared(nn::GemmMode::Auto);
     const std::uint64_t fast_before = engine.fastPathCalls();
     const std::uint64_t scalar_before = engine.scalarPathCalls();
 
@@ -410,9 +404,8 @@ TEST(FeatureKnn, RunsOutsideLayerGemmAccounting)
     tracer.clear();
     tracer.setEnabled(true);
     const auto lists =
-        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20, kEngine);
     tracer.setEnabled(was_enabled);
-    engine.setMode(saved);
 
     EXPECT_EQ(lists.queries(), nq);
     EXPECT_EQ(query_count.value() - queries_before, nq);
@@ -439,23 +432,23 @@ TEST(FeatureKnn, RaggedSpanRaisesShapeMismatch)
 {
     const auto f = randomFeatures(10, 4, 141);
     const std::vector<float> ragged(f.begin(), f.end() - 1);
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, ragged, 4, 3),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, ragged, 4, 3, kEngine),
                   ErrorCode::ShapeMismatch);
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(ragged, f, 4, 3),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(ragged, f, 4, 3, kEngine),
                   ErrorCode::ShapeMismatch);
 }
 
 TEST(FeatureKnn, ZeroKRaisesLikeCoordinateSearch)
 {
     const auto f = randomFeatures(10, 3, 151);
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, f, 3, 0),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, f, 3, 0, kEngine),
                   ErrorCode::EmptyCloud);
     const std::vector<Vec3> pts = {{0, 0, 0}, {1, 0, 0}};
     BruteForceKnn knn;
     EXPECT_RAISES(knn.search(pts, pts, 0), ErrorCode::EmptyCloud);
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, {}, 3, 2),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, {}, 3, 2, kEngine),
                   ErrorCode::EmptyCloud);
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, f, 0, 2),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, f, 0, 2, kEngine),
                   ErrorCode::EmptyCloud);
 }
 
@@ -473,18 +466,21 @@ TEST(FeatureKnn, NonFiniteFeaturesRaise)
                             -std::numeric_limits<float>::infinity()}) {
         auto cands = f;
         cands[17 * dim + 5] = bad;
-        EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(f, cands, dim, 4),
+        EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(
+                f, cands, dim, 4, kEngine),
                       ErrorCode::NonFiniteData);
         auto queries = f;
         queries[3 * dim + 2] = bad;
-        EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(queries, f, dim, 4),
+        EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(
+                queries, f, dim, 4, kEngine),
                       ErrorCode::NonFiniteData);
     }
     // Finite but so large that ‖q‖² − 2q·c + ‖c‖² would overflow fp32.
     auto huge = f;
     huge[0] = 1e19f;
     huge[dim] = -1e19f;
-    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(huge, huge, dim, 4),
+    EXPECT_RAISES(BruteForceKnn::searchFeatureSpace(
+            huge, huge, dim, 4, kEngine),
                   ErrorCode::NonFiniteData);
 }
 

@@ -117,17 +117,20 @@ sameBits(const nn::Matrix &a, const nn::Matrix &b)
 }
 
 /** The model's routes run plain and under PerturbGuard must agree bit
-    for bit, on the exact and the S+N+F configuration. */
+    for bit, on the exact and the S+N+F configuration, each with the
+    int8 and delayed routes of @p routes. */
 void
 expectPerturbationInvisible(PointCloudModel &model,
                             const std::vector<PointCloud> &clouds,
-                            const std::string &label)
+                            const std::string &label,
+                            const EdgePcConfig &routes = EdgePcConfig{})
 {
-    const std::pair<const char *, EdgePcConfig> configs[] = {
+    std::pair<const char *, EdgePcConfig> configs[] = {
         {"baseline", EdgePcConfig::baseline()},
         {"S+N+F", EdgePcConfig::snf()}};
-    for (const auto &[name, cfg] : configs) {
-        applyGemmMode(cfg);
+    for (auto &[name, cfg] : configs) {
+        cfg.int8Gemm = routes.int8Gemm;
+        cfg.delayedAggregation = routes.delayedAggregation;
         const std::vector<nn::Matrix> plain = allRoutes(model, clouds, cfg);
         std::vector<nn::Matrix> dirty;
         {
@@ -141,7 +144,6 @@ expectPerturbationInvisible(PointCloudModel &model,
                 << label << ", " << name << ", route output " << i;
         }
     }
-    applyGemmMode(EdgePcConfig::baseline());
 }
 
 TEST(FrameMemory, DirtyAllocationsDoNotReachLogits)
@@ -150,33 +152,28 @@ TEST(FrameMemory, DirtyAllocationsDoNotReachLogits)
         GTEST_SKIP() << "the allocator ignores M_PERTURB";
     }
     const std::vector<PointCloud> clouds = sceneClouds(3, 384, 2501);
-    const nn::DelayedAggMode delayed_modes[] = {nn::DelayedAggMode::Off,
-                                                nn::DelayedAggMode::On};
-    const nn::QuantMode quant_modes[] = {nn::QuantMode::Off,
-                                         nn::QuantMode::On};
-    for (const nn::DelayedAggMode delayed : delayed_modes) {
-        for (const nn::QuantMode quant : quant_modes) {
-            const std::string label =
-                std::string("delayed ") +
-                (delayed == nn::DelayedAggMode::On ? "on" : "off") +
-                ", int8 " + (quant == nn::QuantMode::On ? "on" : "off");
+    for (const Route delayed : {Route::Off, Route::On}) {
+        for (const Route int8 : {Route::Off, Route::On}) {
+            const std::string label = std::string("delayed ") +
+                                      routeName(delayed) + ", int8 " +
+                                      routeName(int8);
+            EdgePcConfig routes;
+            routes.delayedAggregation = delayed;
+            routes.int8Gemm = int8;
             for (bool classify : {false, true}) {
-                PointNetPPConfig cfg =
+                PointNetPP model(
                     classify ? PointNetPPConfig::liteClassification(384, 5)
-                             : PointNetPPConfig::liteSegmentation(384, 5);
-                cfg.delayedAggregation = delayed;
-                cfg.quantizedInference = quant;
-                PointNetPP model(cfg, 2601);
+                             : PointNetPPConfig::liteSegmentation(384, 5),
+                    2601);
                 expectPerturbationInvisible(
                     model, clouds,
                     (classify ? "PointNet++ cls, " : "PointNet++ seg, ") +
-                        label);
+                        label,
+                    routes);
             }
-            DgcnnConfig dcfg = DgcnnConfig::liteSegmentation(5);
-            dcfg.delayedAggregation = delayed;
-            dcfg.quantizedInference = quant;
-            Dgcnn dgcnn(dcfg, 2602);
-            expectPerturbationInvisible(dgcnn, clouds, "DGCNN, " + label);
+            Dgcnn dgcnn(DgcnnConfig::liteSegmentation(5), 2602);
+            expectPerturbationInvisible(dgcnn, clouds, "DGCNN, " + label,
+                                        routes);
         }
     }
     PointNet pointnet(PointNetConfig::segmentationConfig(5), 2603);

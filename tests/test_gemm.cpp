@@ -23,6 +23,8 @@
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 
+#include "build_guard.hpp"
+
 namespace edgepc {
 namespace nn {
 namespace {
@@ -149,21 +151,6 @@ TEST(Gemm, LargeShapesAgree)
 // Packed-kernel correctness across dispatch paths
 // ---------------------------------------------------------------------
 
-/** Restores the process-wide microkernel override on scope exit. */
-class DispatchPathGuard
-{
-  public:
-    explicit DispatchPathGuard(GemmDispatchPath path)
-        : saved(GemmEngine::dispatchPath())
-    {
-        GemmEngine::setDispatchPath(path);
-    }
-    ~DispatchPathGuard() { GemmEngine::setDispatchPath(saved); }
-
-  private:
-    GemmDispatchPath saved;
-};
-
 /**
  * Classic in-order loop nest: one accumulator per C element, k
  * strictly ascending. With contraction disabled for this file it is
@@ -214,7 +201,7 @@ const std::size_t kRemainderDims[] = {1, 2, 5, 6, 7, 16, 17, 63, 64, 65};
 
 TEST(GemmPacked, RemainderShapesForcedScalarBitExact)
 {
-    const DispatchPathGuard guard(GemmDispatchPath::ForceScalar);
+    const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Scalar);
     GemmEngine engine(GemmMode::Fast);
     std::uint64_t seed = 1000;
     for (const std::size_t m : kRemainderDims) {
@@ -234,7 +221,7 @@ TEST(GemmPacked, RemainderShapesFmaWithinTolerance)
     if (!GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    const DispatchPathGuard guard(GemmDispatchPath::ForceFast);
+    const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Avx2);
     GemmEngine engine(GemmMode::Fast);
     std::uint64_t seed = 5000;
     for (const std::size_t m : kRemainderDims) {
@@ -253,7 +240,7 @@ TEST(GemmPacked, RemainderShapesFmaWithinTolerance)
 
 TEST(GemmPacked, ForcedScalarBitExactOnLargeShape)
 {
-    const DispatchPathGuard guard(GemmDispatchPath::ForceScalar);
+    const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Scalar);
     GemmEngine engine(GemmMode::Fast);
     const Matrix a = randomMatrix(130, 200, 90);
     const Matrix b = randomMatrix(200, 90, 91);
@@ -290,12 +277,12 @@ TEST(GemmPacked, TransposedVariantsBothPaths)
 
     GemmEngine engine(GemmMode::Fast);
     {
-        const DispatchPathGuard guard(GemmDispatchPath::ForceScalar);
+        const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Scalar);
         expectBitExact(engine.multiplyTransposed(a, bt), want_abt);
         expectBitExact(engine.multiplyLeftTransposed(at, b), want_atb);
     }
     if (GemmEngine::fastKernelAvailable()) {
-        const DispatchPathGuard guard(GemmDispatchPath::ForceFast);
+        const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Avx2);
         expectRelClose(engine.multiplyTransposed(a, bt), want_abt, 1e-4f);
         expectRelClose(engine.multiplyLeftTransposed(at, b), want_atb,
                        1e-4f);
@@ -311,7 +298,7 @@ TEST(GemmPacked, TransposedVariantsBothPaths)
  */
 TEST(GemmPacked, PackedTransposedBMatchesLayerGemm)
 {
-    const DispatchPathGuard guard(GemmDispatchPath::Auto);
+    const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Auto);
     const std::size_t n = 37, k = 64; // 37 = two full panels + 5
     const Matrix b = randomMatrix(n, k, 96);
     const Matrix shift = randomMatrix(1, k, 97);
@@ -387,20 +374,20 @@ TEST(GemmPacked, ForceFastRaisesWithoutFma)
         GTEST_SKIP() << "host has AVX2+FMA; the raise path is covered "
                         "on non-AVX2 machines";
     }
-    EXPECT_THROW(GemmEngine::setDispatchPath(GemmDispatchPath::ForceFast),
+    EXPECT_THROW(setKernelBuild(KernelFamily::Gemm, KernelBuild::Avx2),
                  EdgePcException);
 }
 
 TEST(GemmPacked, ActiveKernelNameReflectsPath)
 {
     {
-        const DispatchPathGuard guard(GemmDispatchPath::ForceScalar);
+        const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Scalar);
         EXPECT_STREQ(GemmEngine::activeKernelName(), "scalar");
     }
     // The ambient path may itself be forced via EDGEPC_GEMM (CI runs
     // the suite under EDGEPC_GEMM=scalar), so check the Auto mapping
     // under an explicit guard.
-    const DispatchPathGuard guard(GemmDispatchPath::Auto);
+    const test::BuildGuard guard(KernelFamily::Gemm, KernelBuild::Auto);
     const char *auto_name = GemmEngine::activeKernelName();
     if (GemmEngine::fastKernelAvailable()) {
         EXPECT_STREQ(auto_name, "avx2-fma");
@@ -414,9 +401,9 @@ TEST(GemmPacked, ActiveKernelNameReflectsPath)
 // ---------------------------------------------------------------------
 
 void
-checkEpiloguesOnPath(GemmDispatchPath path)
+checkEpiloguesOnPath(KernelBuild path)
 {
-    const DispatchPathGuard guard(path);
+    const test::BuildGuard guard(KernelFamily::Gemm, path);
     GemmEngine engine(GemmMode::Fast);
     std::uint64_t seed = 9000;
     const std::size_t shapes[][3] = {
@@ -450,7 +437,7 @@ checkEpiloguesOnPath(GemmDispatchPath path)
 
 TEST(GemmEpilogue, FusedMatchesUnfusedScalarPath)
 {
-    checkEpiloguesOnPath(GemmDispatchPath::ForceScalar);
+    checkEpiloguesOnPath(KernelBuild::Scalar);
 }
 
 TEST(GemmEpilogue, FusedMatchesUnfusedFmaPath)
@@ -458,7 +445,7 @@ TEST(GemmEpilogue, FusedMatchesUnfusedFmaPath)
     if (!GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    checkEpiloguesOnPath(GemmDispatchPath::ForceFast);
+    checkEpiloguesOnPath(KernelBuild::Avx2);
 }
 
 TEST(GemmEpilogue, MissingBiasRaises)
@@ -532,13 +519,13 @@ TEST(GemmEngine, EmptyReductionWritesEpilogue)
     bias.at(0, 1) = 0.0f;
     const GemmEpilogue epilogues[] = {GemmEpilogue::None, GemmEpilogue::Bias,
                                       GemmEpilogue::BiasRelu};
-    const GemmDispatchPath paths[] = {GemmDispatchPath::ForceScalar,
-                                      GemmDispatchPath::Auto};
+    const KernelBuild paths[] = {KernelBuild::Scalar,
+                                      KernelBuild::Auto};
     const auto wq = buildQuantizedWeights(Matrix(0, n));
     ASSERT_EQ(wq->k, 0u);
     ASSERT_EQ(wq->n, n);
-    for (const GemmDispatchPath path : paths) {
-        const DispatchPathGuard guard(path);
+    for (const KernelBuild path : paths) {
+        const test::BuildGuard guard(KernelFamily::Gemm, path);
         GemmEngine engine(GemmMode::Fast);
         for (const std::size_t m : {std::size_t{1}, std::size_t{7}}) {
             const Matrix a(m, 0);

@@ -20,6 +20,8 @@
 #include "nn/gemm.hpp"
 #include "nn/loss.hpp"
 
+#include "build_guard.hpp"
+
 namespace edgepc {
 namespace {
 
@@ -171,11 +173,9 @@ TEST(GradCheck, PointNetPPSegmentationWithApproximations)
 // kernel round differently, and a gradient formula that only works at
 // one rounding is a bug.
 void
-checkPointNetPPUnderDispatchPath(nn::GemmDispatchPath path,
-                                 std::uint64_t seed)
+checkPointNetPPUnderDispatchPath(KernelBuild build, std::uint64_t seed)
 {
-    const nn::GemmDispatchPath saved = nn::GemmEngine::dispatchPath();
-    nn::GemmEngine::setDispatchPath(path);
+    const test::BuildGuard guard(KernelFamily::Gemm, build);
     PointNetPPConfig cfg;
     cfg.numClasses = 3;
     cfg.sa = {
@@ -186,13 +186,11 @@ checkPointNetPPUnderDispatchPath(nn::GemmDispatchPath path,
     PointNetPP model(cfg, 3);
     const PointCloud cloud = tinyCloud(24, seed);
     checkGradients(model, cloud, EdgePcConfig::baseline(), {1});
-    nn::GemmEngine::setDispatchPath(saved);
 }
 
 TEST(GradCheck, PointNetPPForcedScalarGemm)
 {
-    checkPointNetPPUnderDispatchPath(nn::GemmDispatchPath::ForceScalar,
-                                     1);
+    checkPointNetPPUnderDispatchPath(KernelBuild::Scalar, 1);
 }
 
 TEST(GradCheck, PointNetPPForcedFastGemm)
@@ -200,7 +198,7 @@ TEST(GradCheck, PointNetPPForcedFastGemm)
     if (!nn::GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    checkPointNetPPUnderDispatchPath(nn::GemmDispatchPath::ForceFast, 1);
+    checkPointNetPPUnderDispatchPath(KernelBuild::Avx2, 1);
 }
 
 TEST(GradCheck, DgcnnClassifierBaseline)
@@ -221,26 +219,12 @@ TEST(GradCheck, DgcnnClassifierBaseline)
 // backward as scatter-adds and segment sums; the gradients must agree
 // with finite differences under both GEMM microkernel builds, exactly
 // like the eager route.
-class ScopedDelayedAgg
-{
-  public:
-    explicit ScopedDelayedAgg(nn::DelayedAggMode mode)
-        : saved(nn::delayedAggMode())
-    {
-        nn::setDelayedAggMode(mode);
-    }
-    ~ScopedDelayedAgg() { nn::setDelayedAggMode(saved); }
-
-  private:
-    nn::DelayedAggMode saved;
-};
-
 void
-checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath path)
+checkDelayedBlocksUnderDispatchPath(KernelBuild build)
 {
-    const nn::GemmDispatchPath saved = nn::GemmEngine::dispatchPath();
-    nn::GemmEngine::setDispatchPath(path);
-    ScopedDelayedAgg delayed(nn::DelayedAggMode::On);
+    const test::BuildGuard guard(KernelFamily::Gemm, build);
+    EdgePcConfig delayed = EdgePcConfig::baseline();
+    delayed.delayedAggregation = Route::On;
 
     {
         // Segmentation exercises the delayed dF path (level-1 SA
@@ -261,7 +245,7 @@ checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath path)
         for (auto &l : labels) {
             l = static_cast<std::int32_t>(rng.nextBelow(3));
         }
-        checkGradients(model, cloud, EdgePcConfig::baseline(), labels);
+        checkGradients(model, cloud, delayed, labels);
     }
     {
         DgcnnConfig cfg;
@@ -273,14 +257,13 @@ checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath path)
         cfg.headMlp = {6};
         Dgcnn model(cfg, 8);
         const PointCloud cloud = tinyCloud(20, 4);
-        checkGradients(model, cloud, EdgePcConfig::baseline(), {2});
+        checkGradients(model, cloud, delayed, {2});
     }
-    nn::GemmEngine::setDispatchPath(saved);
 }
 
 TEST(GradCheck, DelayedBlocksForcedScalarGemm)
 {
-    checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath::ForceScalar);
+    checkDelayedBlocksUnderDispatchPath(KernelBuild::Scalar);
 }
 
 TEST(GradCheck, DelayedBlocksForcedFastGemm)
@@ -288,7 +271,7 @@ TEST(GradCheck, DelayedBlocksForcedFastGemm)
     if (!nn::GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    checkDelayedBlocksUnderDispatchPath(nn::GemmDispatchPath::ForceFast);
+    checkDelayedBlocksUnderDispatchPath(KernelBuild::Avx2);
 }
 
 // The split first Linears (DESIGN.md §13) reformulate the head's and
@@ -342,11 +325,10 @@ expectEntryGradients(nn::Matrix &x, const nn::Matrix &analytic,
 }
 
 void
-checkSplitFirstLinearsUnderDispatchPath(nn::GemmDispatchPath path)
+checkSplitFirstLinearsUnderDispatchPath(KernelBuild build)
 {
-    const nn::GemmDispatchPath saved = nn::GemmEngine::dispatchPath();
-    nn::GemmEngine::setDispatchPath(path);
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    const test::BuildGuard guard(KernelFamily::Gemm, build);
+    nn::GemmEngine &engine = EdgePcConfig::baseline().gemmRoute().engine;
     Rng rng(17);
 
     {
@@ -419,13 +401,11 @@ checkSplitFirstLinearsUnderDispatchPath(nn::GemmDispatchPath path)
         expectEntryGradients(coarse, d_coarse, loss, "fp dF");
         expectEntryGradients(skip, d_skip, loss, "fp dS");
     }
-    nn::GemmEngine::setDispatchPath(saved);
 }
 
 TEST(GradCheck, SplitFirstLinearsForcedScalarGemm)
 {
-    checkSplitFirstLinearsUnderDispatchPath(
-        nn::GemmDispatchPath::ForceScalar);
+    checkSplitFirstLinearsUnderDispatchPath(KernelBuild::Scalar);
 }
 
 TEST(GradCheck, SplitFirstLinearsForcedFastGemm)
@@ -433,7 +413,7 @@ TEST(GradCheck, SplitFirstLinearsForcedFastGemm)
     if (!nn::GemmEngine::fastKernelAvailable()) {
         GTEST_SKIP() << "no AVX2+FMA on this host";
     }
-    checkSplitFirstLinearsUnderDispatchPath(nn::GemmDispatchPath::ForceFast);
+    checkSplitFirstLinearsUnderDispatchPath(KernelBuild::Avx2);
 }
 
 TEST(GradCheck, DgcnnSegmentationWithApproximations)

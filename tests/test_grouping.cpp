@@ -9,6 +9,9 @@ namespace edgepc {
 namespace nn {
 namespace {
 
+/** fp32 on the scalar engine, whatever the environment says. */
+const GemmRoute kFp32{GemmEngine::shared(GemmMode::Scalar)};
+
 TEST(Grouping, GatherRows)
 {
     Matrix feats(3, 2, {1, 2, 3, 4, 5, 6});
@@ -131,7 +134,7 @@ TEST(Grouping, GroupingLayerBackwardScatters)
     Matrix feats(3, 1, {1, 2, 3});
     const std::vector<std::uint32_t> idx = {0, 0, 2};
     layer.setIndices(idx);
-    layer.forward(feats, true);
+    layer.forward(feats, kFp32, true);
     Matrix dy(3, 1, {10, 20, 30});
     const Matrix dx = layer.backward(dy);
     EXPECT_FLOAT_EQ(dx.at(0, 0), 30.0f); // 10 + 20
@@ -148,7 +151,7 @@ TEST(Grouping, EdgeFeatureLayerBackward)
     layer.setNeighbors(lists);
 
     Matrix feats(2, 1, {3, 5});
-    layer.forward(feats, true);
+    layer.forward(feats, kFp32, true);
     // dy rows: [d_self | d_edge].
     Matrix dy(2, 2, {1, 2, 4, 8});
     const Matrix dx = layer.backward(dy);

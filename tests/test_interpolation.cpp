@@ -13,6 +13,8 @@
 #include "geometry/simd_distance.hpp"
 #include "nn/grouping.hpp"
 #include "sampling/interpolation.hpp"
+
+#include "build_guard.hpp"
 #include "sampling/morton_sampler.hpp"
 
 namespace edgepc {
@@ -284,21 +286,6 @@ gridCloud(int side, float offset)
     return pts;
 }
 
-/** Restores the batch-kernel dispatch override on scope exit. */
-class SimdPathGuard
-{
-  public:
-    explicit SimdPathGuard(simd::DispatchPath path)
-        : saved(simd::dispatchPath())
-    {
-        simd::setDispatchPath(path);
-    }
-    ~SimdPathGuard() { simd::setDispatchPath(saved); }
-
-  private:
-    simd::DispatchPath saved;
-};
-
 TEST(InterpolationPlanOracle, ExactMatchesPairHeapScan)
 {
     std::vector<Vec3> dup = randomCloud(40, 50);
@@ -322,9 +309,8 @@ TEST(InterpolationPlanOracle, ExactMatchesPairHeapScan)
         {"mask chunk + 1", randomCloud(300, 58), randomCloud(257, 59), 3},
         {"wide k", randomCloud(65, 60), randomCloud(513, 61), 16},
     };
-    for (const simd::DispatchPath path :
-         {simd::DispatchPath::ForceScalar, simd::DispatchPath::Auto}) {
-        const SimdPathGuard guard(path);
+    for (const KernelBuild build : {KernelBuild::Scalar, KernelBuild::Auto}) {
+        const test::BuildGuard guard(KernelFamily::Distance, build);
         for (const Case &c : cases) {
             SCOPED_TRACE(c.name);
             expectSamePlan(exactInterpolation(c.targets, c.sources, c.k),

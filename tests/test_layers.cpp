@@ -4,33 +4,17 @@
 
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
-#include "nn/quant.hpp"
 
 namespace edgepc {
 namespace nn {
 namespace {
 
-/**
- * Pin the quantized GEMM route off for a test that asserts exact fp32
- * arithmetic, so an EDGEPC_GEMM=int8 environment cannot reroute the
- * layer through the int8 kernel.
- */
-class QuantOffGuard
-{
-  public:
-    QuantOffGuard() : quant(quantGemmMode())
-    {
-        setQuantGemmMode(QuantMode::Off);
-    }
-    ~QuantOffGuard() { setQuantGemmMode(quant); }
-
-  private:
-    QuantMode quant;
-};
+/** fp32 on the scalar engine: the int8 route is Off whatever the
+    environment says. */
+const GemmRoute kFp32{GemmEngine::shared(GemmMode::Scalar)};
 
 TEST(Linear, ForwardAppliesWeightsAndBias)
 {
-    QuantOffGuard guard;
     Rng rng(1);
     Linear layer(2, 1, rng);
     layer.weights().value.at(0, 0) = 2.0f;
@@ -38,7 +22,7 @@ TEST(Linear, ForwardAppliesWeightsAndBias)
     layer.biases().value.at(0, 0) = 0.5f;
 
     Matrix x(1, 2, {3, 4});
-    const Matrix y = layer.forward(x, false);
+    const Matrix y = layer.forward(x, kFp32, false);
     EXPECT_FLOAT_EQ(y.at(0, 0), 3 * 2 - 4 + 0.5f);
 }
 
@@ -47,7 +31,7 @@ TEST(Linear, ShapePropagation)
     Rng rng(2);
     Linear layer(8, 16, rng);
     Matrix x(10, 8);
-    const Matrix y = layer.forward(x, false);
+    const Matrix y = layer.forward(x, kFp32, false);
     EXPECT_EQ(y.rows(), 10u);
     EXPECT_EQ(y.cols(), 16u);
     EXPECT_EQ(layer.inDim(), 8u);
@@ -58,7 +42,7 @@ TEST(ReLU, ClampsNegatives)
 {
     ReLU relu;
     Matrix x(1, 4, {-1, 0, 2, -3});
-    const Matrix y = relu.forward(x, false);
+    const Matrix y = relu.forward(x, kFp32, false);
     EXPECT_FLOAT_EQ(y.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
     EXPECT_FLOAT_EQ(y.at(0, 2), 2.0f);
@@ -69,7 +53,7 @@ TEST(ReLU, BackwardMasksGradient)
 {
     ReLU relu;
     Matrix x(1, 3, {-1, 1, 2});
-    relu.forward(x, true);
+    relu.forward(x, kFp32, true);
     Matrix dy(1, 3, {10, 20, 30});
     const Matrix dx = relu.backward(dy);
     EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
@@ -81,7 +65,7 @@ TEST(LeakyReLU, ScalesNegativesBySlope)
 {
     LeakyReLU lrelu(0.2f);
     Matrix x(1, 3, {-10, 0, 5});
-    const Matrix y = lrelu.forward(x, false);
+    const Matrix y = lrelu.forward(x, kFp32, false);
     EXPECT_FLOAT_EQ(y.at(0, 0), -2.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
     EXPECT_FLOAT_EQ(y.at(0, 2), 5.0f);
@@ -91,7 +75,7 @@ TEST(LeakyReLU, BackwardScalesMaskedGradients)
 {
     LeakyReLU lrelu(0.25f);
     Matrix x(1, 2, {-1, 2});
-    lrelu.forward(x, true);
+    lrelu.forward(x, kFp32, true);
     Matrix dy(1, 2, {8, 8});
     const Matrix dx = lrelu.backward(dy);
     EXPECT_FLOAT_EQ(dx.at(0, 0), 2.0f); // 8 * 0.25
@@ -104,7 +88,7 @@ TEST(LeakyReLU, NeverFullyBlocksGradient)
     // that keeps the pre-pool features of DGCNN alive.
     LeakyReLU lrelu;
     Matrix x(1, 4, {-5, -1, -0.1f, -100});
-    lrelu.forward(x, true);
+    lrelu.forward(x, kFp32, true);
     Matrix dy(1, 4, {1, 1, 1, 1});
     const Matrix dx = lrelu.backward(dy);
     for (std::size_t c = 0; c < 4; ++c) {
@@ -116,7 +100,7 @@ TEST(BatchNorm, NormalizesBatchStatistics)
 {
     BatchNorm bn(2);
     Matrix x(4, 2, {1, 10, 2, 20, 3, 30, 4, 40});
-    const Matrix y = bn.forward(x, true);
+    const Matrix y = bn.forward(x, kFp32, true);
     // Each column should have ~zero mean and ~unit variance.
     for (std::size_t c = 0; c < 2; ++c) {
         float mean = 0.0f, var = 0.0f;
@@ -139,13 +123,13 @@ TEST(BatchNorm, SingleRowInferenceUsesRunningStats)
     // Train on data with mean 10 to move the running stats.
     Matrix x(8, 1, {9, 10, 11, 10, 9, 11, 10, 10});
     for (int i = 0; i < 50; ++i) {
-        bn.forward(x, true);
+        bn.forward(x, kFp32, true);
     }
     // A single-row input (the post-global-pool case) cannot form
     // batch statistics and is normalized by the running stats: an
     // input at the running mean maps near beta = 0.
     Matrix probe(1, 1, {10});
-    const Matrix y = bn.forward(probe, false);
+    const Matrix y = bn.forward(probe, kFp32, false);
     EXPECT_NEAR(y.at(0, 0), 0.0f, 0.2f);
 }
 
@@ -157,9 +141,9 @@ TEST(BatchNorm, MultiRowInferenceUsesInstanceStats)
     // trained models generalize (see the note in layers.cpp).
     BatchNorm bn(1);
     Matrix x(4, 1, {1, 2, 3, 4});
-    const Matrix y_train = bn.forward(x, true);
+    const Matrix y_train = bn.forward(x, kFp32, true);
     Matrix shifted(4, 1, {101, 102, 103, 104});
-    const Matrix y_eval = bn.forward(shifted, false);
+    const Matrix y_eval = bn.forward(shifted, kFp32, false);
     for (std::size_t r = 0; r < 4; ++r) {
         EXPECT_NEAR(y_eval.at(r, 0), y_train.at(r, 0), 1e-4f);
     }
@@ -180,8 +164,9 @@ TEST(LinearRelu, MatchesSeparateLinearPlusRelu)
     Matrix x(6, 4);
     x.fillNormal(data_rng, 1.0f);
 
-    const Matrix y_fused = fused.forward(x, true);
-    const Matrix y_pair = relu.forward(lin.forward(x, true), true);
+    const Matrix y_fused = fused.forward(x, kFp32, true);
+    const Matrix y_pair =
+        relu.forward(lin.forward(x, kFp32, true), kFp32, true);
     ASSERT_EQ(y_fused.rows(), y_pair.rows());
     ASSERT_EQ(y_fused.cols(), y_pair.cols());
     for (std::size_t i = 0; i < y_fused.numel(); ++i) {
@@ -234,7 +219,7 @@ TEST(Sequential, ChainsLayers)
     EXPECT_EQ(seq.size(), 6u);
     Matrix x(5, 4);
     x.fillNormal(rng, 1.0f);
-    const Matrix y = seq.forward(x, false);
+    const Matrix y = seq.forward(x, kFp32, false);
     EXPECT_EQ(y.rows(), 5u);
     EXPECT_EQ(y.cols(), 2u);
 
@@ -248,7 +233,7 @@ TEST(MaxPoolNeighbors, PoolsGroupsOfRows)
 {
     MaxPoolNeighbors pool(2);
     Matrix x(4, 2, {1, 8, 3, 2, -5, 0, -1, -7});
-    const Matrix y = pool.forward(x, false);
+    const Matrix y = pool.forward(x, kFp32, false);
     ASSERT_EQ(y.rows(), 2u);
     EXPECT_FLOAT_EQ(y.at(0, 0), 3.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 8.0f);
@@ -260,7 +245,7 @@ TEST(MaxPoolNeighbors, BackwardRoutesToArgmax)
 {
     MaxPoolNeighbors pool(2);
     Matrix x(4, 1, {1, 3, 5, 2});
-    pool.forward(x, true);
+    pool.forward(x, kFp32, true);
     Matrix dy(2, 1, {10, 20});
     const Matrix dx = pool.backward(dy);
     EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
@@ -273,7 +258,7 @@ TEST(GlobalMaxPool, ReducesToOneRow)
 {
     GlobalMaxPool pool;
     Matrix x(3, 2, {1, 9, 7, 2, 4, 5});
-    const Matrix y = pool.forward(x, true);
+    const Matrix y = pool.forward(x, kFp32, true);
     ASSERT_EQ(y.rows(), 1u);
     EXPECT_FLOAT_EQ(y.at(0, 0), 7.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 9.0f);

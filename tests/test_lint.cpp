@@ -254,6 +254,21 @@ TEST(EdgePcLint, CatchesEveryRuleAtTheExpectedLine)
         << r.output;
 }
 
+TEST(EdgePcLint, GetenvOnlyInTheDispatchParser)
+{
+    const RunResult r =
+        runLint("--no-baseline --only edgepc-R10 " + fixtures());
+    EXPECT_EQ(r.exitCode, 1) << r.output;
+    EXPECT_NE(r.output.find("core/r10_getenv.cpp:8:"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("edgepc-R10"), std::string::npos) << r.output;
+    // The one parser may read the environment.
+    EXPECT_EQ(r.output.find("lint/common/dispatch.cpp:"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos)
+        << r.output;
+}
+
 TEST(EdgePcLint, NolintSuppressesAndIsCounted)
 {
     const RunResult r =
@@ -351,7 +366,7 @@ TEST(EdgePcLint, ListRulesDocumentsAllRules)
     for (const char *rule :
          {"edgepc-R1", "edgepc-R2", "edgepc-R3", "edgepc-R4",
           "edgepc-R5", "edgepc-R6", "edgepc-R7", "edgepc-R8",
-          "edgepc-R9"}) {
+          "edgepc-R9", "edgepc-R10"}) {
         EXPECT_NE(r.output.find(rule), std::string::npos)
             << "missing " << rule << " in:\n"
             << r.output;

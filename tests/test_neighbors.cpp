@@ -8,7 +8,7 @@
 #include "common/rng.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/kd_tree.hpp"
+#include "nn/gemm.hpp"
 #include "neighbor/morton_window.hpp"
 #include "neighbor/metrics.hpp"
 #include "sampling/morton_sampler.hpp"
@@ -81,7 +81,7 @@ TEST(BruteForceKnn, FeatureSpaceSearch)
     // 4 points in a 2-D feature space.
     const std::vector<float> feats = {0, 0, 1, 0, 0, 1, 10, 10};
     const auto lists = BruteForceKnn::searchFeatureSpace(
-        feats, feats, 2, 2);
+        feats, feats, 2, 2, nn::GemmEngine::shared(nn::GemmMode::Scalar));
     ASSERT_EQ(lists.queries(), 4u);
     // Point 0's 2 nearest are itself and point 1 or 2.
     EXPECT_EQ(lists.row(0)[0], 0u);
@@ -137,94 +137,6 @@ TEST(BallQuery, PaperFigure10aExample)
     EXPECT_TRUE(found.count(0));
     EXPECT_TRUE(found.count(2)); // itself
     EXPECT_TRUE(found.count(4));
-}
-
-TEST(KdTree, KnnMatchesBruteForce)
-{
-    const auto pts = randomCloud(500, 54);
-    const KdTree tree(pts);
-    EXPECT_EQ(tree.size(), pts.size());
-    const auto queries = randomCloud(25, 55);
-    for (const Vec3 &q : queries) {
-        const auto expected = oracleKnn(q, pts, 6);
-        const auto found = tree.knn(q, 6);
-        ASSERT_EQ(found.size(), 6u);
-        // Same distance multiset (ties may reorder equal distances).
-        for (std::size_t i = 0; i < 6; ++i) {
-            EXPECT_FLOAT_EQ(squaredDistance(q, pts[found[i]]),
-                            squaredDistance(q, pts[expected[i]]));
-        }
-    }
-}
-
-TEST(KdTree, RadiusMatchesLinearScan)
-{
-    const auto pts = randomCloud(400, 56);
-    const KdTree tree(pts);
-    const Vec3 q{0.5f, 0.5f, 0.5f};
-    const float r = 0.3f;
-    auto found = tree.radius(q, r);
-    std::sort(found.begin(), found.end());
-    std::vector<std::uint32_t> expected;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        if (squaredDistance(q, pts[i]) <= r * r) {
-            expected.push_back(static_cast<std::uint32_t>(i));
-        }
-    }
-    EXPECT_EQ(found, expected);
-}
-
-TEST(KdTreeKnn, AdapterMatchesBruteForce)
-{
-    const auto pts = randomCloud(200, 57);
-    const auto queries = randomCloud(10, 58);
-    KdTreeKnn kd;
-    BruteForceKnn bf;
-    const auto a = kd.search(queries, pts, 4);
-    const auto b = bf.search(queries, pts, 4);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            EXPECT_FLOAT_EQ(
-                squaredDistance(queries[q], pts[a.row(q)[j]]),
-                squaredDistance(queries[q], pts[b.row(q)[j]]));
-        }
-    }
-}
-
-TEST(KdTreeBallQuery, AgreesWithPlainBallQueryMembership)
-{
-    const auto pts = randomCloud(400, 66);
-    const auto queries = randomCloud(25, 67);
-    const float radius = 0.3f;
-    KdTreeBallQuery tree_bq(radius);
-    const auto lists = tree_bq.search(queries, pts, 6);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto row = lists.row(q);
-        const float d0 = distance(queries[q], pts[row[0]]);
-        for (const auto idx : row) {
-            const float d = distance(queries[q], pts[idx]);
-            // In-ball, or the padded copy of the first entry, or the
-            // nearest-fallback when the ball is empty.
-            EXPECT_TRUE(d <= radius + 1e-5f || idx == row[0]);
-        }
-        if (d0 > radius) {
-            // Fallback must be the true nearest.
-            for (std::size_t c = 0; c < pts.size(); ++c) {
-                EXPECT_GE(distance(queries[q], pts[c]) + 1e-5f, d0);
-            }
-        }
-    }
-}
-
-TEST(KdTreeBallQuery, LargeBallReturnsDistinctNeighbors)
-{
-    const auto pts = randomCloud(50, 68);
-    KdTreeBallQuery bq(10.0f);
-    const std::vector<Vec3> queries = {pts[0]};
-    const auto lists = bq.search(queries, pts, 8);
-    const std::set<std::uint32_t> unique(lists.row(0).begin(),
-                                         lists.row(0).end());
-    EXPECT_EQ(unique.size(), 8u);
 }
 
 TEST(MortonWindow, PureIndexSelectionReturnsWindowPoints)

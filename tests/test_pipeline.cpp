@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,8 +10,10 @@
 #include "core/pipeline.hpp"
 #include "core/workloads.hpp"
 #include "datasets/scenes.hpp"
+#include "models/dgcnn.hpp"
 #include "models/pointnetpp.hpp"
 #include "nn/gemm.hpp"
+#include "obs/metrics.hpp"
 
 namespace edgepc {
 namespace {
@@ -40,13 +43,32 @@ TEST(Pipeline, ProducesConsistentResult)
 
 TEST(Pipeline, SnVariantSpeedsUpSampleNeighbor)
 {
+    // Each variant is warmed once and scored by its best of 3 runs,
+    // the runs of the two variants interleaved: a single cold run per
+    // side let host noise in the (shared) feature stage flip the
+    // comparison.
     PointNetPP model(PointNetPPConfig::liteSegmentation(4096, 5), 7);
-    InferencePipeline base(model, EdgePcConfig::baseline());
-    InferencePipeline sn(model, EdgePcConfig::sn());
     const PointCloud cloud = sceneCloud(4096, 2);
-
-    const PipelineResult rb = base.run(cloud);
-    const PipelineResult rs = sn.run(cloud);
+    InferencePipeline pipelines[] = {
+        InferencePipeline(model, EdgePcConfig::baseline()),
+        InferencePipeline(model, EdgePcConfig::sn())};
+    PipelineResult best[2];
+    for (int run = -1; run < 3; ++run) { // run -1 warms both up
+        for (int v = 0; v < 2; ++v) {
+            const PipelineResult r = pipelines[v].run(cloud);
+            if (run < 0) {
+                continue;
+            }
+            if (run == 0 || r.sampleNeighborMs < best[v].sampleNeighborMs) {
+                best[v].sampleNeighborMs = r.sampleNeighborMs;
+            }
+            if (run == 0 || r.energyMj < best[v].energyMj) {
+                best[v].energyMj = r.energyMj;
+            }
+        }
+    }
+    const PipelineResult &rb = best[0];
+    const PipelineResult &rs = best[1];
     EXPECT_LT(rs.sampleNeighborMs, rb.sampleNeighborMs);
     EXPECT_LT(rs.energyMj, rb.energyMj);
 }
@@ -147,16 +169,57 @@ TEST(Pipeline, BatchAccumulatesTotals)
 
 TEST(Pipeline, TensorCoreVariantSetsGemmMode)
 {
+    // The variant alone picks its run's engine; running another
+    // variant first changes nothing.
     PointNetPP model(PointNetPPConfig::liteSegmentation(256, 5), 7);
-    InferencePipeline snf(model, EdgePcConfig::snf());
-    snf.run(sceneCloud(256, 5));
-    EXPECT_EQ(nn::GemmEngine::globalEngine().mode(),
-              nn::GemmMode::Auto);
-
-    InferencePipeline base(model, EdgePcConfig::baseline());
-    base.run(sceneCloud(256, 6));
-    EXPECT_EQ(nn::GemmEngine::globalEngine().mode(),
+    InferencePipeline(model, EdgePcConfig::snf()).run(sceneCloud(256, 5));
+    EXPECT_EQ(EdgePcConfig::baseline().gemmRoute().engine.mode(),
               nn::GemmMode::Scalar);
+    EXPECT_EQ(EdgePcConfig::sn().gemmRoute().engine.mode(),
+              nn::GemmMode::Scalar);
+    InferencePipeline(model, EdgePcConfig::baseline()).run(sceneCloud(256, 6));
+    EXPECT_EQ(EdgePcConfig::snf().gemmRoute().engine.mode(),
+              nn::GemmMode::Auto);
+}
+
+bool
+sameBits(const nn::Matrix &a, const nn::Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+std::uint64_t
+fastPathCalls()
+{
+    return obs::MetricsRegistry::global()
+        .counter("gemm.fast_path_calls")
+        .value();
+}
+
+TEST(Pipeline, DirectInferFollowsItsOwnVariant)
+{
+    // A direct infer() runs on the engine of the config it is given: no
+    // pipeline has to set it first, and no pipeline run changes it.
+    Dgcnn model(DgcnnConfig::liteSegmentation(5), 7);
+    const PointCloud cloud = sceneCloud(256, 8);
+
+    std::uint64_t before = fastPathCalls();
+    (void)model.infer(cloud, EdgePcConfig::snf());
+    if (nn::GemmEngine::fastKernelAvailable()) {
+        EXPECT_GT(fastPathCalls(), before)
+            << "an S+N+F infer made no fast-path GEMM call";
+    }
+
+    const nn::Matrix first = model.infer(cloud, EdgePcConfig::baseline());
+    (void)InferencePipeline(model, EdgePcConfig::snf())
+        .run(sceneCloud(256, 9));
+    before = fastPathCalls();
+    const nn::Matrix second = model.infer(cloud, EdgePcConfig::baseline());
+    EXPECT_EQ(fastPathCalls(), before)
+        << "a baseline infer made a fast-path GEMM call";
+    EXPECT_TRUE(sameBits(second, first))
+        << "an S+N+F pipeline run changed a later baseline infer";
 }
 
 TEST(Pipeline, ConfigSwappable)

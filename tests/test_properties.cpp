@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "neighbor/brute_force.hpp"
-#include "neighbor/kd_tree.hpp"
 #include "neighbor/metrics.hpp"
 #include "neighbor/morton_window.hpp"
 #include "pointcloud/metrics.hpp"
@@ -252,43 +251,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, InterpolationProperty,
                          ::testing::Values(2, 4, 8, 16));
 
 // ---------------------------------------------------------------------
-// Exact-searcher equivalences over (size, radius) combinations.
-// ---------------------------------------------------------------------
-
-class ExactSearcherProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, float>>
-{
-};
-
-TEST_P(ExactSearcherProperty, KdTreeKnnDistancesMatchBruteForce)
-{
-    const auto [n, radius] = GetParam();
-    (void)radius;
-    const auto pts = randomCloud(n, 87);
-    const auto queries = randomCloud(8, 88);
-    const std::size_t k = std::min<std::size_t>(6, n);
-
-    KdTreeKnn kd;
-    BruteForceKnn bf;
-    const auto a = kd.search(queries, pts, k);
-    const auto b = bf.search(queries, pts, k);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        for (std::size_t j = 0; j < k; ++j) {
-            ASSERT_FLOAT_EQ(
-                squaredDistance(queries[q], pts[a.row(q)[j]]),
-                squaredDistance(queries[q], pts[b.row(q)[j]]));
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ExactSearcherProperty,
-    ::testing::Combine(::testing::Values(std::size_t{32},
-                                         std::size_t{256},
-                                         std::size_t{1024}),
-                       ::testing::Values(0.2f, 0.6f, 2.0f)));
-
-// ---------------------------------------------------------------------
 // Sampler-family coverage ordering over cloud sizes.
 // ---------------------------------------------------------------------
 
@@ -324,27 +286,6 @@ TEST_P(SamplerFamilyProperty, StratifiedSamplersBeatWorstBaseline)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SamplerFamilyProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
-
-// ---------------------------------------------------------------------
-// k-d tree robustness on degenerate geometry.
-// ---------------------------------------------------------------------
-
-TEST(KdTreeDegenerate, CollinearAndDuplicatePoints)
-{
-    std::vector<Vec3> pts;
-    for (int i = 0; i < 50; ++i) {
-        pts.push_back({static_cast<float>(i % 10), 0.0f, 0.0f});
-    }
-    const KdTree tree(pts);
-    const auto found = tree.knn({3.2f, 0.0f, 0.0f}, 5);
-    ASSERT_EQ(found.size(), 5u);
-    // All five results at x == 3 (distance 0.2) — duplicates allowed.
-    for (const auto idx : found) {
-        EXPECT_FLOAT_EQ(pts[idx].x, 3.0f);
-    }
-    const auto in_radius = tree.radius({5.0f, 0.0f, 0.0f}, 0.5f);
-    EXPECT_EQ(in_radius.size(), 5u); // the five copies of x == 5
-}
 
 } // namespace
 } // namespace edgepc

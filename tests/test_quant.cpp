@@ -2,8 +2,8 @@
  * @file
  * Int8 quantized inference path (DESIGN.md §15): activation / weight
  * quantization properties, panel-cache invalidation, kernel
- * bit-exactness against the scalar-integer reference, dispatch
- * precedence, fixed-point SoA distance kernels, and the Fig-9-style
+ * bit-exactness against the scalar-integer reference, route
+ * resolution, fixed-point SoA distance kernels, and the Fig-9-style
  * accuracy budget (quantized inference within 1.0 pp of fp32 on the
  * synthetic tasks).
  */
@@ -33,33 +33,17 @@
 #include "pointcloud/points_soa.hpp"
 #include "train/trainer.hpp"
 
+#include "build_guard.hpp"
+
 namespace edgepc {
 namespace {
 
-/** Save/restore every dispatch knob these tests mutate. */
-class QuantDispatchGuard
+/** The scalar-policy engine; the int8 route ignores the policy. */
+nn::GemmEngine &
+scalarEngine()
 {
-  public:
-    QuantDispatchGuard()
-        : gemmPath(nn::GemmEngine::dispatchPath()),
-          simdPath(simd::dispatchPath()), quant(nn::quantGemmMode()),
-          fixed(simd::fixedPointMode())
-    {
-    }
-    ~QuantDispatchGuard()
-    {
-        nn::GemmEngine::setDispatchPath(gemmPath);
-        simd::setDispatchPath(simdPath);
-        nn::setQuantGemmMode(quant);
-        simd::setFixedPointMode(fixed);
-    }
-
-  private:
-    nn::GemmDispatchPath gemmPath;
-    simd::DispatchPath simdPath;
-    nn::QuantMode quant;
-    simd::FixedPointMode fixed;
-};
+    return nn::GemmEngine::shared(nn::GemmMode::Scalar);
+}
 
 nn::Matrix
 randomMatrix(Rng &rng, std::size_t rows, std::size_t cols, float lo,
@@ -304,8 +288,8 @@ expectKernelMatchesReference(const QuantShape &s,
     const nn::Matrix bias = randomMatrix(rng, 1, s.n, -0.5f, 0.5f);
     const auto wq = nn::buildQuantizedWeights(w);
 
-    const nn::Matrix c = nn::GemmEngine::globalEngine().multiplyQuantized(
-        a, *wq, epilogue, bias);
+    const nn::Matrix c =
+        scalarEngine().multiplyQuantized(a, *wq, epilogue, bias);
 
     const nn::ActQuant aq = nn::computeActQuant(a.data(), a.numel());
     nn::Matrix ref(s.m, s.n);
@@ -325,17 +309,15 @@ expectKernelMatchesReference(const QuantShape &s,
 
 TEST(QuantGemm, KernelsBitExactWithReferenceOnRemainderShapes)
 {
-    QuantDispatchGuard guard;
     const std::vector<QuantShape> shapes = {
         {1, 1, 1},   {3, 5, 2},    {5, 16, 7},   {6, 64, 16},
         {7, 65, 17}, {13, 33, 31}, {32, 128, 40}, {48, 256, 64}};
-    std::vector<nn::GemmDispatchPath> paths = {
-        nn::GemmDispatchPath::ForceScalar};
-    if (nn::GemmEngine::int8KernelAvailable()) {
-        paths.push_back(nn::GemmDispatchPath::ForceFast);
+    std::vector<KernelBuild> builds = {KernelBuild::Scalar};
+    if (cpuHasAvx2Fma()) {
+        builds.push_back(KernelBuild::Avx2);
     }
-    for (const auto path : paths) {
-        nn::GemmEngine::setDispatchPath(path);
+    for (const KernelBuild build : builds) {
+        const test::BuildGuard guard(KernelFamily::Gemm, build);
         for (const QuantShape &s : shapes) {
             expectKernelMatchesReference(s, nn::GemmEpilogue::Bias);
             expectKernelMatchesReference(s, nn::GemmEpilogue::BiasRelu);
@@ -345,13 +327,12 @@ TEST(QuantGemm, KernelsBitExactWithReferenceOnRemainderShapes)
 
 TEST(QuantGemm, QuantizedCloseToFp32)
 {
-    QuantDispatchGuard guard;
     Rng rng(51);
     const nn::Matrix a = randomMatrix(rng, 48, 64, -1.0f, 1.0f);
     const nn::Matrix w = randomMatrix(rng, 64, 32, -0.5f, 0.5f);
     const nn::Matrix bias = randomMatrix(rng, 1, 32, -0.2f, 0.2f);
     const auto wq = nn::buildQuantizedWeights(w);
-    nn::GemmEngine &engine = nn::GemmEngine::globalEngine();
+    nn::GemmEngine &engine = scalarEngine();
     const nn::Matrix q =
         engine.multiplyQuantized(a, *wq, nn::GemmEpilogue::Bias, bias);
     const nn::Matrix f =
@@ -362,32 +343,22 @@ TEST(QuantGemm, QuantizedCloseToFp32)
 }
 
 // ---------------------------------------------------------------------
-// Dispatch precedence: env override > layer config > shape heuristic.
+// Route resolution: On / Off decide, Auto defers to the shape.
 // ---------------------------------------------------------------------
 
-TEST(QuantGemm, ResolvePrecedenceEnvThenConfigThenShape)
+TEST(QuantGemm, ResolveRouteThenShape)
 {
-    QuantDispatchGuard guard;
+    // On and Off decide whatever the shape.
+    EXPECT_TRUE(nn::resolveQuantGemm(Route::On, 1, 1));
+    EXPECT_FALSE(nn::resolveQuantGemm(Route::Off, 1024, 1024));
 
-    // Process-wide On/Off wins over everything.
-    nn::setQuantGemmMode(nn::QuantMode::On);
-    EXPECT_TRUE(nn::resolveQuantGemm(nn::QuantMode::Off, 1, 1));
-    EXPECT_STREQ(nn::quantGemmModeName(), "int8");
-    nn::setQuantGemmMode(nn::QuantMode::Off);
-    EXPECT_FALSE(nn::resolveQuantGemm(nn::QuantMode::On, 1024, 1024));
-    EXPECT_STREQ(nn::quantGemmModeName(), "fp32");
-
-    // Auto defers to the config, then to the shape floors.
-    nn::setQuantGemmMode(nn::QuantMode::Auto);
-    EXPECT_STREQ(nn::quantGemmModeName(), "auto");
-    EXPECT_TRUE(nn::resolveQuantGemm(nn::QuantMode::On, 1, 1));
-    EXPECT_FALSE(nn::resolveQuantGemm(nn::QuantMode::Off, 1024, 1024));
-    EXPECT_TRUE(nn::resolveQuantGemm(nn::QuantMode::Auto,
-                                     nn::kQuantMinRows, nn::kQuantMinK));
-    EXPECT_FALSE(nn::resolveQuantGemm(
-        nn::QuantMode::Auto, nn::kQuantMinRows - 1, nn::kQuantMinK));
-    EXPECT_FALSE(nn::resolveQuantGemm(
-        nn::QuantMode::Auto, nn::kQuantMinRows, nn::kQuantMinK - 1));
+    // Auto defers to the shape floors.
+    EXPECT_TRUE(nn::resolveQuantGemm(Route::Auto, nn::kQuantMinRows,
+                                     nn::kQuantMinK));
+    EXPECT_FALSE(nn::resolveQuantGemm(Route::Auto, nn::kQuantMinRows - 1,
+                                      nn::kQuantMinK));
+    EXPECT_FALSE(nn::resolveQuantGemm(Route::Auto, nn::kQuantMinRows,
+                                      nn::kQuantMinK - 1));
 }
 
 // ---------------------------------------------------------------------
@@ -396,18 +367,15 @@ TEST(QuantGemm, ResolvePrecedenceEnvThenConfigThenShape)
 
 TEST(QuantLinear, InferenceForwardTakesQuantRoute)
 {
-    QuantDispatchGuard guard;
-    nn::setQuantGemmMode(nn::QuantMode::Auto);
     Rng rng(61);
     nn::Linear lin(64, 24, rng);
-    lin.setQuantMode(nn::QuantMode::On);
     const nn::Matrix input = randomMatrix(rng, 40, 64, -1.0f, 1.0f);
 
-    const nn::Matrix out = lin.forward(input, false);
+    const nn::Matrix out =
+        lin.forward(input, {scalarEngine(), Route::On}, false);
     const auto wq = nn::buildQuantizedWeights(lin.weights().value);
-    const nn::Matrix expected =
-        nn::GemmEngine::globalEngine().multiplyQuantized(
-            input, *wq, nn::GemmEpilogue::Bias, lin.biases().value);
+    const nn::Matrix expected = scalarEngine().multiplyQuantized(
+        input, *wq, nn::GemmEpilogue::Bias, lin.biases().value);
     for (std::size_t i = 0; i < out.numel(); ++i) {
         ASSERT_EQ(out.data()[i], expected.data()[i]) << "flat=" << i;
     }
@@ -416,17 +384,15 @@ TEST(QuantLinear, InferenceForwardTakesQuantRoute)
 
 TEST(QuantLinear, TrainingForwardStaysFp32)
 {
-    QuantDispatchGuard guard;
-    nn::setQuantGemmMode(nn::QuantMode::On); // even forced on...
     Rng rng(62);
     nn::Linear lin(64, 16, rng);
-    lin.setQuantMode(nn::QuantMode::On);
     const nn::Matrix input = randomMatrix(rng, 40, 64, -1.0f, 1.0f);
-    const nn::Matrix train_out = lin.forward(input, true);
+    // Even with the int8 route On...
+    const nn::Matrix train_out =
+        lin.forward(input, {scalarEngine(), Route::On}, true);
 
-    nn::setQuantGemmMode(nn::QuantMode::Off);
-    lin.setQuantMode(nn::QuantMode::Off);
-    const nn::Matrix fp32_out = lin.forward(input, false);
+    const nn::Matrix fp32_out =
+        lin.forward(input, {scalarEngine(), Route::Off}, false);
     for (std::size_t i = 0; i < train_out.numel(); ++i) {
         // ...training uses the identical fp32 route.
         ASSERT_EQ(train_out.data()[i], fp32_out.data()[i]);
@@ -436,12 +402,11 @@ TEST(QuantLinear, TrainingForwardStaysFp32)
 
 TEST(QuantLinear, ReluVariantClampsAtZero)
 {
-    QuantDispatchGuard guard;
     Rng rng(63);
     nn::LinearRelu lin(64, 24, rng);
-    lin.setQuantMode(nn::QuantMode::On);
     const nn::Matrix input = randomMatrix(rng, 36, 64, -1.0f, 1.0f);
-    const nn::Matrix out = lin.forward(input, false);
+    const nn::Matrix out =
+        lin.forward(input, {scalarEngine(), Route::On}, false);
     bool any_zero = false;
     for (std::size_t i = 0; i < out.numel(); ++i) {
         ASSERT_GE(out.data()[i], 0.0f);
@@ -456,7 +421,6 @@ TEST(QuantLinear, ReluVariantClampsAtZero)
 
 TEST(FixedPointDistance, KernelsBitExactAcrossDispatchPaths)
 {
-    QuantDispatchGuard guard;
     Rng rng(71);
     for (const std::size_t n : {1u, 5u, 8u, 13u, 16u, 33u, 100u}) {
         const std::size_t padded = simd::paddedSize(n);
@@ -482,13 +446,12 @@ TEST(FixedPointDistance, KernelsBitExactAcrossDispatchPaths)
                 static_cast<float>(dx * dx + dy * dy + dz * dz);
         }
 
-        std::vector<simd::DispatchPath> paths = {
-            simd::DispatchPath::ForceScalar};
+        std::vector<KernelBuild> builds = {KernelBuild::Scalar};
         if (simd::simdAvailable()) {
-            paths.push_back(simd::DispatchPath::ForceSimd);
+            builds.push_back(KernelBuild::Avx2);
         }
-        for (const auto path : paths) {
-            simd::setDispatchPath(path);
+        for (const KernelBuild build : builds) {
+            const test::BuildGuard guard(KernelFamily::Distance, build);
             std::vector<float> out(n, -1.0f);
             simd::batchSqDistFixed(qxy.data(), qzw.data(), n, qx, qy,
                                    qz, out.data());
@@ -583,40 +546,22 @@ TEST(FixedPointDistance, FarQueriesClampWithoutWrapping)
     }
 }
 
-TEST(FixedPointDistance, ResolvePrecedenceEnvThenConfigThenHeuristic)
+TEST(FixedPointDistance, ResolveRouteThenHeuristic)
 {
-    QuantDispatchGuard guard;
+    // On and Off decide whatever the scale and radius.
+    EXPECT_TRUE(simd::resolveFixedPointBall(Route::On, 1.0f, 0.001f));
+    EXPECT_TRUE(simd::resolveFixedPointKnn(Route::On));
+    EXPECT_FALSE(simd::resolveFixedPointBall(Route::Off, 1e-6f, 100.0f));
+    EXPECT_FALSE(simd::resolveFixedPointKnn(Route::Off));
 
-    simd::setFixedPointMode(simd::FixedPointMode::On);
-    EXPECT_TRUE(simd::resolveFixedPointBall(simd::FixedPointMode::Off,
-                                            1.0f, 0.001f));
-    EXPECT_TRUE(simd::resolveFixedPointKnn(simd::FixedPointMode::Off));
-    EXPECT_STREQ(simd::fixedPointModeName(), "int8");
-
-    simd::setFixedPointMode(simd::FixedPointMode::Off);
-    EXPECT_FALSE(simd::resolveFixedPointBall(simd::FixedPointMode::On,
-                                             1e-6f, 100.0f));
-    EXPECT_FALSE(simd::resolveFixedPointKnn(simd::FixedPointMode::On));
-    EXPECT_FALSE(simd::fixedPointConsidered(simd::FixedPointMode::On));
-    EXPECT_STREQ(simd::fixedPointModeName(), "fp32");
-
-    simd::setFixedPointMode(simd::FixedPointMode::Auto);
-    EXPECT_STREQ(simd::fixedPointModeName(), "auto");
-    EXPECT_TRUE(simd::resolveFixedPointBall(simd::FixedPointMode::On,
-                                            1.0f, 0.001f));
-    EXPECT_FALSE(simd::resolveFixedPointBall(simd::FixedPointMode::Off,
-                                             1e-6f, 100.0f));
-    EXPECT_FALSE(simd::fixedPointConsidered(simd::FixedPointMode::Off));
-
-    // Auto + Auto: the scale/radius heuristic decides (ball query).
+    // Auto: the scale/radius heuristic decides (ball query).
     const float r = 0.2f;
     EXPECT_TRUE(simd::resolveFixedPointBall(
-        simd::FixedPointMode::Auto, r / simd::kFixedAutoFactor, r));
+        Route::Auto, r / simd::kFixedAutoFactor, r));
     EXPECT_FALSE(simd::resolveFixedPointBall(
-        simd::FixedPointMode::Auto, 2.0f * r / simd::kFixedAutoFactor,
-        r));
-    // Auto + Auto is Off for k-NN (ordering-sensitive).
-    EXPECT_FALSE(simd::resolveFixedPointKnn(simd::FixedPointMode::Auto));
+        Route::Auto, 2.0f * r / simd::kFixedAutoFactor, r));
+    // Auto is Off for k-NN (ordering-sensitive).
+    EXPECT_FALSE(simd::resolveFixedPointKnn(Route::Auto));
 }
 
 /** A 5x5x5 unit-spaced grid: every pairwise distance is far from the
@@ -639,13 +584,11 @@ gridCloud()
 
 TEST(FixedPointDistance, BallQueryMatchesExactOnSeparatedCloud)
 {
-    QuantDispatchGuard guard;
-    simd::setFixedPointMode(simd::FixedPointMode::Auto);
     const std::vector<Vec3> pts = gridCloud();
     // r = 1.5 sits between the sqrt(2) and sqrt(3) neighbor shells;
     // the snap error (~1e-3) cannot flip membership at that margin.
-    BallQuery exact(1.5f, simd::FixedPointMode::Off);
-    BallQuery fixed(1.5f, simd::FixedPointMode::On);
+    BallQuery exact(1.5f, Route::Off);
+    BallQuery fixed(1.5f, Route::On);
     const NeighborLists a = exact.search(pts, pts, 8);
     const NeighborLists b = fixed.search(pts, pts, 8);
     ASSERT_EQ(a.indices.size(), b.indices.size());
@@ -656,16 +599,14 @@ TEST(FixedPointDistance, BallQueryMatchesExactOnSeparatedCloud)
 
 TEST(FixedPointDistance, KnnMatchesExactOnSeparatedCloud)
 {
-    QuantDispatchGuard guard;
-    simd::setFixedPointMode(simd::FixedPointMode::Auto);
     // Distinct, well-separated distances along a line: quantization
     // cannot reorder them.
     std::vector<Vec3> pts;
     for (int i = 0; i < 16; ++i) {
         pts.push_back({static_cast<float>(i), 0.0f, 0.0f});
     }
-    BruteForceKnn exact(simd::FixedPointMode::Off);
-    BruteForceKnn fixed(simd::FixedPointMode::On);
+    BruteForceKnn exact(Route::Off);
+    BruteForceKnn fixed(Route::On);
     const NeighborLists a = exact.search(pts, pts, 4);
     const NeighborLists b = fixed.search(pts, pts, 4);
     ASSERT_EQ(a.indices.size(), b.indices.size());
@@ -676,18 +617,16 @@ TEST(FixedPointDistance, KnnMatchesExactOnSeparatedCloud)
 
 TEST(FixedPointDistance, BallQueryFixedPathBumpsCounter)
 {
-    QuantDispatchGuard guard;
-    simd::setFixedPointMode(simd::FixedPointMode::Auto);
     obs::Counter &fixed_calls =
         obs::MetricsRegistry::global().counter("simd.fixed_calls");
     const std::vector<Vec3> pts = gridCloud();
 
     const std::uint64_t before = fixed_calls.value();
-    BallQuery off(1.5f, simd::FixedPointMode::Off);
+    BallQuery off(1.5f, Route::Off);
     (void)off.search(pts, pts, 4);
     EXPECT_EQ(fixed_calls.value(), before);
 
-    BallQuery on(1.5f, simd::FixedPointMode::On);
+    BallQuery on(1.5f, Route::On);
     (void)on.search(pts, pts, 4);
     EXPECT_EQ(fixed_calls.value(), before + pts.size());
 }
@@ -707,16 +646,15 @@ quantAccuracyDeltaPp(PointCloudModel &model, const Dataset &data,
                      bool classifier)
 {
     Trainer trainer;
-    const EdgePcConfig cfg = EdgePcConfig::baseline();
-    nn::setQuantGemmMode(nn::QuantMode::Off);
+    EdgePcConfig cfg = EdgePcConfig::baseline();
+    cfg.int8Gemm = Route::Off;
     const EvalResult fp32 =
         classifier ? trainer.evaluateClassifier(model, data, cfg)
                    : trainer.evaluateSegmentation(model, data, cfg);
-    nn::setQuantGemmMode(nn::QuantMode::On);
+    cfg.int8Gemm = Route::On;
     const EvalResult int8 =
         classifier ? trainer.evaluateClassifier(model, data, cfg)
                    : trainer.evaluateSegmentation(model, data, cfg);
-    nn::setQuantGemmMode(nn::QuantMode::Off);
     return std::fabs(int8.accuracy - fp32.accuracy) * 100.0;
 }
 
@@ -750,7 +688,6 @@ medianGapPp(std::uint64_t data_seed,
 
 TEST(QuantAccuracy, ClassificationWithinOnePointOfFp32)
 {
-    QuantDispatchGuard guard;
     std::string gaps;
     const double median = medianGapPp(
         5,
@@ -781,7 +718,6 @@ TEST(QuantAccuracy, ClassificationWithinOnePointOfFp32)
 
 TEST(QuantAccuracy, SemanticSegmentationWithinOnePointOfFp32)
 {
-    QuantDispatchGuard guard;
     std::string gaps;
     const double median = medianGapPp(
         3,
@@ -807,7 +743,6 @@ TEST(QuantAccuracy, SemanticSegmentationWithinOnePointOfFp32)
 
 TEST(QuantAccuracy, PartSegmentationWithinOnePointOfFp32)
 {
-    QuantDispatchGuard guard;
     std::string gaps;
     const double median = medianGapPp(
         7,

@@ -28,6 +28,7 @@
 #include "common/rng.hpp"
 #include "common/scratch_arena.hpp"
 #include "common/thread_pool.hpp"
+#include "core/config.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
 #include "neighbor/morton_window.hpp"
@@ -443,14 +444,15 @@ TEST(ScratchArenaZeroAlloc, FeatureSpaceKnnSteadyState)
     for (auto &v : queries) {
         v = rng.nextFloat();
     }
+    const nn::GemmEngine &engine = EdgePcConfig::snf().gemmRoute().engine;
     warmEveryThread([&] {
-        const auto ignored =
-            BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+        const auto ignored = BruteForceKnn::searchFeatureSpace(
+            queries, cands, dim, 20, engine);
         static_cast<void>(ignored);
     });
     const SteadyState before = snapshot();
     const auto out =
-        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20);
+        BruteForceKnn::searchFeatureSpace(queries, cands, dim, 20, engine);
     const SteadyState delta = deltaOf(before);
     EXPECT_EQ(delta.grows, 0u);
     EXPECT_LE(delta.allocs, kPerCallAllocBudget);

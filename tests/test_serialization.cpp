@@ -16,22 +16,18 @@ namespace edgepc {
 namespace {
 
 /**
- * Pin the quantized GEMM route off: the eager/delayed logit parity
- * asserted below is an fp32 reassociation bound, and EDGEPC_GEMM=int8
- * would reroute every Linear through the int8 kernel.
+ * The baseline with the delayed route @p delayed and int8 off: the
+ * eager/delayed logit parity asserted below is an fp32 reassociation
+ * bound, whatever the environment defaults to.
  */
-class QuantOffGuard
+EdgePcConfig
+fp32Config(Route delayed)
 {
-  public:
-    QuantOffGuard() : quant(nn::quantGemmMode())
-    {
-        nn::setQuantGemmMode(nn::QuantMode::Off);
-    }
-    ~QuantOffGuard() { nn::setQuantGemmMode(quant); }
-
-  private:
-    nn::QuantMode quant;
-};
+    EdgePcConfig cfg = EdgePcConfig::baseline();
+    cfg.delayedAggregation = delayed;
+    cfg.int8Gemm = Route::Off;
+    return cfg;
+}
 
 TEST(Serialization, StreamRoundTrip)
 {
@@ -131,22 +127,18 @@ TEST(Serialization, EagerCheckpointLoadsIntoDelayedBlocksAndBack)
 {
     // Delayed aggregation is an execution route, not a parameter
     // layout: a checkpoint written by an eager model must load into a
-    // delayed-configured one (same stream, logits within reassociation
+    // model run delayed (same stream, logits within reassociation
     // distance) and a checkpoint written back by the delayed model
     // must reproduce the eager model's logits bit-exactly.
-    QuantOffGuard guard;
     Rng rng(7);
     ShapeOptions options;
     options.points = 64;
     const PointCloud cloud = makeShape(ShapeClass::Cube, options, rng);
+    const EdgePcConfig eager_cfg = fp32Config(Route::Off);
+    const EdgePcConfig delayed_cfg = fp32Config(Route::On);
 
-    DgcnnConfig eager_cfg = DgcnnConfig::liteClassification(8);
-    eager_cfg.delayedAggregation = nn::DelayedAggMode::Off;
-    DgcnnConfig delayed_cfg = DgcnnConfig::liteClassification(8);
-    delayed_cfg.delayedAggregation = nn::DelayedAggMode::On;
-
-    Dgcnn eager(eager_cfg, 11);
-    Dgcnn delayed(delayed_cfg, 99);
+    Dgcnn eager(DgcnnConfig::liteClassification(8), 11);
+    Dgcnn delayed(DgcnnConfig::liteClassification(8), 99);
 
     std::stringstream ss;
     std::vector<nn::Parameter *> ep, dp;
@@ -156,8 +148,8 @@ TEST(Serialization, EagerCheckpointLoadsIntoDelayedBlocksAndBack)
     ASSERT_TRUE(nn::saveParameters(ep, ss));
     ASSERT_TRUE(nn::loadParameters(dp, ss));
 
-    const nn::Matrix a = eager.infer(cloud, EdgePcConfig::baseline());
-    const nn::Matrix b = delayed.infer(cloud, EdgePcConfig::baseline());
+    const nn::Matrix a = eager.infer(cloud, eager_cfg);
+    const nn::Matrix b = delayed.infer(cloud, delayed_cfg);
     ASSERT_EQ(a.numel(), b.numel());
     for (std::size_t i = 0; i < a.numel(); ++i) {
         EXPECT_NEAR(a.data()[i], b.data()[i], 5e-3) << "logit " << i;
@@ -167,11 +159,11 @@ TEST(Serialization, EagerCheckpointLoadsIntoDelayedBlocksAndBack)
     // route exactly (identical parameter stream either way).
     std::stringstream back_ss;
     ASSERT_TRUE(nn::saveParameters(dp, back_ss));
-    Dgcnn back(eager_cfg, 5);
+    Dgcnn back(DgcnnConfig::liteClassification(8), 5);
     std::vector<nn::Parameter *> bp;
     back.collectParameters(bp);
     ASSERT_TRUE(nn::loadParameters(bp, back_ss));
-    const nn::Matrix c = back.infer(cloud, EdgePcConfig::baseline());
+    const nn::Matrix c = back.infer(cloud, eager_cfg);
     ASSERT_EQ(a.numel(), c.numel());
     for (std::size_t i = 0; i < a.numel(); ++i) {
         EXPECT_FLOAT_EQ(a.data()[i], c.data()[i]) << "logit " << i;
@@ -180,21 +172,13 @@ TEST(Serialization, EagerCheckpointLoadsIntoDelayedBlocksAndBack)
 
 TEST(Serialization, EagerCheckpointLoadsIntoDelayedPointNetPP)
 {
-    QuantOffGuard guard;
     Rng rng(9);
     ShapeOptions options;
     options.points = 64;
     const PointCloud cloud = makeShape(ShapeClass::Torus, options, rng);
 
-    PointNetPPConfig eager_cfg =
-        PointNetPPConfig::liteSegmentation(64, 5);
-    eager_cfg.delayedAggregation = nn::DelayedAggMode::Off;
-    PointNetPPConfig delayed_cfg =
-        PointNetPPConfig::liteSegmentation(64, 5);
-    delayed_cfg.delayedAggregation = nn::DelayedAggMode::On;
-
-    PointNetPP eager(eager_cfg, 31);
-    PointNetPP delayed(delayed_cfg, 77);
+    PointNetPP eager(PointNetPPConfig::liteSegmentation(64, 5), 31);
+    PointNetPP delayed(PointNetPPConfig::liteSegmentation(64, 5), 77);
 
     std::stringstream ss;
     std::vector<nn::Parameter *> ep, dp;
@@ -204,8 +188,8 @@ TEST(Serialization, EagerCheckpointLoadsIntoDelayedPointNetPP)
     ASSERT_TRUE(nn::saveParameters(ep, ss));
     ASSERT_TRUE(nn::loadParameters(dp, ss));
 
-    const nn::Matrix a = eager.infer(cloud, EdgePcConfig::baseline());
-    const nn::Matrix b = delayed.infer(cloud, EdgePcConfig::baseline());
+    const nn::Matrix a = eager.infer(cloud, fp32Config(Route::Off));
+    const nn::Matrix b = delayed.infer(cloud, fp32Config(Route::On));
     ASSERT_EQ(a.rows(), b.rows());
     ASSERT_EQ(a.cols(), b.cols());
     for (std::size_t i = 0; i < a.numel(); ++i) {

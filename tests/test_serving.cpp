@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,43 +22,25 @@
 #include "core/fault_injector.hpp"
 #include "datasets/scenes.hpp"
 #include "models/pointnetpp.hpp"
-#include "nn/quant.hpp"
+#include "obs/metrics.hpp"
 #include "serve/serving_engine.hpp"
 
 namespace edgepc {
 namespace {
 
 /**
- * Pin the quantized GEMM route off for the fp32 batch-vs-per-frame
+ * @p cfg with the int8 GEMM route Off, for the fp32 batch-vs-per-frame
  * parity tests (InferBatch.Int8MatchesPerFrame covers the int8 route,
  * whose per-call activation scale is why int8 layers run per cloud
- * inside a batch).
+ * inside a batch) and with delayed aggregation @p delayed.
  */
-class QuantOffGuard
+EdgePcConfig
+fp32(EdgePcConfig cfg, Route delayed = dispatchEnv().delayedAggregation)
 {
-  public:
-    QuantOffGuard() : quant(nn::quantGemmMode())
-    {
-        nn::setQuantGemmMode(nn::QuantMode::Off);
-    }
-    ~QuantOffGuard() { nn::setQuantGemmMode(quant); }
-
-  private:
-    nn::QuantMode quant;
-};
-
-/** Pin the process-wide EDGEPC_PIPELINE mode off for the guard's
-    lifetime (declare it before the engine, so it outlives the
-    dispatcher). */
-class PipelineOffGuard
-{
-  public:
-    PipelineOffGuard() { setPipelineMode(PipelineMode::Off); }
-    ~PipelineOffGuard() { setPipelineMode(prev); }
-
-  private:
-    PipelineMode prev = pipelineMode();
-};
+    cfg.int8Gemm = Route::Off;
+    cfg.delayedAggregation = delayed;
+    return cfg;
+}
 
 using serve::AdmissionController;
 using serve::AdmissionOptions;
@@ -337,18 +321,16 @@ TEST(AdmissionController, HoldsBetweenWatermarksAndRecoversLow)
 
 TEST(InferBatch, MatchesPerFrameSegmentation)
 {
-    QuantOffGuard guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
     expectBatchMatchesPerFrame(model, makeStream(3, 301),
-                               EdgePcConfig::sn());
+                               fp32(EdgePcConfig::sn()));
 }
 
 TEST(InferBatch, MatchesPerFrameClassification)
 {
-    QuantOffGuard guard;
     PointNetPP model(PointNetPPConfig::liteClassification(kPoints, 4), 7);
     expectBatchMatchesPerFrame(model, makeStream(4, 302),
-                               EdgePcConfig::baseline());
+                               fp32(EdgePcConfig::baseline()));
 }
 
 TEST(InferBatch, SingleCloudMatchesInfer)
@@ -363,16 +345,12 @@ TEST(InferBatch, Int8MatchesPerFrame)
     // The int8 route quantizes each GEMM call's activations with one
     // per-tensor scale (and Auto's row floor sees the call's height),
     // so a cloud's quantized layers must run on its rows alone even
-    // inside a batch. No QuantOffGuard: under EDGEPC_GEMM=int8 every
-    // layer quantizes, which this test must survive too.
-    for (const nn::QuantMode quant :
-         {nn::QuantMode::On, nn::QuantMode::Auto}) {
-        PointNetPPConfig mcfg =
-            PointNetPPConfig::liteSegmentation(kPoints, 5);
-        mcfg.quantizedInference = quant;
-        PointNetPP model(mcfg, 3);
-        expectBatchMatchesPerFrame(model, makeStream(3, 308),
-                                   EdgePcConfig::sn());
+    // inside a batch.
+    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
+    for (const Route int8 : {Route::On, Route::Auto}) {
+        EdgePcConfig cfg = EdgePcConfig::sn();
+        cfg.int8Gemm = int8;
+        expectBatchMatchesPerFrame(model, makeStream(3, 308), cfg);
     }
 }
 
@@ -381,7 +359,7 @@ TEST(InferBatch, MixedSizesMatchPerFrame)
     // Clouds of different sizes: their levels, and so each FP module's
     // coarse and fine row counts, differ inside one batch, and every
     // cloud must still get its own interpolated up-product. Int8 off
-    // and on (no QuantOffGuard, as in Int8MatchesPerFrame).
+    // and on.
     std::vector<PointCloud> clouds;
     Rng rng(310);
     for (const std::size_t points :
@@ -390,14 +368,11 @@ TEST(InferBatch, MixedSizesMatchPerFrame)
         options.points = points;
         clouds.push_back(makeScene(options, rng));
     }
-    for (const nn::QuantMode quant :
-         {nn::QuantMode::Off, nn::QuantMode::On}) {
-        PointNetPPConfig mcfg =
-            PointNetPPConfig::liteSegmentation(kPoints, 5);
-        mcfg.quantizedInference = quant;
-        PointNetPP model(mcfg, 3);
-        for (const EdgePcConfig &config :
+    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
+    for (const Route int8 : {Route::Off, Route::On}) {
+        for (EdgePcConfig config :
              {EdgePcConfig::baseline(), EdgePcConfig::sn()}) {
+            config.int8Gemm = int8;
             expectBatchMatchesPerFrame(model, clouds, config);
         }
     }
@@ -411,50 +386,39 @@ TEST(InferBatch, MixedSizesMatchPerFrame)
 
 TEST(ServingDelayedAgg, InferBatchMatchesPerFrameSegmentation)
 {
-    QuantOffGuard guard;
-    PointNetPPConfig mcfg = PointNetPPConfig::liteSegmentation(kPoints, 5);
-    mcfg.delayedAggregation = nn::DelayedAggMode::On;
-    PointNetPP model(mcfg, 3);
+    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
     expectBatchMatchesPerFrame(model, makeStream(3, 304),
-                               EdgePcConfig::sn());
+                               fp32(EdgePcConfig::sn(), Route::On));
 }
 
 TEST(ServingDelayedAgg, InferBatchMatchesPerFrameClassification)
 {
-    QuantOffGuard guard;
-    PointNetPPConfig mcfg = PointNetPPConfig::liteClassification(kPoints, 4);
-    mcfg.delayedAggregation = nn::DelayedAggMode::On;
-    PointNetPP model(mcfg, 7);
+    PointNetPP model(PointNetPPConfig::liteClassification(kPoints, 4), 7);
     expectBatchMatchesPerFrame(model, makeStream(4, 305),
-                               EdgePcConfig::baseline());
+                               fp32(EdgePcConfig::baseline(), Route::On));
 }
 
 TEST(ServingDelayedAgg, SingleStageBlockBatchMatchesPerFrame)
 {
-    QuantOffGuard guard;
     // A one-stage deepest SA block is a BN-free Linear+ReLU before the
     // global pool, so its delayed route pools first (Tier A) and runs
     // per cloud inside the batch.
     PointNetPPConfig mcfg = PointNetPPConfig::liteClassification(kPoints, 4);
     mcfg.sa.back().mlp = {64};
-    mcfg.delayedAggregation = nn::DelayedAggMode::On;
     PointNetPP model(mcfg, 7);
     expectBatchMatchesPerFrame(model, makeStream(4, 309),
-                               EdgePcConfig::sn());
+                               fp32(EdgePcConfig::sn(), Route::On));
 }
 
 TEST(ServingDelayedAgg, MixedEagerAndDelayedBatchAgrees)
 {
-    QuantOffGuard guard;
     // Force one cloud onto the eager route and the rest onto the
-    // delayed route *within the same batch* by keeping the mode Auto:
+    // delayed route *within the same batch* by keeping the route Auto:
     // the per-cloud FLOP-ratio decision then depends on cloud size,
     // and a small outlier cloud lands below the crossover while the
     // large ones stay above it. The batched path must reproduce each
     // cloud's single-frame logits regardless of route mix.
-    PointNetPPConfig mcfg = PointNetPPConfig::liteSegmentation(kPoints, 5);
-    mcfg.delayedAggregation = nn::DelayedAggMode::Auto;
-    PointNetPP model(mcfg, 3);
+    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
 
     std::vector<PointCloud> clouds = makeStream(2, 306);
     {
@@ -463,7 +427,8 @@ TEST(ServingDelayedAgg, MixedEagerAndDelayedBatchAgrees)
         options.points = 24; // small: low sample/neighbor counts
         clouds.push_back(makeScene(options, rng));
     }
-    expectBatchMatchesPerFrame(model, clouds, EdgePcConfig::baseline());
+    expectBatchMatchesPerFrame(model, clouds,
+                               fp32(EdgePcConfig::baseline(), Route::Auto));
 }
 
 // ----------------------------------------------------------- engine
@@ -715,8 +680,9 @@ TEST(ServingEngine, CrossStreamHeadsAreMicroBatched)
     eopts.maxBatch = 4;
     // This test pins the classic micro-batched route; keep the staged
     // inter-frame executor out even under EDGEPC_PIPELINE=on CI legs.
-    PipelineOffGuard pipeline_off;
-    ServingEngine engine(model, EdgePcConfig::sn(), eopts);
+    EdgePcConfig cfg = EdgePcConfig::sn();
+    cfg.pipeline = Route::Off;
+    ServingEngine engine(model, cfg, eopts);
     const StreamId blocker = engine.openStream(blocker_opts);
     const StreamId s0 = engine.openStream();
     const StreamId s1 = engine.openStream();
@@ -749,6 +715,66 @@ TEST(ServingEngine, CrossStreamHeadsAreMicroBatched)
         batched_total += rep.serve.batchedFrames;
     }
     EXPECT_EQ(batched_total, 3u);
+}
+
+TEST(ServingEngine, DroppedFrameIsNeitherBatchedNorPipelined)
+{
+    // A frame the sanitizer rejects reaches neither multi-frame route:
+    // on both it answers batched == pipelined == false, and only the
+    // two served heads count as batched or pipelined frames.
+    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
+    const std::vector<PointCloud> frames = makeStream(4, 319);
+    const PointCloud rejected(std::vector<Vec3>(
+        kPoints, Vec3{std::numeric_limits<float>::quiet_NaN(), 0.0f, 0.0f}));
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    obs::Counter &batched_frames = metrics.counter("serve.batched_frames");
+    obs::Counter &pipelined_frames =
+        metrics.counter("serve.pipelined_frames");
+    for (const Route pipeline : {Route::Off, Route::On}) {
+        SCOPED_TRACE(std::string("pipeline ") + routeName(pipeline));
+        EdgePcConfig cfg = EdgePcConfig::sn();
+        cfg.pipeline = pipeline;
+        DispatchGate gate;
+        StreamOptions blocker_opts;
+        blocker_opts.robust.inferenceProlog = gate.prolog();
+        ServingOptions eopts;
+        eopts.maxBatch = 4;
+        ServingEngine engine(model, cfg, eopts);
+        const StreamId blocker = engine.openStream(blocker_opts);
+        const StreamId s0 = engine.openStream();
+        const StreamId s1 = engine.openStream();
+        const StreamId s2 = engine.openStream();
+
+        SubmitTicket tb = engine.submit(blocker, frames[0]);
+        ASSERT_TRUE(gate.waitEntered());
+        // Three heads pile up behind the blocked dispatcher and go out
+        // as one round on release; the middle one is all NaN.
+        SubmitTicket t0 = engine.submit(s0, frames[1]);
+        SubmitTicket t1 = engine.submit(s1, rejected);
+        SubmitTicket t2 = engine.submit(s2, frames[3]);
+        const std::uint64_t batched_before = batched_frames.value();
+        const std::uint64_t pipelined_before = pipelined_frames.value();
+        gate.open();
+        (void)await(tb);
+        const FrameResponse r0 = await(t0);
+        const FrameResponse dropped = await(t1);
+        const FrameResponse r2 = await(t2);
+        (void)engine.drain();
+
+        EXPECT_EQ(dropped.status, FrameStatus::Dropped);
+        EXPECT_FALSE(dropped.batched);
+        EXPECT_FALSE(dropped.pipelined);
+        const bool staged = pipeline == Route::On &&
+                            resolvePipeline(model, cfg, 3);
+        for (const FrameResponse *r : {&r0, &r2}) {
+            EXPECT_EQ(r->status, FrameStatus::Ok);
+            EXPECT_EQ(r->batched, !staged);
+            EXPECT_EQ(r->pipelined, staged);
+        }
+        EXPECT_EQ(batched_frames.value() - batched_before, staged ? 0u : 2u);
+        EXPECT_EQ(pipelined_frames.value() - pipelined_before,
+                  staged ? 2u : 0u);
+    }
 }
 
 TEST(ServingEngine, OverloadRaisesTheLadderFloor)

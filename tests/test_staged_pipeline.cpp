@@ -45,19 +45,13 @@ sceneClouds(std::size_t frames, std::size_t points, std::uint64_t seed)
     return clouds;
 }
 
-/** Restores the process-wide EDGEPC_PIPELINE mode on scope exit. */
-struct PipelineModeGuard
+/** @p cfg with the staged-executor route set to @p pipeline. */
+EdgePcConfig
+withPipeline(EdgePcConfig cfg, Route pipeline)
 {
-    PipelineMode prev = pipelineMode();
-    ~PipelineModeGuard() { setPipelineMode(prev); }
-};
-
-/** Restores the process-wide EDGEPC_DELAYED_AGG mode on scope exit. */
-struct DelayedAggGuard
-{
-    nn::DelayedAggMode prev = nn::delayedAggMode();
-    ~DelayedAggGuard() { nn::setDelayedAggMode(prev); }
-};
+    cfg.pipeline = pipeline;
+    return cfg;
+}
 
 void
 expectSameLogits(const nn::Matrix &staged, const nn::Matrix &sequential,
@@ -126,28 +120,25 @@ class SecondFeatureFailsModel : public PointCloudModel
 
 TEST(StagedPipeline, ResolveRespectsMode)
 {
-    PipelineModeGuard guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
     Dgcnn unsplit(DgcnnConfig::liteClassification(8), 7);
 
-    setPipelineMode(PipelineMode::Off);
-    EXPECT_STREQ(pipelineModeName(), "off");
-    EXPECT_FALSE(resolvePipeline(model, 8));
+    const EdgePcConfig off = withPipeline(EdgePcConfig::sn(), Route::Off);
+    EXPECT_FALSE(resolvePipeline(model, off, 8));
 
-    setPipelineMode(PipelineMode::On);
-    EXPECT_STREQ(pipelineModeName(), "on");
-    EXPECT_TRUE(resolvePipeline(model, 2));
-    EXPECT_FALSE(resolvePipeline(model, 1))
+    const EdgePcConfig on = withPipeline(EdgePcConfig::sn(), Route::On);
+    EXPECT_TRUE(resolvePipeline(model, on, 2));
+    EXPECT_FALSE(resolvePipeline(model, on, 1))
         << "a single frame has nothing to overlap";
-    EXPECT_FALSE(resolvePipeline(unsplit, 8))
+    EXPECT_FALSE(resolvePipeline(unsplit, on, 8))
         << "a model without a stage split never takes the staged route";
 
-    setPipelineMode(PipelineMode::Auto);
-    EXPECT_STREQ(pipelineModeName(), "auto");
+    const EdgePcConfig automatic =
+        withPipeline(EdgePcConfig::sn(), Route::Auto);
     const bool wide_host = ThreadPool::globalPool().concurrency() >= 4;
-    EXPECT_EQ(resolvePipeline(model, 8), wide_host)
+    EXPECT_EQ(resolvePipeline(model, automatic, 8), wide_host)
         << "Auto must engage exactly on hosts with cores to overlap on";
-    EXPECT_FALSE(resolvePipeline(model, 1));
+    EXPECT_FALSE(resolvePipeline(model, automatic, 1));
 }
 
 /**
@@ -155,12 +146,10 @@ TEST(StagedPipeline, ResolveRespectsMode)
  * logits across the config variants (scalar vs fused-GEMM) and every
  * delayed-aggregation route. The EDGEPC_SIMD axis of the matrix is
  * covered by the CI leg that re-runs this whole suite under
- * EDGEPC_SIMD=scalar (the SIMD path is fixed at startup).
+ * EDGEPC_SIMD=scalar (the distance build is fixed per process).
  */
 TEST(StagedPipeline, LogitParityAcrossConfigMatrix)
 {
-    PipelineModeGuard mode_guard;
-    DelayedAggGuard agg_guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(256, 5), 7);
     const std::vector<PointCloud> clouds = sceneClouds(3, 256, 11);
 
@@ -173,28 +162,22 @@ TEST(StagedPipeline, LogitParityAcrossConfigMatrix)
         {"sn", EdgePcConfig::sn()},
         {"snf", EdgePcConfig::snf()},
     };
-    const nn::DelayedAggMode agg_modes[] = {
-        nn::DelayedAggMode::Off,
-        nn::DelayedAggMode::On,
-        nn::DelayedAggMode::Auto,
-    };
-
     for (const auto &variant : variants) {
         InferencePipeline pipeline(model, variant.cfg);
-        for (const nn::DelayedAggMode agg : agg_modes) {
-            nn::setDelayedAggMode(agg);
+        for (const Route agg : {Route::Off, Route::On, Route::Auto}) {
+            EdgePcConfig cfg = variant.cfg;
+            cfg.delayedAggregation = agg;
 
-            setPipelineMode(PipelineMode::Off);
+            pipeline.setConfig(withPipeline(cfg, Route::Off));
             const PipelineResult sequential = pipeline.runBatch(clouds);
             EXPECT_FALSE(sequential.pipelined);
 
-            setPipelineMode(PipelineMode::On);
+            pipeline.setConfig(withPipeline(cfg, Route::On));
             const PipelineResult staged = pipeline.runBatch(clouds);
             EXPECT_TRUE(staged.pipelined);
 
             std::string what = std::string(variant.name) +
-                               " / delayed_agg=" +
-                               nn::delayedAggModeName();
+                               " / delayed_agg=" + routeName(agg);
             expectSameLogits(staged.logits, sequential.logits,
                              what.c_str());
         }
@@ -203,30 +186,28 @@ TEST(StagedPipeline, LogitParityAcrossConfigMatrix)
 
 TEST(StagedPipeline, ClassifierLogitParity)
 {
-    PipelineModeGuard guard;
     PointNetPP model(PointNetPPConfig::liteClassification(128, 4), 3);
     InferencePipeline pipeline(model, EdgePcConfig::sn());
     const std::vector<PointCloud> clouds = sceneClouds(3, 128, 21);
 
-    setPipelineMode(PipelineMode::Off);
+    pipeline.setConfig(withPipeline(EdgePcConfig::sn(), Route::Off));
     const PipelineResult sequential = pipeline.runBatch(clouds);
-    setPipelineMode(PipelineMode::On);
+    pipeline.setConfig(withPipeline(EdgePcConfig::sn(), Route::On));
     const PipelineResult staged = pipeline.runBatch(clouds);
     expectSameLogits(staged.logits, sequential.logits, "classifier");
 }
 
 TEST(StagedPipeline, UnsplitModelRunsSequentiallyUnderOn)
 {
-    PipelineModeGuard guard;
     // Dgcnn has no staged split, so forced On keeps it sequential.
     Dgcnn model(DgcnnConfig::liteClassification(8), 7);
     EXPECT_FALSE(model.supportsStagedInfer());
-    InferencePipeline pipeline(model, EdgePcConfig::baseline());
+    InferencePipeline pipeline(
+        model, withPipeline(EdgePcConfig::baseline(), Route::Off));
     const std::vector<PointCloud> clouds = sceneClouds(3, 96, 31);
 
-    setPipelineMode(PipelineMode::Off);
     const PipelineResult sequential = pipeline.runBatch(clouds);
-    setPipelineMode(PipelineMode::On);
+    pipeline.setConfig(withPipeline(EdgePcConfig::baseline(), Route::On));
     const PipelineResult forced = pipeline.runBatch(clouds);
     EXPECT_FALSE(forced.pipelined);
     expectSameLogits(forced.logits, sequential.logits, "dgcnn under on");
@@ -304,10 +285,10 @@ TEST(StagedPipeline, FailedFrameFlowsThroughWithoutDisruptingOthers)
 
 TEST(StagedPipeline, RunBatchThrowsAfterDrainAndStaysUsable)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
-    InferencePipeline pipeline(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    InferencePipeline pipeline(model, staged_cfg);
 
     std::vector<PointCloud> clouds = sceneClouds(3, 128, 61);
     clouds[1] = PointCloud();
@@ -323,12 +304,11 @@ TEST(StagedPipeline, RunBatchThrowsAfterDrainAndStaysUsable)
 
 TEST(StagedPipeline, ReportsBusyAndWallTimeSeparately)
 {
-    PipelineModeGuard guard;
     PointNetPP model(PointNetPPConfig::liteSegmentation(256, 5), 7);
-    InferencePipeline pipeline(model, EdgePcConfig::sn());
+    InferencePipeline pipeline(model,
+                               withPipeline(EdgePcConfig::sn(), Route::On));
     const std::vector<PointCloud> clouds = sceneClouds(4, 256, 71);
 
-    setPipelineMode(PipelineMode::On);
     const PipelineResult staged = pipeline.runBatch(clouds);
     EXPECT_TRUE(staged.pipelined);
     EXPECT_GT(staged.busyMs, 0.0);
@@ -338,7 +318,7 @@ TEST(StagedPipeline, ReportsBusyAndWallTimeSeparately)
     EXPECT_DOUBLE_EQ(staged.busyMs, staged.stages.grandTotal());
     EXPECT_LE(staged.sampleNeighborMs, staged.busyMs);
 
-    setPipelineMode(PipelineMode::Off);
+    pipeline.setConfig(withPipeline(EdgePcConfig::sn(), Route::Off));
     const PipelineResult sequential = pipeline.runBatch(clouds);
     EXPECT_FALSE(sequential.pipelined);
     EXPECT_GT(sequential.wallMs, 0.0);
@@ -354,10 +334,10 @@ TEST(StagedPipeline, ReportsBusyAndWallTimeSeparately)
 
 TEST(StagedPipeline, RobustProcessStreamResolvesEveryFrameExactlyOnce)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
-    RobustPipeline robust(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    RobustPipeline robust(model, staged_cfg);
 
     std::vector<PointCloud> clouds = sceneClouds(6, 128, 81);
     clouds[2] = PointCloud(); // Sanitizer drops this one at submit.
@@ -392,12 +372,12 @@ TEST(StagedPipeline, RobustProcessStreamResolvesEveryFrameExactlyOnce)
 
 TEST(StagedPipeline, RobustStreamDeadlineEscalatesLadder)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(256, 5), 7);
     RobustPipelineOptions opts;
     opts.deadlineMs = 1e-6; // Every in-flight frame misses.
-    RobustPipeline robust(model, EdgePcConfig::baseline(), opts);
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::baseline(), Route::On);
+    RobustPipeline robust(model, staged_cfg, opts);
 
     const std::vector<PointCloud> clouds = sceneClouds(4, 256, 91);
     std::size_t missed = 0;
@@ -420,10 +400,10 @@ TEST(StagedPipeline, RobustStreamDeadlineEscalatesLadder)
  */
 TEST(StagedPipeline, RobustProcessStreamRetriesFailedFrameAtCollect)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     SecondFeatureFailsModel model;
-    RobustPipeline robust(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    RobustPipeline robust(model, staged_cfg);
     const std::vector<PointCloud> clouds = sceneClouds(6, 128, 85);
     constexpr std::size_t kFailed = 1; // The second feature-stage call.
 
@@ -465,10 +445,10 @@ TEST(StagedPipeline, RobustProcessStreamRetriesFailedFrameAtCollect)
 
 TEST(StagedPipeline, ServingEnginePipelinedDispatch)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(128, 5), 7);
-    serve::ServingEngine engine(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    serve::ServingEngine engine(model, staged_cfg);
 
     constexpr std::size_t kStreams = 3;
     constexpr std::size_t kFramesPerStream = 6;
@@ -515,10 +495,10 @@ TEST(StagedPipeline, ServingEnginePipelinedDispatch)
  */
 TEST(StagedPipeline, ServingEngineFailedFrameFallsBackPerFrame)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     SecondFeatureFailsModel model;
-    serve::ServingEngine engine(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    serve::ServingEngine engine(model, staged_cfg);
 
     // The first frame of stream 0 holds the dispatcher in its prolog
     // until one frame per stream is queued behind it, so the three
@@ -591,15 +571,15 @@ TEST(StagedPipeline, ServingEngineFailedFrameFallsBackPerFrame)
     the metrics/trace side channels busy across executor lifetimes. */
 TEST(StagedPipelineStress, RepeatedBatchesAcrossExecutorLifetimes)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(96, 5), 7);
     const std::vector<PointCloud> clouds = sceneClouds(8, 96, 201);
 
     for (int round = 0; round < 3; ++round) {
         // Fresh pipeline each round: exercises executor construction,
         // drain-on-destruction, and slot recycling within a round.
-        InferencePipeline pipeline(model, EdgePcConfig::sn());
+        const EdgePcConfig staged_cfg =
+            withPipeline(EdgePcConfig::sn(), Route::On);
+        InferencePipeline pipeline(model, staged_cfg);
         const PipelineResult result = pipeline.runBatch(clouds);
         EXPECT_TRUE(result.pipelined);
         EXPECT_EQ(result.logits.rows(), 96u);
@@ -608,10 +588,10 @@ TEST(StagedPipelineStress, RepeatedBatchesAcrossExecutorLifetimes)
 
 TEST(StagedPipelineStress, ConcurrentHealthPollingDuringStream)
 {
-    PipelineModeGuard guard;
-    setPipelineMode(PipelineMode::On);
     PointNetPP model(PointNetPPConfig::liteSegmentation(96, 5), 7);
-    RobustPipeline robust(model, EdgePcConfig::sn());
+    const EdgePcConfig staged_cfg =
+        withPipeline(EdgePcConfig::sn(), Route::On);
+    RobustPipeline robust(model, staged_cfg);
     const std::vector<PointCloud> clouds = sceneClouds(8, 96, 301);
 
     std::atomic<bool> stop{false};

@@ -21,6 +21,8 @@ constexpr std::size_t npos = static_cast<std::size_t>(-1);
  *  kernel     R4  float-literal ==/!= bans in hot numeric code
  *  arena      R8  ScratchArena lifetimes (kernels + concurrent subsys)
  *  subsystem  R9  mutex members need rank + capability annotations
+ *
+ * R10 patrols every row: no getenv outside common/dispatch.cpp.
  */
 struct DirScope
 {
@@ -395,6 +397,40 @@ ruleRawRng(const LexedFile &file, std::vector<Finding> &out)
                    "'" + t.text +
                        "' is thread-unsafe and breaks seeded "
                        "determinism; use edgepc::Rng (common/rng.hpp)");
+    }
+}
+
+// --------------------------------------------------------------- R10
+/** True when @p path lies in any directory of the scope table. */
+bool
+inAnyScope(const std::string &path)
+{
+    for (const DirScope &scope : kDirScopes) {
+        if (pathContains(path, scope.dir)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+ruleGetenv(const LexedFile &file, std::vector<Finding> &out)
+{
+    if (!inAnyScope(file.path) ||
+        pathContains(file.path, "common/dispatch.cpp")) {
+        return;
+    }
+    const auto &toks = file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        const Token &t = toks[i];
+        if ((t.isIdent("getenv") || t.isIdent("secure_getenv")) &&
+            toks[i + 1].isPunct("(")) {
+            addFinding(out, file, t, "edgepc-R10",
+                       "'" + t.text +
+                           "' outside common/dispatch.cpp; the "
+                           "environment is parsed once there and only "
+                           "sets EdgePcConfig defaults (dispatchEnv())");
+        }
     }
 }
 
@@ -1176,6 +1212,9 @@ ruleDescriptions()
          "every mutex member in subsystem code is an edgepc::Mutex "
          "with an EDGEPC_LOCK_RANK(n) comment and at least one "
          "EDGEPC_GUARDED_BY/EDGEPC_REQUIRES user"},
+        {"edgepc-R10",
+         "no getenv in library code (the rule-scope directories) "
+         "outside common/dispatch.cpp, the one environment parser"},
     };
 }
 
@@ -1214,6 +1253,7 @@ runRules(const LexedFile &file, const LintContext &ctx,
     ruleLockRankOrder(file, ctx, all);
     ruleArenaEscape(file, all);
     ruleAnnotationCoverage(file, all);
+    ruleGetenv(file, all);
 
     std::vector<Finding> kept;
     for (Finding &f : all) {
