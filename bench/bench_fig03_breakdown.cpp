@@ -10,7 +10,9 @@
  * The per-stage numbers reported here come from the obs tracer's
  * "stage" spans (not the StageTimer), so this bench doubles as an
  * end-to-end check that the span instrumentation reproduces the
- * paper's breakdown; it emits BENCH_fig03.json for CI. Each workload
+ * paper's breakdown; it emits BENCH_fig03.json for CI. Every column —
+ * the stages, the E2E (their sum) and the share — is the mean over the
+ * same measured repeats. Each workload
  * prints PASS or MISS against the paper's band (BENCH row metric
  * smp_ns_in_band). The band was measured on the Jetson, so a CPU host
  * may honestly miss it: the exit status does not depend on it.
@@ -30,6 +32,30 @@ inPaperBand(double share)
     return share >= 0.38 && share <= 0.80;
 }
 
+/** Mean milliseconds per run of each "stage" span over the @p repeats
+    runs measure() just timed (it clears the span ring after warmup). */
+std::map<std::string, double>
+meanStageMs(int repeats)
+{
+    std::map<std::string, double> stage_ms =
+        obs::Tracer::global().totalsMs("stage");
+    for (auto &[stage, ms] : stage_ms) {
+        ms /= repeats;
+    }
+    return stage_ms;
+}
+
+/** E2E of a run: its summed stage time (PipelineResult::endToEndMs). */
+double
+endToEndMs(const std::map<std::string, double> &stage_ms)
+{
+    double total = 0.0;
+    for (const auto &[stage, ms] : stage_ms) {
+        total += ms;
+    }
+    return total;
+}
+
 } // namespace
 
 int
@@ -46,11 +72,10 @@ main(int argc, char **argv)
 
     // The breakdown is rebuilt from span data alone: enable the
     // tracer even without --trace so the "stage" spans are retained.
-    obs::Tracer &tracer = obs::Tracer::global();
-    tracer.setEnabled(true);
+    obs::Tracer::global().setEnabled(true);
 
     bench::BenchReport report("fig03", opts, scale, repeats);
-    report.config("pipeline", "baseline");
+    report.config("variant", "baseline");
     report.config("source", "obs-spans");
 
     Table table({"workload", "model", "points", "smp+ns ms", "group ms",
@@ -61,21 +86,15 @@ main(int argc, char **argv)
         const auto model = makeWorkloadModel(spec, scale, opts.seed);
         const PointCloud frame =
             makeWorkloadCloud(spec, scale, opts.seed + 1);
-        // measure() clears the span ring after warmup, so the "stage"
-        // spans cover exactly the measured repeats of this workload.
-        const PipelineResult r = bench::measure(
-            *model, EdgePcConfig::baseline(), frame, repeats);
-
-        std::map<std::string, double> stage_ms =
-            tracer.totalsMs("stage");
-        for (auto &[stage, ms] : stage_ms) {
-            ms /= repeats; // average per measured run
-        }
+        (void)bench::measure(*model, EdgePcConfig::baseline(), frame,
+                             repeats);
+        std::map<std::string, double> stage_ms = meanStageMs(repeats);
+        const double e2e = endToEndMs(stage_ms);
         const double sn =
             stage_ms[kStageSample] + stage_ms[kStageNeighbor];
         const double group = stage_ms[kStageGroup];
         const double feature = stage_ms[kStageFeature];
-        const double share = sn / r.endToEndMs;
+        const double share = sn / e2e;
         shares.emplace_back(spec.id, share);
 
         table.row()
@@ -85,11 +104,11 @@ main(int argc, char **argv)
             .cell(sn)
             .cell(group)
             .cell(feature)
-            .cell(r.endToEndMs)
+            .cell(e2e)
             .cell(formatPercent(share));
 
         bench::BenchRow &row = report.row(spec.id);
-        row.wallMs = r.endToEndMs;
+        row.wallMs = e2e;
         row.stages = stage_ms;
         row.metrics["smp_ns_ms"] = sn;
         row.metrics["smp_ns_share"] = share;
@@ -123,23 +142,19 @@ main(int argc, char **argv)
         for (const bool delayed : {false, true}) {
             EdgePcConfig cfg = EdgePcConfig::baseline();
             cfg.delayedAggregation = delayed ? Route::On : Route::Off;
-            const PipelineResult r =
-                bench::measure(*model, cfg, frame, repeats);
-            std::map<std::string, double> stage_ms =
-                tracer.totalsMs("stage");
-            for (auto &[stage, ms] : stage_ms) {
-                ms /= repeats;
-            }
+            (void)bench::measure(*model, cfg, frame, repeats);
+            std::map<std::string, double> stage_ms = meanStageMs(repeats);
+            const double e2e = endToEndMs(stage_ms);
             const char *route = delayed ? "delayed" : "eager";
             ab.row()
                 .cell(spec.id)
                 .cell(route)
                 .cell(stage_ms[kStageGroup])
                 .cell(stage_ms[kStageFeature])
-                .cell(r.endToEndMs);
+                .cell(e2e);
             bench::BenchRow &row =
                 report.row(spec.id + "/agg_" + route);
-            row.wallMs = r.endToEndMs;
+            row.wallMs = e2e;
             row.stages = stage_ms;
             row.metrics["group_feature_ms"] =
                 stage_ms[kStageGroup] + stage_ms[kStageFeature];

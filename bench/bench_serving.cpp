@@ -25,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "core/pipeline.hpp"
 #include "datasets/scenes.hpp"
 #include "models/pointnetpp.hpp"
 #include "serve/serving_engine.hpp"
@@ -186,7 +185,7 @@ openLoop(PointCloudModel &model, const std::vector<PointCloud> &frames,
     return settle(tickets, reports, wall_ms);
 }
 
-bench::BenchRow &
+void
 record(bench::BenchReport &report, Table &table, const std::string &label,
        const LoadResult &r)
 {
@@ -213,7 +212,6 @@ record(bench::BenchReport &report, Table &table, const std::string &label,
     row.metrics["degraded"] = static_cast<double>(r.degraded);
     row.metrics["batched_frames"] =
         static_cast<double>(r.batchedFrames);
-    return row;
 }
 
 } // namespace
@@ -281,47 +279,6 @@ main(int argc, char **argv)
     record(report, table, "open/2x", load2);
     invariants = invariants && load2.invariantsHold;
 
-    // Inter-frame staged pipeline A/B: the same multi-frame stream
-    // through one InferencePipeline, run frame-at-a-time vs with the
-    // config's staged-executor route On. The overlap gain
-    // needs spare cores — host_concurrency is echoed in the config so
-    // single-core baseline runs are read in context.
-    double staged_speedup = 0.0;
-    {
-        std::vector<PointCloud> stream_frames;
-        stream_frames.reserve(kRounds);
-        for (std::size_t f = 0; f < kRounds; ++f) {
-            stream_frames.push_back(frames[f % frames.size()]);
-        }
-        EdgePcConfig cfg = EdgePcConfig::sn();
-        cfg.pipeline = Route::Off;
-        InferencePipeline pipeline(model, cfg);
-        const PipelineResult seq = pipeline.runBatch(stream_frames);
-        cfg.pipeline = Route::On;
-        pipeline.setConfig(cfg);
-        const PipelineResult staged = pipeline.runBatch(stream_frames);
-
-        const auto stream_row = [&](const std::string &label,
-                                    const PipelineResult &r) {
-            LoadResult lr;
-            lr.wallMs = r.wallMs;
-            lr.served = kRounds;
-            const double mean_ms =
-                r.wallMs / static_cast<double>(kRounds);
-            lr.p50Ms = mean_ms;
-            lr.p99Ms = mean_ms;
-            lr.invariantsHold = true;
-            bench::BenchRow &row = record(report, table, label, lr);
-            row.metrics["busy_ms"] = r.busyMs;
-            row.metrics["pipelined"] = r.pipelined ? 1.0 : 0.0;
-        };
-        stream_row("stream/pipeline-off", seq);
-        stream_row("stream/pipeline-on", staged);
-        staged_speedup = staged.wallMs > 0.0 && seq.wallMs > 0.0
-                             ? seq.wallMs / staged.wallMs
-                             : 0.0;
-    }
-
     table.print(std::cout);
 
     const double speedup =
@@ -330,8 +287,6 @@ main(int argc, char **argv)
             : 0.0;
     std::cout << "\ncross-stream micro-batching speedup (closed loop): "
               << formatSpeedup(speedup) << "\n";
-    std::cout << "staged inter-frame pipeline speedup (stream): "
-              << formatSpeedup(staged_speedup) << "\n";
     std::cout << "overload response at 2x: " << load2.shed << " shed, "
               << load2.degraded << " degraded, p99 "
               << load2.p99Ms << " ms\n";

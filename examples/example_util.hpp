@@ -14,7 +14,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -65,26 +64,6 @@ parseCount(const char *arg, const char *name, const std::string &usage,
     }
     out = static_cast<int>(wide);
     return true;
-}
-
-/**
- * Parse a --pipeline on|off|auto value into the config's staged
- * executor route (EdgePcConfig::pipeline). Same contract as
- * parseCount: on bad input a diagnostic plus the usage line is printed
- * and the caller exits 2.
- */
-inline bool
-parsePipelineRoute(const char *arg, const std::string &usage, Route &out)
-{
-    for (const Route route : {Route::On, Route::Off, Route::Auto}) {
-        if (std::strcmp(arg, routeName(route)) == 0) {
-            out = route;
-            return true;
-        }
-    }
-    std::cerr << "error: --pipeline must be on, off or auto (got '"
-              << arg << "')\nusage: " << usage << "\n";
-    return false;
 }
 
 /** The dispatch of a run under @p cfg for a banner: "key=value ...". */

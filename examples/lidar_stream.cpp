@@ -17,14 +17,7 @@
  * file into chrome://tracing or https://ui.perfetto.dev to see the
  * per-thread timeline (DESIGN.md §8).
  *
- * With --pipeline on|off|auto the staged-executor route of the demo's
- * config (default: EDGEPC_PIPELINE, else auto) is set on, off, or left
- * to auto-resolve; the demo always prints a sequential-vs-staged
- * stream A/B so the inter-frame overlap gain is visible on multicore
- * hosts.
- *
  * Usage: lidar_stream [frames] [points] [--chaos] [--trace OUT.json]
- *                     [--pipeline on|off|auto]
  */
 
 #include <algorithm>
@@ -48,13 +41,12 @@ int
 main(int argc, char **argv)
 {
     const std::string usage =
-        "lidar_stream [frames] [points] [--chaos] [--trace OUT.json] "
-        "[--pipeline on|off|auto]";
+        "lidar_stream [frames] [points] [--chaos] [--trace OUT.json]";
     std::size_t frames = 16;
     std::size_t points = 2048;
     bool chaos = false;
     std::string trace_path;
-    EdgePcConfig cfg = EdgePcConfig::sn();
+    const EdgePcConfig cfg = EdgePcConfig::sn();
 
     int positional = 0;
     for (int a = 1; a < argc; ++a) {
@@ -71,22 +63,14 @@ main(int argc, char **argv)
             trace_path = argv[++a];
             continue;
         }
-        if (std::strcmp(argv[a], "--pipeline") == 0) {
-            if (a + 1 >= argc) {
-                std::cerr << "--pipeline requires a value\nusage: "
-                          << usage << "\n";
-                return 2;
-            }
-            if (!examples::parsePipelineRoute(argv[++a], usage,
-                                              cfg.pipeline)) {
-                return 2;
-            }
-            continue;
+        if (positional > 1) {
+            std::cerr << "error: unknown argument '" << argv[a]
+                      << "'\nusage: " << usage << "\n";
+            return 2;
         }
         std::size_t *slot = positional == 0 ? &frames : &points;
         const char *name = positional == 0 ? "frames" : "points";
-        if (positional > 1 ||
-            !examples::parseCount(argv[a], name, usage, *slot)) {
+        if (!examples::parseCount(argv[a], name, usage, *slot)) {
             return 2;
         }
         ++positional;
@@ -150,46 +134,11 @@ main(int argc, char **argv)
             .cell(formatPercent(sn_share));
     }
 
-    // Inter-frame staged A/B: the same EdgePC stream sequentially vs
-    // through the staged executor (respects --pipeline off).
-    double staged_fps = 0.0;
-    double sequential_fps = 0.0;
-    {
-        const Route ab_routes[] = {
-            Route::Off,
-            cfg.pipeline == Route::Off ? Route::Off : Route::On,
-        };
-        const char *labels[] = {"edgepc stream (sequential)",
-                                "edgepc stream (staged)"};
-        EdgePcConfig ab_cfg = cfg;
-        InferencePipeline pipeline(model, ab_cfg);
-        for (int ab = 0; ab < 2; ++ab) {
-            ab_cfg.pipeline = ab_routes[ab];
-            pipeline.setConfig(ab_cfg);
-            const PipelineResult r = pipeline.runBatch(stream);
-            const double fps =
-                1000.0 * static_cast<double>(frames) / r.wallMs;
-            (ab == 0 ? sequential_fps : staged_fps) = fps;
-            const double sn_share =
-                r.sampleNeighborMs / std::max(r.busyMs, 1e-9);
-            table.row()
-                .cell(labels[ab])
-                .cell(r.wallMs / static_cast<double>(frames))
-                .cell(fps)
-                .cell(r.energyMj / static_cast<double>(frames))
-                .cell(formatPercent(sn_share));
-        }
-    }
-
     table.print(std::cout);
     std::cout << "\nSustained throughput gain: "
               << formatSpeedup(edgepc_fps / baseline_fps)
               << " — headroom a perception stack can spend on larger "
                  "frames, deeper models, or battery life.\n";
-    std::cout << "Staged stream overlap: "
-              << formatSpeedup(staged_fps / sequential_fps)
-              << " frames/s vs the same pipeline run frame-at-a-time "
-                 "(needs >= 2 frames in flight and spare cores).\n";
 
     // --- Fault-tolerant serving pass --------------------------------
     std::cout << "\nRobust streaming pass ("
@@ -210,43 +159,24 @@ main(int argc, char **argv)
     fcfg.latencySpikeRate = 0.15;
     fcfg.latencySpikeMs = ropts.deadlineMs * 1.5;
     FaultInjector injector(fcfg);
-    // Dedicated spike source: `FaultInjector::latencyHook` replays the
-    // latch armed by the *last* corrupt() call, which fits the
-    // corrupt-then-process-per-frame loop in bench_fault_tolerance but
-    // not this demo, where the whole stream is corrupted up front and
-    // then handed to processStream. Drawing per inference attempt from
-    // a separately seeded Rng keeps ~latencySpikeRate of the stream
-    // spiking, deterministically for a given seed.
-    Rng spike_rng(fcfg.seed ^ 0x5eedu);
     if (chaos) {
-        // Spikes fire inside the watchdog's deadline window.
-        ropts.inferenceProlog = [&spike_rng, &fcfg] {
-            if (spike_rng.nextDouble() < fcfg.latencySpikeRate) {
-                Timer t;
-                while (t.elapsedMs() < fcfg.latencySpikeMs) {
-                }
-            }
-        };
+        // Spikes fire inside the watchdog's deadline window, on the
+        // frames whose corrupt() call drew one.
+        ropts.inferenceProlog = injector.latencyHook();
     }
     RobustPipeline robust(model, cfg, ropts);
 
+    // Corrupt, then process, one frame at a time: the per-frame
+    // outcomes are deliberately unused — the demo reports the
+    // aggregated StreamHealth table below.
     std::size_t faulted = 0;
-    std::vector<PointCloud> working_frames;
-    working_frames.reserve(frames);
     for (const PointCloud &frame : stream) {
         PointCloud working = frame;
         if (chaos && injector.corrupt(working).any()) {
             ++faulted;
         }
-        working_frames.push_back(std::move(working));
+        (void)robust.process(working);
     }
-    // The whole stream goes through processStream so the staged
-    // executor (when resolved on) overlaps consecutive frames; the
-    // per-frame outcomes are deliberately unused — the demo reports
-    // the aggregated StreamHealth table below.
-    (void)robust.processStream(
-        working_frames,
-        [](std::size_t, RobustFrameResult &&) {});
 
     if (chaos) {
         std::cout << faulted << "/" << frames

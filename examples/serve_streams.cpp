@@ -22,16 +22,8 @@
  * (the response futures, per-stream counters and stream health must
  * all reconcile).
  *
- * With --pipeline on|off|auto the engine's EdgePcConfig::pipeline
- * route (default: EDGEPC_PIPELINE, else auto) is set on, off, or left
- * to auto-resolve: when on, a dispatch round with >= 2 frames overlaps frame t+1's
- * structurization with frame t's neighbor search and GEMM on the
- * staged executor, and the per-stream tables report how many frames
- * took the pipelined path.
- *
  * Usage: serve_streams [--streams N] [--frames N] [--points N]
  *                      [--chaos] [--trace OUT.json]
- *                      [--pipeline on|off|auto]
  */
 
 #include <chrono>
@@ -61,13 +53,13 @@ main(int argc, char **argv)
 {
     const std::string usage =
         "serve_streams [--streams N] [--frames N] [--points N] "
-        "[--chaos] [--trace OUT.json] [--pipeline on|off|auto]";
+        "[--chaos] [--trace OUT.json]";
     std::size_t streams = 4;
     std::size_t frames = 32;
     std::size_t points = 512;
     bool chaos = false;
     std::string trace_path;
-    EdgePcConfig cfg = EdgePcConfig::sn();
+    const EdgePcConfig cfg = EdgePcConfig::sn();
 
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--chaos") == 0) {
@@ -78,10 +70,7 @@ main(int argc, char **argv)
         const bool want_frames = std::strcmp(argv[a], "--frames") == 0;
         const bool want_points = std::strcmp(argv[a], "--points") == 0;
         const bool want_trace = std::strcmp(argv[a], "--trace") == 0;
-        const bool want_pipeline =
-            std::strcmp(argv[a], "--pipeline") == 0;
-        if (!want_streams && !want_frames && !want_points &&
-            !want_trace && !want_pipeline) {
+        if (!want_streams && !want_frames && !want_points && !want_trace) {
             std::cerr << "error: unknown argument '" << argv[a]
                       << "'\nusage: " << usage << "\n";
             return 2;
@@ -94,13 +83,6 @@ main(int argc, char **argv)
         ++a;
         if (want_trace) {
             trace_path = argv[a];
-            continue;
-        }
-        if (want_pipeline) {
-            if (!examples::parsePipelineRoute(argv[a], usage,
-                                              cfg.pipeline)) {
-                return 2;
-            }
             continue;
         }
         std::size_t *slot = want_streams ? &streams
@@ -199,7 +181,6 @@ main(int argc, char **argv)
     // one response, and the per-stream counters must agree.
     bool consistent = true;
     std::size_t total_accepted = 0, total_served = 0, total_shed = 0;
-    std::size_t total_pipelined = 0;
     for (std::size_t s = 0; s < streams; ++s) {
         std::size_t served = 0, shed = 0;
         for (SubmitTicket &t : tickets[s]) {
@@ -213,7 +194,6 @@ main(int argc, char **argv)
         total_served += served;
         total_shed += shed;
         const StreamReport &rep = reports[s];
-        total_pipelined += rep.serve.pipelinedFrames;
         consistent = consistent && rep.serve.served == served &&
                      rep.serve.shed() == shed &&
                      rep.health.frames == rep.serve.accepted;
@@ -232,8 +212,7 @@ main(int argc, char **argv)
 
     std::cout << "engine totals: " << total_accepted << " accepted = "
               << total_served << " served + " << total_shed
-              << " shed, " << total_pipelined
-              << " via staged pipeline (ladder floor "
+              << " shed (ladder floor "
               << static_cast<int>(engine.ladderFloor()) << ")\n";
     std::cout << (consistent
                       ? "every in-flight frame accounted for — no "

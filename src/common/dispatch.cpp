@@ -123,9 +123,6 @@ parseDispatchEnv(const EnvLookup &lookup, const HostInfo &host)
     if (const char *v = lookup("EDGEPC_DELAYED_AGG")) {
         env.delayedAggregation = parseRoute("EDGEPC_DELAYED_AGG", v);
     }
-    if (const char *v = lookup("EDGEPC_PIPELINE")) {
-        env.pipeline = parseRoute("EDGEPC_PIPELINE", v);
-    }
     if (const char *v = lookup("EDGEPC_THREADS")) {
         env.threads = parseThreads(v, host);
     }

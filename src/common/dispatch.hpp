@@ -2,9 +2,9 @@
  * @file
  * Where a run's routes come from (DESIGN.md §9).
  *
- * A run's four routes — int8 GEMM, int8 (fixed-point) search, delayed
- * aggregation and the staged executor — are fields of its
- * EdgePcConfig, and one precedence rule decides each of them:
+ * A run's three routes — int8 GEMM, int8 (fixed-point) search and
+ * delayed aggregation — are fields of its EdgePcConfig, and one
+ * precedence rule decides each of them:
  *
  *   the caller's value  >  the environment's default  >  the route's
  *   own Auto heuristic.
@@ -15,7 +15,6 @@
  *   EDGEPC_GEMM        scalar | fast | int8 | auto
  *   EDGEPC_SIMD        scalar | simd | int8 | auto
  *   EDGEPC_DELAYED_AGG on | off | auto
- *   EDGEPC_PIPELINE    on | off | auto
  *   EDGEPC_THREADS     N >= 1, clamped to kMaxThreadsPerCore per core
  *
  * EDGEPC_GEMM=int8 and EDGEPC_SIMD=int8 default the two int8 routes
@@ -74,7 +73,7 @@ struct HostInfo
 };
 
 /** Everything the environment sets: two builds, the pool size and the
-    defaults of the four routes. */
+    defaults of the three routes. */
 struct DispatchEnv
 {
     KernelBuild gemmBuild = KernelBuild::Auto;
@@ -84,7 +83,6 @@ struct DispatchEnv
     Route int8Gemm = Route::Off;
     Route int8Search = Route::Off;
     Route delayedAggregation = Route::Auto;
-    Route pipeline = Route::Auto;
 };
 
 /** Maps a variable name to its value, or nullptr when unset. */

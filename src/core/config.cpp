@@ -53,7 +53,6 @@ dispatchSummary(const EdgePcConfig &cfg)
         {"gemm_int8_kernel", nn::GemmEngine::int8KernelName()},
         {"gemm_path", nn::GemmEngine::activeKernelName()},
         {"gemm_quant", int8RouteName(cfg.int8Gemm)},
-        {"pipeline", routeName(cfg.pipeline)},
         {"simd_fixed", int8RouteName(cfg.int8Search)},
         {"simd_path", simd::activePathName()},
     };

@@ -2,7 +2,7 @@
  * @file
  * EdgePC pipeline configuration: which of the paper's three evaluated
  * setups runs (Sec 6.1.3), every approximation knob of Sec 5, and the
- * four routes a run takes (DESIGN.md §9).
+ * three routes a run takes (DESIGN.md §9).
  */
 
 #ifndef EDGEPC_CORE_CONFIG_HPP
@@ -49,7 +49,7 @@ std::string variantName(PipelineVariant variant);
  *
  * The config is the one place a run's routes come from: the variant
  * picks the policy of every GEMM the run makes (gemmRoute()), and the
- * four Route fields start at the environment's defaults
+ * three Route fields start at the environment's defaults
  * (common/dispatch.hpp), so a value the caller sets beats the
  * environment, which beats the route's Auto heuristic.
  */
@@ -108,13 +108,6 @@ struct EdgePcConfig
      */
     Route delayedAggregation = dispatchEnv().delayedAggregation;
 
-    /**
-     * Staged executor for multi-frame runs (DESIGN.md §14;
-     * resolvePipeline): Auto stages with >= 4 pool threads. Default
-     * Auto, or EDGEPC_PIPELINE.
-     */
-    Route pipeline = dispatchEnv().pipeline;
-
     /** True for the variants that run the approximations. */
     bool approximate() const { return variant != PipelineVariant::Baseline; }
 
@@ -141,9 +134,9 @@ struct EdgePcConfig
 /**
  * The dispatch of a run under @p cfg as BENCH json config.* pairs, in
  * key order: the two kernel builds (simd_path, gemm_path and
- * gemm_int8_kernel) and the four routes (simd_fixed and gemm_quant as
- * int8/fp32/auto, delayed_agg and pipeline as on/off/auto). Benches
- * echo a default config; the examples print their own.
+ * gemm_int8_kernel) and the three routes (simd_fixed and gemm_quant as
+ * int8/fp32/auto, delayed_agg as on/off/auto). Benches echo a default
+ * config; the examples print their own.
  */
 std::vector<std::pair<std::string, std::string>>
 dispatchSummary(const EdgePcConfig &cfg);

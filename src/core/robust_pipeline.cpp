@@ -1,7 +1,6 @@
 #include "core/robust_pipeline.hpp"
 
 #include <chrono>
-#include <deque>
 #include <ostream>
 #include <utility>
 
@@ -88,10 +87,9 @@ StreamHealth::printTable(std::ostream &os) const
     table.print(os);
 }
 
-RobustPipeline::RobustPipeline(PointCloudModel &model_, EdgePcConfig cfg,
+RobustPipeline::RobustPipeline(PointCloudModel &model, EdgePcConfig cfg,
                                RobustPipelineOptions opts_)
-    : model(model_), baseCfg(cfg), opts(std::move(opts_)),
-      pipeline(model_, cfg)
+    : baseCfg(cfg), opts(std::move(opts_)), pipeline(model, cfg)
 {
 }
 
@@ -112,7 +110,6 @@ RobustPipeline::configForLevel(int lvl) const
     degraded.int8Gemm = baseCfg.int8Gemm;
     degraded.int8Search = baseCfg.int8Search;
     degraded.delayedAggregation = baseCfg.delayedAggregation;
-    degraded.pipeline = baseCfg.pipeline;
     return degraded;
 }
 
@@ -179,14 +176,6 @@ RobustPipeline::process(const PointCloud &frame)
     }
     out.sanitize = sanitized.value();
 
-    runLadder(out);
-    out.frameMs = wall.elapsedMs();
-    return out;
-}
-
-void
-RobustPipeline::runLadder(RobustFrameResult &out)
-{
     // --- Run, retrying down the degradation ladder ------------------
     // `level` is sticky across frames: after a failure or deadline
     // miss the stream keeps serving at the degraded level (the last
@@ -240,174 +229,16 @@ RobustPipeline::runLadder(RobustFrameResult &out)
             out.status = FrameStatus::Ok;
             stats.bump(stats.ok);
         }
-        return;
+        out.frameMs = wall.elapsedMs();
+        return out;
     }
 
     // Every ladder level failed: skip the frame.
     out.status = FrameStatus::Dropped;
-    if (out.error.message.empty()) {
-        out.error = makeError(ErrorCode::FrameRejected,
-                              "runLadder: all ladder levels failed");
-    }
+    out.frameMs = wall.elapsedMs();
     stats.bump(stats.dropped);
     cleanStreak = 0;
-}
-
-std::size_t
-RobustPipeline::processStream(std::span<const PointCloud> frames,
-                              const StreamSink &sink)
-{
-    EDGEPC_TRACE_SCOPE("robust.stream", "pipeline");
-    streamRole.assertHeld();
-
-    if (!resolvePipeline(model, baseCfg, frames.size())) {
-        std::size_t served = 0;
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-            RobustFrameResult out = process(frames[i]);
-            served += out.hasLogits() ? 1 : 0;
-            sink(i, std::move(out));
-        }
-        return served;
-    }
-
-    if (stagedExec == nullptr) {
-        stagedExec = std::make_unique<StagedPipeline>(model);
-    }
-
-    // Sanitize-accepted frames waiting on the executor, in submission
-    // order (the executor completes FIFO, so front() is always the
-    // next collect()).
-    struct Pending
-    {
-        std::size_t index = 0;
-        int lvl = 0;
-        PointCloud processed;
-        SanitizeReport sanitize;
-        double sanitizeMs = 0.0;
-    };
-    std::deque<Pending> pending;
-    std::size_t served = 0;
-
-    auto collectOne = [&]() EDGEPC_REQUIRES(streamRole) {
-        StagedFrameResult r = stagedExec->collect();
-        Pending p = std::move(pending.front());
-        pending.pop_front();
-
-        RobustFrameResult out;
-        out.sanitize = p.sanitize;
-        out.processed = std::move(p.processed);
-        out.frameMs = p.sanitizeMs + r.wallMs;
-        if (r.failed) {
-            // One failed attempt, same bookkeeping as the in-process
-            // ladder, then the sequential ladder from the escalated
-            // level right here, while later frames stay in flight.
-            stats.countError(r.error);
-            stats.bump(stats.retries);
-            out.error = r.error;
-            cleanStreak = 0;
-            level.store(std::min(p.lvl + 1, kLadderLevels - 1),
-                        std::memory_order_relaxed);
-            Timer retry_wall;
-            runLadder(out);
-            out.frameMs += retry_wall.elapsedMs();
-            served += out.hasLogits() ? 1 : 0;
-            sink(p.index, std::move(out));
-            return;
-        }
-
-        out.result.stages = std::move(r.stages);
-        out.result.logits = std::move(r.logits);
-        out.result.busyMs = out.result.stages.grandTotal();
-        out.result.wallMs = r.wallMs;
-        out.result.endToEndMs = r.wallMs;
-        out.result.sampleNeighborMs =
-            out.result.stages.total(kStageSample) +
-            out.result.stages.total(kStageNeighbor);
-        out.result.pipelined = true;
-        out.result.energyMj = energyModel.inferenceEnergyMj(
-            out.result.stages, configForLevel(p.lvl));
-        out.ladderLevel = p.lvl;
-
-        // Watchdog over in-flight frames: submit-to-completion wall
-        // time (queue wait included) against the soft deadline.
-        out.deadlineMissed =
-            opts.deadlineMs > 0.0 && out.frameMs > opts.deadlineMs;
-        if (out.deadlineMissed) {
-            stats.bump(stats.deadlineMisses);
-            cleanStreak = 0;
-            level.store(std::min(p.lvl + 1, kLadderLevels - 1),
-                        std::memory_order_relaxed);
-        } else {
-            noteHealthyFrame(out.sanitize.repaired());
-        }
-
-        if (p.lvl > 0) {
-            out.status = FrameStatus::Degraded;
-            stats.bump(stats.degraded);
-        } else if (out.sanitize.repaired()) {
-            out.status = FrameStatus::Repaired;
-            stats.bump(stats.repaired);
-        } else {
-            out.status = FrameStatus::Ok;
-            stats.bump(stats.ok);
-        }
-        ++served;
-        sink(p.index, std::move(out));
-    };
-
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        Timer sanitize_wall;
-        stats.bump(stats.frames);
-
-        Pending p;
-        p.index = i;
-        p.processed = frames[i];
-        Result<SanitizeReport> sanitized = [&] {
-            EDGEPC_TRACE_SCOPE("robust.sanitize", "pipeline");
-            return sanitizeCloud(p.processed, opts.sanitizer);
-        }();
-        if (!sanitized.ok()) {
-            RobustFrameResult out;
-            out.status = FrameStatus::Dropped;
-            out.error = sanitized.error();
-            out.processed = std::move(p.processed);
-            out.frameMs = sanitize_wall.elapsedMs();
-            stats.countError(out.error);
-            stats.bump(stats.dropped);
-            cleanStreak = 0;
-            sink(i, std::move(out));
-            continue;
-        }
-        p.sanitize = sanitized.value();
-        p.lvl = ladderLevel();
-
-        PointCloud submit_cloud = p.processed;
-        if (p.lvl >= 2 &&
-            submit_cloud.size() > opts.degradedPointBudget) {
-            submit_cloud = submit_cloud.select(
-                UniformIndexSampler::stridePositions(
-                    submit_cloud.size(), opts.degradedPointBudget));
-            p.processed = submit_cloud;
-        }
-        // Chaos/latency prolog fires on the caller thread inside the
-        // frame's deadline window, as in runAttempt().
-        if (opts.inferenceProlog) {
-            opts.inferenceProlog();
-        }
-        p.sanitizeMs = sanitize_wall.elapsedMs();
-
-        const EdgePcConfig lvl_cfg = configForLevel(p.lvl);
-        while (!stagedExec->trySubmit(submit_cloud, lvl_cfg)) {
-            collectOne();
-        }
-        pending.push_back(std::move(p));
-    }
-
-    // Drain: every accepted frame resolves before we return.
-    while (stagedExec->inFlight() > 0) {
-        collectOne();
-    }
-    return served;
+    return out;
 }
 
 void

@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
@@ -209,44 +208,6 @@ class RobustPipeline
      */
     [[nodiscard]] RobustFrameResult process(const PointCloud &frame);
 
-    /** Receives each stream frame's outcome exactly once.
-        @p frame_index is the frame's position in the input span. */
-    using StreamSink =
-        std::function<void(std::size_t frame_index, RobustFrameResult &&)>;
-
-    /**
-     * Process a stream of frames with the same fault-tolerance
-     * guarantees as per-frame process(), overlapping stages across
-     * frames on the staged executor when resolvePipeline() allows
-     * (the config's pipeline route; single frames, Off and models without a
-     * stage split fall back to process()). Every frame — accepted,
-     * repaired, degraded, or dropped — resolves through @p sink
-     * exactly once; the call returns only after the executor has
-     * fully drained, so no frame is ever left in flight.
-     *
-     * Semantics under overlap:
-     *  - Sanitize, the chaos/latency prolog, and the ladder-level
-     *    configuration are applied on the caller thread at submit.
-     *  - The deadline watchdog covers in-flight frames by measuring
-     *    each frame's submit-to-completion wall time at collect; a
-     *    miss escalates the ladder exactly like process() (frames
-     *    cannot be cancelled mid-kernel in either mode).
-     *  - A frame that fails on the executor is retried down the
-     *    ladder sequentially when it is collected, on the caller (or
-     *    watchdog) thread, while later frames stay in flight; the
-     *    retry's wall time adds to its frameMs.
-     *  - Sink order is completion order: sanitize-dropped frames
-     *    resolve at submit, every other frame (retried or not) at its
-     *    collect, in submit order. Use @p frame_index to
-     *    re-associate.
-     *
-     * Same single-caller contract as process().
-     *
-     * @return Number of frames that produced logits.
-     */
-    std::size_t processStream(std::span<const PointCloud> frames,
-                              const StreamSink &sink);
-
     /**
      * Snapshot of the health telemetry accumulated since
      * construction. Thread-safe against a running process(): each
@@ -327,24 +288,9 @@ class RobustPipeline
         recordExternalFrame() (single-caller state). */
     void noteHealthyFrame(bool repaired) EDGEPC_REQUIRES(streamRole);
 
-    /**
-     * The degradation-ladder loop shared by process() and the
-     * stream retry path: runs @p out.processed (already sanitized)
-     * from the current ladder level down, filling status/result/
-     * error and the outcome counters. Callers own frameMs.
-     */
-    void runLadder(RobustFrameResult &out) EDGEPC_REQUIRES(streamRole);
-
-    PointCloudModel &model;
     EdgePcConfig baseCfg;
     RobustPipelineOptions opts;
     InferencePipeline pipeline;
-    /** Staged inter-frame executor for processStream() (lazy: only
-        built once a stream actually resolves to the pipelined path). */
-    std::unique_ptr<StagedPipeline> stagedExec;
-    /** Models per-frame energy for staged frames (process() gets this
-        from InferencePipeline's own accounting). */
-    EnergyModel energyModel;
     /** Dedicated single worker so a watchdogged frame cannot starve
         the global kernel pool. */
     ThreadPool watchdog{1};

@@ -10,36 +10,16 @@
 #ifndef EDGEPC_MODELS_MODEL_HPP
 #define EDGEPC_MODELS_MODEL_HPP
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/config.hpp"
 #include "nn/tensor.hpp"
 #include "pointcloud/point_cloud.hpp"
 
 namespace edgepc {
-
-/**
- * Opaque per-frame context carried between the staged-inference
- * stages (DESIGN.md §14). A model stores whatever its sample stage
- * produces (structurizations, sample indices, interpolation plans)
- * so the neighbor and feature stages can pick the frame up on a
- * different worker thread. Frames are recycled by the staged
- * executor, so implementations should clear contents in reset()
- * while keeping heap capacity.
- */
-class StagedFrame
-{
-  public:
-    virtual ~StagedFrame() = default;
-
-    /** Drop per-frame payloads so a pooled frame can be reused. */
-    virtual void reset() {}
-};
 
 /** Abstract point-cloud CNN. */
 class PointCloudModel
@@ -83,61 +63,6 @@ class PointCloudModel
         return out;
     }
 
-    /**
-     * True when the model implements the three-way stage split below
-     * for the staged executor (core/staged_pipeline.hpp); only such a
-     * model takes the staged route (resolvePipeline). A model without
-     * a split keeps the defaults, which raise InvalidArgument.
-     */
-    virtual bool supportsStagedInfer() const { return false; }
-
-    /** Allocate a reusable per-frame context for staged inference. */
-    virtual std::unique_ptr<StagedFrame> makeStagedFrame()
-    {
-        return std::make_unique<StagedFrame>();
-    }
-
-    /**
-     * Staged inference, stage 1 of 3 — structurize + sample (the
-     * kStageSample seam): consume @p cloud into @p frame. Must touch
-     * only @p frame and stateless kernels; distinct frames may be in
-     * different stages concurrently, and a later frame runs this
-     * stage while an earlier one runs stagedNeighbor/stagedFeature.
-     */
-    virtual void stagedSample(StagedFrame &frame, const PointCloud &cloud,
-                              const EdgePcConfig &cfg, StageTimer *timer)
-    {
-        (void)frame;
-        (void)cloud;
-        (void)cfg;
-        (void)timer;
-        raiseNoStagedSplit();
-    }
-
-    /** Staged stage 2 of 3 — neighbor search (kStageNeighbor seam). */
-    virtual void stagedNeighbor(StagedFrame &frame, const EdgePcConfig &cfg,
-                                StageTimer *timer)
-    {
-        (void)frame;
-        (void)cfg;
-        (void)timer;
-        raiseNoStagedSplit();
-    }
-
-    /**
-     * Staged stage 3 of 3 — group + feature compute (kStageGroup /
-     * kStageFeature seams); returns the frame's logits.
-     */
-    virtual nn::Matrix stagedFeature(StagedFrame &frame,
-                                     const EdgePcConfig &cfg,
-                                     StageTimer *timer)
-    {
-        (void)frame;
-        (void)cfg;
-        (void)timer;
-        raiseNoStagedSplit();
-    }
-
     /** Model name for reports. */
     virtual std::string name() const = 0;
 
@@ -154,14 +79,6 @@ class PointCloudModel
     virtual void collectBuffers(std::vector<std::vector<float> *> &out)
     {
         (void)out;
-    }
-
-  private:
-    [[noreturn]] void raiseNoStagedSplit() const
-    {
-        raise(ErrorCode::InvalidArgument,
-              "%s has no staged split (supportsStagedInfer() is false)",
-              name().c_str());
     }
 };
 

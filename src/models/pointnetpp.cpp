@@ -229,10 +229,10 @@ PointNetPP::PointNetPP(PointNetPPConfig config, std::uint64_t seed)
  * Everything a frame's inference reads besides the weights: the
  * geometry, planned from positions only, and the input features.
  * Frame-local heap state only (no arena views, no references into the
- * model), so a plan may sit in a queue or move between the staged
- * executor's workers while other frames run.
+ * model), so a plan outlives the kernels' scratch and may be executed
+ * in a batch with other frames' plans.
  */
-struct PointNetPP::FramePlan : StagedFrame
+struct PointNetPP::FramePlan
 {
     /** One level of the frame's geometry. */
     struct Level
@@ -249,18 +249,7 @@ struct PointNetPP::FramePlan : StagedFrame
     std::vector<Level> levels;               ///< sa.size() + 1.
     std::vector<InterpolationPlan> upsample; ///< One per FP module.
     nn::Matrix input;                        ///< N x C_0.
-
-    void reset() override;
 };
-
-void
-PointNetPP::FramePlan::reset()
-{
-    StagedFrame::reset();
-    levels.clear();
-    upsample.clear();
-    input = nn::Matrix{};
-}
 
 void
 PointNetPP::planSample(FramePlan &plan, const PointCloud &cloud,
@@ -572,34 +561,6 @@ PointNetPP::inferBatch(std::span<const PointCloud> clouds,
         views[b] = &plans[b];
     }
     return execute(views, config.gemmRoute(), timer);
-}
-
-std::unique_ptr<StagedFrame>
-PointNetPP::makeStagedFrame()
-{
-    return std::make_unique<FramePlan>();
-}
-
-void
-PointNetPP::stagedSample(StagedFrame &frame, const PointCloud &cloud,
-                         const EdgePcConfig &config, StageTimer *timer)
-{
-    planSample(static_cast<FramePlan &>(frame), cloud, config, timer);
-}
-
-void
-PointNetPP::stagedNeighbor(StagedFrame &frame, const EdgePcConfig &config,
-                           StageTimer *timer)
-{
-    planNeighbors(static_cast<FramePlan &>(frame), config, timer);
-}
-
-nn::Matrix
-PointNetPP::stagedFeature(StagedFrame &frame, const EdgePcConfig &config,
-                          StageTimer *timer)
-{
-    FramePlan *const one[] = {&static_cast<FramePlan &>(frame)};
-    return std::move(execute(one, config.gemmRoute(), timer)[0]);
 }
 
 nn::Matrix

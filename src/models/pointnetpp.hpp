@@ -110,15 +110,12 @@ struct PointNetPPConfig
  * every FP module's up-sampling plan, its neighbor half every SA
  * module's neighbor search and delayed-aggregation decision. Execution
  * then runs the feature compute of one plan or of a row-stacked batch
- * of plans. infer() plans and executes one cloud, inferBatch() many,
- * and the staged executor runs the two plan halves on its sample and
- * neighbor workers and execution on its feature worker, with the plan
- * as the staged frame. Inference writes no model member, so one
- * frame's plan halves may run while another frame executes, and
- * infer() may run between a training forward and its backward. Every
- * route comes from the EdgePcConfig a call passes: int8 search and
- * delayed aggregation when planning, the variant's GEMM engine and the
- * int8 GEMM route when executing.
+ * of plans. infer() plans and executes one cloud, inferBatch() many.
+ * Inference writes no model member, so two threads may infer on one
+ * model, and infer() may run between a training forward and its
+ * backward. Every route comes from the EdgePcConfig a call passes:
+ * int8 search and delayed aggregation when planning, the variant's
+ * GEMM engine and the int8 GEMM route when executing.
  */
 class PointNetPP : public TrainableModel
 {
@@ -143,20 +140,6 @@ class PointNetPP : public TrainableModel
     std::vector<nn::Matrix> inferBatch(std::span<const PointCloud> clouds,
                                        const EdgePcConfig &cfg,
                                        StageTimer *timer = nullptr) override;
-
-    bool supportsStagedInfer() const override { return true; }
-    std::unique_ptr<StagedFrame> makeStagedFrame() override;
-    /** The plan's sample half into the frame. */
-    void stagedSample(StagedFrame &frame, const PointCloud &cloud,
-                      const EdgePcConfig &config,
-                      StageTimer *timer) override;
-    /** The plan's neighbor half. */
-    void stagedNeighbor(StagedFrame &frame, const EdgePcConfig &config,
-                        StageTimer *timer) override;
-    /** Executes the frame's plan. */
-    nn::Matrix stagedFeature(StagedFrame &frame,
-                             const EdgePcConfig &config,
-                             StageTimer *timer) override;
 
     /**
      * Forward pass. With @p train it plans like infer() and runs the
@@ -215,7 +198,7 @@ class PointNetPP : public TrainableModel
         nn::InterpolatedLinearCache cache; ///< Training cache.
     };
 
-    /** One frame's plan, the staged frame (defined in the .cpp). */
+    /** One frame's plan (defined in the .cpp). */
     struct FramePlan;
 
     /** Plan, sample half (kStageSample): validate @p cloud, take its

@@ -17,10 +17,8 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
     w.key("displayTimeUnit").value("ms");
     w.key("dropped").value(tracer.dropped());
     w.key("traceEvents").beginArray();
-    // Metadata ("ph":"M") events first: pin the process lane to the
-    // top of the chrome://tracing view and label each named worker
-    // thread (the staged pipeline names its stage workers), so the
-    // inter-frame overlap reads directly off the lane labels.
+    // A metadata ("ph":"M") event first pins the process lane to the
+    // top of the chrome://tracing view.
     w.beginObject();
     w.key("name").value("process_sort_index");
     w.key("ph").value("M");
@@ -30,17 +28,6 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
     w.key("sort_index").value(0);
     w.endObject();
     w.endObject();
-    for (const auto &[tid, thread_name] : tracer.threadNames()) {
-        w.beginObject();
-        w.key("name").value("thread_name");
-        w.key("ph").value("M");
-        w.key("pid").value(1);
-        w.key("tid").value(static_cast<std::uint64_t>(tid));
-        w.key("args").beginObject();
-        w.key("name").value(thread_name);
-        w.endObject();
-        w.endObject();
-    }
     for (const SpanEvent &e : tracer.snapshot()) {
         w.beginObject();
         w.key("name").value(e.name);

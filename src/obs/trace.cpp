@@ -115,28 +115,6 @@ Tracer::recordManual(std::string_view name, std::string_view category,
 }
 
 void
-Tracer::nameCurrentThread(std::string_view thread_name)
-{
-    ThreadBuffer &buf = bufferForThisThread();
-    MutexLock lock(buf.ringMu);
-    buf.threadName.assign(thread_name);
-}
-
-std::vector<std::pair<std::uint32_t, std::string>>
-Tracer::threadNames() const
-{
-    std::vector<std::pair<std::uint32_t, std::string>> out;
-    MutexLock lock(traceRegistryMu);
-    for (const auto &buf : buffers) {
-        MutexLock bufLock(buf->ringMu);
-        if (!buf->threadName.empty()) {
-            out.emplace_back(buf->tid, buf->threadName);
-        }
-    }
-    return out;
-}
-
-void
 Tracer::clear()
 {
     MutexLock lock(traceRegistryMu);

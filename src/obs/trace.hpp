@@ -125,22 +125,6 @@ class Tracer
     std::vector<SpanEvent> snapshot() const
         EDGEPC_EXCLUDES(traceRegistryMu);
 
-    /**
-     * Label the calling thread's lane in the Chrome trace export
-     * (e.g. "pipe.sample"). Registers the thread's buffer if needed;
-     * works whether or not recording is enabled. clear() keeps names.
-     */
-    void nameCurrentThread(std::string_view thread_name)
-        EDGEPC_EXCLUDES(traceRegistryMu);
-
-    /**
-     * (tid, name) for every thread that called nameCurrentThread(),
-     * in tid order — the exporter turns these into "thread_name"
-     * metadata events.
-     */
-    std::vector<std::pair<std::uint32_t, std::string>> threadNames()
-        const EDGEPC_EXCLUDES(traceRegistryMu);
-
     /** Spans lost to ring wrap-around since the last clear(). */
     std::uint64_t dropped() const
     {
@@ -166,8 +150,6 @@ class Tracer
         mutable Mutex ringMu;
         std::vector<SpanEvent> ring EDGEPC_GUARDED_BY(ringMu);
         std::uint64_t writeCount EDGEPC_GUARDED_BY(ringMu) = 0;
-        /** Lane label for the trace export ("" = unnamed). */
-        std::string threadName EDGEPC_GUARDED_BY(ringMu);
         /** Immutable after registration (written once under
             traceRegistryMu before the buffer is published). */
         std::uint32_t tid = 0;

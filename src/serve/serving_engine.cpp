@@ -76,8 +76,6 @@ StreamReport::printTable(std::ostream &os) const
     table.row().cell("served").cell(static_cast<long long>(serve.served));
     table.row().cell("batched").cell(
         static_cast<long long>(serve.batchedFrames));
-    table.row().cell("pipelined").cell(
-        static_cast<long long>(serve.pipelinedFrames));
     table.row().cell("rejected").cell(
         static_cast<long long>(serve.rejected()));
     table.row().cell("shed").cell(static_cast<long long>(serve.shed()));
@@ -104,8 +102,6 @@ ServingEngine::ServingEngine(PointCloudModel &model_, EdgePcConfig cfg,
       mBatchedFrames(obs::MetricsRegistry::global().counter(
           "serve.batched_frames")),
       mBatches(obs::MetricsRegistry::global().counter("serve.batches")),
-      mPipelinedFrames(obs::MetricsRegistry::global().counter(
-          "serve.pipelined_frames")),
       mSloMisses(obs::MetricsRegistry::global().counter(
           "serve.slo_misses")),
       mBreakerTrips(obs::MetricsRegistry::global().counter(
@@ -395,8 +391,7 @@ ServingEngine::executeBatch(std::size_t count)
     const int lvl = batchStreams[0]->robust->ladderLevel();
     const EdgePcConfig cfg_lvl =
         batchStreams[0]->robust->configForLevel(lvl);
-    const bool staged = resolvePipeline(model, cfg_lvl, count);
-    EDGEPC_TRACE_SCOPE(staged ? "serve.pipeline" : "serve.batch", "serve");
+    EDGEPC_TRACE_SCOPE("serve.batch", "serve");
     const double dispatch_ms = epoch.elapsedMs();
 
     // Sanitize (and subsample at the deepest degraded level) each
@@ -405,12 +400,6 @@ ServingEngine::executeBatch(std::size_t count)
     {
         bool ok = false;
         bool repaired = false;
-        /** The live frame got no logits from the route. */
-        bool failed = false;
-        /** Submit-to-completion wall time on the staged executor. The
-            batch route leaves it 0: it trades the per-frame watchdog
-            for throughput. */
-        double stagedMs = 0.0;
         EdgePcError error;
         nn::Matrix logits;
     };
@@ -447,29 +436,9 @@ ServingEngine::executeBatch(std::size_t count)
         }
     }
 
-    // The one fork: the staged route streams the live frames through
-    // the executor and gets a result per frame; the batch route stacks
-    // them through one all-or-nothing inferBatch.
-    if (staged) {
-        if (stagedExec == nullptr) {
-            stagedExec = std::make_unique<StagedPipeline>(model);
-        }
-        // Results come back FIFO, so collect k answers live_at[k].
-        std::size_t next = 0;
-        std::size_t collected = 0;
-        while (collected < live_clouds.size()) {
-            if (next < live_clouds.size() &&
-                stagedExec->trySubmit(live_clouds[next], cfg_lvl)) {
-                ++next;
-                continue;
-            }
-            StagedFrameResult r = stagedExec->collect();
-            Slot &slot = slots[live_at[collected++]];
-            slot.failed = r.failed;
-            slot.stagedMs = r.wallMs;
-            slot.logits = std::move(r.logits);
-        }
-    } else if (!live_clouds.empty()) {
+    // One all-or-nothing inferBatch stacks the live frames.
+    bool batch_failed = false;
+    if (!live_clouds.empty()) {
         try {
             std::vector<nn::Matrix> logits =
                 model.inferBatch(live_clouds, cfg_lvl);
@@ -477,9 +446,7 @@ ServingEngine::executeBatch(std::size_t count)
                 slots[live_at[k]].logits = std::move(logits[k]);
             }
         } catch (const EdgePcException &) {
-            for (const std::size_t i : live_at) {
-                slots[i].failed = true;
-            }
+            batch_failed = true;
         }
     }
     mBatches.add();
@@ -494,16 +461,16 @@ ServingEngine::executeBatch(std::size_t count)
         resp.seq = rq.seq;
         resp.queueMs = dispatch_ms - rq.submitMs;
         resp.ladderLevel = lvl;
-        // A sanitize-dropped frame reached neither route.
-        resp.batched = !staged && slot.ok;
-        resp.pipelined = staged && slot.ok;
+        // A sanitize-dropped frame never reached inferBatch, and a
+        // failed batch answers its live frames one by one.
+        resp.batched = slot.ok && !batch_failed;
 
         if (!slot.ok) {
             resp.status = FrameStatus::Dropped;
             resp.error = slot.error;
             s.robust->recordExternalFrame(FrameStatus::Dropped, lvl,
                                           false, false, &resp.error);
-        } else if (slot.failed) {
+        } else if (batch_failed) {
             // Per-frame fallback: the robust single path re-runs
             // sanitize and the whole ladder and accounts the frame
             // internally, so a failed frame costs retries, never the
@@ -511,8 +478,6 @@ ServingEngine::executeBatch(std::size_t count)
             RobustFrameResult r = s.robust->process(rq.cloud);
             resp.status = r.status;
             resp.ladderLevel = r.ladderLevel;
-            resp.batched = false;
-            resp.pipelined = false;
             resp.logits = std::move(r.result.logits);
             resp.error = r.error;
         } else {
@@ -524,15 +489,8 @@ ServingEngine::executeBatch(std::size_t count)
         const double now = epoch.elapsedMs();
         resp.totalMs = now - rq.submitMs;
         resp.sloMissed = rq.hasSlo && now > rq.deadlineMs;
-        if (slot.ok && !slot.failed) {
-            // The per-frame watchdog follows in-flight staged frames:
-            // submit-to-completion wall time against the stream's soft
-            // deadline.
-            const bool wd_missed =
-                s.opts.robust.deadlineMs > 0.0 &&
-                slot.stagedMs > s.opts.robust.deadlineMs;
-            s.robust->recordExternalFrame(resp.status, lvl,
-                                          resp.sloMissed || wd_missed,
+        if (resp.batched) {
+            s.robust->recordExternalFrame(resp.status, lvl, resp.sloMissed,
                                           slot.repaired);
         }
     }
@@ -547,10 +505,6 @@ ServingEngine::executeBatch(std::size_t count)
             if (resp.batched) {
                 ++s.serve.batchedFrames;
                 mBatchedFrames.add();
-            }
-            if (resp.pipelined) {
-                ++s.serve.pipelinedFrames;
-                mPipelinedFrames.add();
             }
             if (resp.sloMissed) {
                 ++s.serve.sloMisses;

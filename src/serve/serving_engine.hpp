@@ -23,10 +23,9 @@
  *  - Cross-stream micro-batching: heads of distinct streams at the
  *    same ladder level are stacked through PointCloudModel::inferBatch
  *    so the packed GEMM runs at large M instead of one skinny GEMM
- *    per frame, or, when resolvePipeline() picks the staged route,
- *    overlapped stage-wise on the StagedPipeline executor. The
- *    batched path trades the per-frame watchdog for throughput; SLO
- *    misses are still detected and fed to the breaker/ladder.
+ *    per frame. The batched path trades the per-frame watchdog for
+ *    throughput; SLO misses are still detected and fed to the
+ *    breaker/ladder.
  *  - Graceful drain: completes every queued and in-flight frame, then
  *    returns the per-stream StreamHealth snapshots. Every accepted
  *    frame is accounted in exactly one way (served, dropped, or
@@ -57,7 +56,6 @@
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
 #include "core/robust_pipeline.hpp"
-#include "core/staged_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/circuit_breaker.hpp"
@@ -117,10 +115,6 @@ struct FrameResponse
 
     /** True when the frame was served on the batched path. */
     bool batched = false;
-
-    /** True when the frame was served on the staged (inter-frame
-        pipelined) path. */
-    bool pipelined = false;
 
     /** True when the response completed after the request's SLO
         deadline (queueing + service). */
@@ -195,7 +189,6 @@ struct StreamServeStats
     std::size_t shedShutdown = 0;
     std::size_t served = 0;
     std::size_t batchedFrames = 0;
-    std::size_t pipelinedFrames = 0;
     std::size_t sloMisses = 0;
 
     std::size_t shed() const
@@ -229,9 +222,7 @@ struct ServingOptions
     StreamOptions streamDefaults;
 
     /** Max heads dispatched together, micro-batched through one
-        inferBatch call or overlapped on the staged executor when
-        resolvePipeline() (the config's pipeline route) picks it (1 disables
-        cross-stream batching). */
+        inferBatch call (1 disables cross-stream batching). */
     std::size_t maxBatch = 4;
 
     /** Overload -> ladder-floor policy. */
@@ -355,10 +346,9 @@ class ServingEngine
     void executeSingle(StreamState &stream, Request &request)
         EDGEPC_EXCLUDES(engineMu);
     /** Serve the @p count selected heads: one head through
-        executeSingle; more on the staged executor when
-        resolvePipeline() says so (the heads overlap stage-wise), else
-        stacked through one inferBatch call. Either way a frame that
-        gets no logits falls back to its stream's RobustPipeline. */
+        executeSingle, more stacked through one inferBatch call. When
+        that call fails, every live head falls back to its stream's
+        RobustPipeline. */
     void executeBatch(std::size_t count) EDGEPC_EXCLUDES(engineMu);
     void shedRequestLocked(StreamState &stream, Request &request,
                            ErrorCode code, const char *why,
@@ -402,10 +392,6 @@ class ServingEngine
         EDGEPC_GUARDED_BY(engineMu). */
     std::vector<StreamState *> batchStreams;
     std::vector<Request> batchScratch;
-    /** Dispatcher-only staged executor for executeBatch (lazily
-        created on the first staged batch; deliberately NOT
-        EDGEPC_GUARDED_BY(engineMu) — see batchScratch). */
-    std::unique_ptr<StagedPipeline> stagedExec;
 
     // Cached metric references (registry lookups take a lock).
     obs::Counter &mSubmitted;
@@ -415,7 +401,6 @@ class ServingEngine
     obs::Counter &mServed;
     obs::Counter &mBatchedFrames;
     obs::Counter &mBatches;
-    obs::Counter &mPipelinedFrames;
     obs::Counter &mSloMisses;
     obs::Counter &mBreakerTrips;
     obs::Counter &mFloorRaises;

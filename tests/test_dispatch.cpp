@@ -3,7 +3,7 @@
  * Where a run's routes come from (DESIGN.md §9): the one environment
  * parse, checked on strings only, and the DispatchMatrix differential
  * test, which drives every model through every cell of variant x int8
- * GEMM x delayed aggregation three ways with explicit configs, so it
+ * GEMM x delayed aggregation two ways with explicit configs, so it
  * runs the same cells whatever the environment says.
  */
 
@@ -19,7 +19,6 @@
 #include "common/dispatch.hpp"
 #include "common/rng.hpp"
 #include "core/config.hpp"
-#include "core/pipeline.hpp"
 #include "datasets/scenes.hpp"
 #include "models/dgcnn.hpp"
 #include "models/pointnet.hpp"
@@ -53,7 +52,6 @@ TEST(Dispatch, UnsetEnvironmentKeepsTheDefaultRoutes)
     EXPECT_EQ(env.int8Gemm, Route::Off);
     EXPECT_EQ(env.int8Search, Route::Off);
     EXPECT_EQ(env.delayedAggregation, Route::Auto);
-    EXPECT_EQ(env.pipeline, Route::Auto);
 }
 
 TEST(Dispatch, ParsesTodaysSpellings)
@@ -88,8 +86,6 @@ TEST(Dispatch, ParsesTodaysSpellings)
         EXPECT_EQ(parse({{"EDGEPC_DELAYED_AGG", value}}).delayedAggregation,
                   route)
             << value;
-        EXPECT_EQ(parse({{"EDGEPC_PIPELINE", value}}).pipeline, route)
-            << value;
     }
     EXPECT_EQ(parse({{"EDGEPC_THREADS", "3"}}).threads, 3u);
 }
@@ -98,13 +94,11 @@ TEST(Dispatch, UnknownValuesFallBackToTheDefaults)
 {
     const DispatchEnv env = parse({{"EDGEPC_GEMM", "gpu"},
                                    {"EDGEPC_SIMD", "neon"},
-                                   {"EDGEPC_DELAYED_AGG", "yes"},
-                                   {"EDGEPC_PIPELINE", "1"}});
+                                   {"EDGEPC_DELAYED_AGG", "yes"}});
     EXPECT_EQ(env.gemmBuild, KernelBuild::Auto);
     EXPECT_EQ(env.distanceBuild, KernelBuild::Auto);
     EXPECT_EQ(env.int8Gemm, Route::Off);
     EXPECT_EQ(env.delayedAggregation, Route::Auto);
-    EXPECT_EQ(env.pipeline, Route::Auto);
 }
 
 TEST(Dispatch, Avx2BuildNeedsTheCpu)
@@ -143,7 +137,6 @@ TEST(Dispatch, ConfigRoutesStartAtTheEnvironmentDefaults)
     EXPECT_EQ(cfg.int8Gemm, dispatchEnv().int8Gemm);
     EXPECT_EQ(cfg.int8Search, dispatchEnv().int8Search);
     EXPECT_EQ(cfg.delayedAggregation, dispatchEnv().delayedAggregation);
-    EXPECT_EQ(cfg.pipeline, dispatchEnv().pipeline);
 }
 
 TEST(Dispatch, SummaryEchoesTheConfigsRoutes)
@@ -152,14 +145,13 @@ TEST(Dispatch, SummaryEchoesTheConfigsRoutes)
     cfg.int8Gemm = Route::On;
     cfg.int8Search = Route::Off;
     cfg.delayedAggregation = Route::Off;
-    cfg.pipeline = Route::Auto;
     std::map<std::string, std::string> summary;
     for (const auto &[key, value] : dispatchSummary(cfg)) {
         summary[key] = value;
     }
     const std::vector<std::string> keys = {
-        "delayed_agg", "gemm_int8_kernel", "gemm_path", "gemm_quant",
-        "pipeline",    "simd_fixed",       "simd_path"};
+        "delayed_agg", "gemm_int8_kernel", "gemm_path",
+        "gemm_quant",  "simd_fixed",       "simd_path"};
     ASSERT_EQ(summary.size(), keys.size());
     for (const std::string &key : keys) {
         EXPECT_EQ(summary.count(key), 1u) << key;
@@ -167,12 +159,11 @@ TEST(Dispatch, SummaryEchoesTheConfigsRoutes)
     EXPECT_EQ(summary["gemm_quant"], "int8");
     EXPECT_EQ(summary["simd_fixed"], "fp32");
     EXPECT_EQ(summary["delayed_agg"], "off");
-    EXPECT_EQ(summary["pipeline"], "auto");
 }
 
 // ---------------------------------------------------------------------
 // DispatchMatrix: every model x variant x int8 GEMM x delayed cell,
-// each run three ways.
+// each run per frame and batched.
 // ---------------------------------------------------------------------
 
 std::vector<PointCloud>
@@ -221,10 +212,8 @@ struct CellResult
 };
 
 /**
- * Run @p model on @p clouds under @p cfg three ways: per-frame infer,
- * one inferBatch, and InferencePipeline::runBatch with the staged
- * route On (which returns the last frame's logits, and is staged only
- * for a model with a stage split). All three must agree bit for bit.
+ * Run @p model on @p clouds under @p cfg two ways, per-frame infer and
+ * one inferBatch, which must agree bit for bit on every frame.
  */
 CellResult
 runCell(PointCloudModel &model, const std::vector<PointCloud> &clouds,
@@ -240,14 +229,6 @@ runCell(PointCloudModel &model, const std::vector<PointCloud> &clouds,
     cell.int8Calls = counter("gemm.int8_path_calls") - int8_before;
 
     const std::vector<nn::Matrix> batched = model.inferBatch(clouds, cfg);
-    EdgePcConfig staged_cfg = cfg;
-    staged_cfg.pipeline = Route::On;
-    const PipelineResult staged =
-        InferencePipeline(model, staged_cfg).runBatch(clouds);
-
-    EXPECT_EQ(staged.pipelined, model.supportsStagedInfer()) << what;
-    EXPECT_TRUE(sameBits(staged.logits, cell.logits.back()))
-        << what << ": runBatch differs from infer";
     EXPECT_EQ(batched.size(), clouds.size()) << what;
     for (std::size_t i = 0; i < clouds.size() && i < batched.size(); ++i) {
         EXPECT_TRUE(allFinite(cell.logits[i])) << what << " frame " << i;
@@ -282,7 +263,6 @@ runMatrix(PointCloudModel &model, const std::vector<PointCloud> &clouds)
                 cfg.int8Gemm = int8;
                 cfg.int8Search = Route::Off;
                 cfg.delayedAggregation = delayed;
-                cfg.pipeline = Route::Off;
                 const std::string what =
                     model.name() + " " + variantName(variant.variant) +
                     " int8 " + routeName(int8) + " delayed " +

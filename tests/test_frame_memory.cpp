@@ -83,9 +83,8 @@ sceneClouds(std::size_t frames, std::size_t points, std::uint64_t seed)
     return clouds;
 }
 
-/** Every inference route of @p model over @p clouds: per-cloud infer,
-    one inferBatch of all clouds, and, for a model with a stage split,
-    the staged route per cloud. */
+/** Every inference route of @p model over @p clouds: per-cloud infer
+    and one inferBatch of all clouds. */
 std::vector<nn::Matrix>
 allRoutes(PointCloudModel &model, const std::vector<PointCloud> &clouds,
           const EdgePcConfig &cfg)
@@ -96,15 +95,6 @@ allRoutes(PointCloudModel &model, const std::vector<PointCloud> &clouds,
     }
     for (nn::Matrix &m : model.inferBatch(clouds, cfg)) {
         out.push_back(std::move(m));
-    }
-    if (!model.supportsStagedInfer()) {
-        return out;
-    }
-    const std::unique_ptr<StagedFrame> frame = model.makeStagedFrame();
-    for (const PointCloud &cloud : clouds) {
-        model.stagedSample(*frame, cloud, cfg, nullptr);
-        model.stagedNeighbor(*frame, cfg, nullptr);
-        out.push_back(model.stagedFeature(*frame, cfg, nullptr));
     }
     return out;
 }

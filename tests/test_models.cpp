@@ -425,8 +425,8 @@ TEST(ConcurrentInfer, EveryModelMatchesSerial)
         expectConcurrentInferMatchesSerial(model, clouds,
                                            fp32(EdgePcConfig::baseline()));
     }
-    // A staged retry runs a whole PointNet++ infer on one thread while
-    // the feature worker executes another frame's plan.
+    // One thread plans a PointNet++ frame while the other executes
+    // another frame's plan.
     for (const Route delayed : {Route::Off, Route::On}) {
         PointNetPP model(PointNetPPConfig::liteSegmentation(96, 5), 7);
         expectConcurrentInferMatchesSerial(

@@ -67,17 +67,11 @@ expectMatchesFixture(const std::string &produced,
 /**
  * Replace every "ts"/"dur" number (real timings) and "tid" (the
  * global tracer's thread ordinals depend on which tests ran first)
- * so live-recorded traces compare stably. "thread_name" metadata
- * events are dropped entirely: which lanes carry names depends on
- * whether the staged-pipeline tests ran first in this process.
+ * so live-recorded traces compare stably.
  */
 std::string
-maskTimestamps(std::string json)
+maskTimestamps(const std::string &json)
 {
-    static const std::regex name_re(
-        "\\{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-        "\"tid\":[0-9]+,\"args\":\\{\"name\":\"[^\"]*\"\\}\\},?");
-    json = std::regex_replace(json, name_re, "");
     static const std::regex ts_re("\"(ts|dur|tid)\":[0-9.eE+-]+");
     return std::regex_replace(json, ts_re, "\"$1\":0");
 }

@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/fault_injector.hpp"
 #include "datasets/scenes.hpp"
@@ -678,11 +680,7 @@ TEST(ServingEngine, CrossStreamHeadsAreMicroBatched)
     blocker_opts.robust.inferenceProlog = gate.prolog();
     ServingOptions eopts;
     eopts.maxBatch = 4;
-    // This test pins the classic micro-batched route; keep the staged
-    // inter-frame executor out even under EDGEPC_PIPELINE=on CI legs.
-    EdgePcConfig cfg = EdgePcConfig::sn();
-    cfg.pipeline = Route::Off;
-    ServingEngine engine(model, cfg, eopts);
+    ServingEngine engine(model, EdgePcConfig::sn(), eopts);
     const StreamId blocker = engine.openStream(blocker_opts);
     const StreamId s0 = engine.openStream();
     const StreamId s1 = engine.openStream();
@@ -717,63 +715,144 @@ TEST(ServingEngine, CrossStreamHeadsAreMicroBatched)
     EXPECT_EQ(batched_total, 3u);
 }
 
-TEST(ServingEngine, DroppedFrameIsNeitherBatchedNorPipelined)
+TEST(ServingEngine, DroppedFrameIsNotBatched)
 {
-    // A frame the sanitizer rejects reaches neither multi-frame route:
-    // on both it answers batched == pipelined == false, and only the
-    // two served heads count as batched or pipelined frames.
+    // A frame the sanitizer rejects never reaches inferBatch: it
+    // answers batched == false, and only the two served heads count as
+    // batched frames.
     PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
     const std::vector<PointCloud> frames = makeStream(4, 319);
     const PointCloud rejected(std::vector<Vec3>(
         kPoints, Vec3{std::numeric_limits<float>::quiet_NaN(), 0.0f, 0.0f}));
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    obs::Counter &batched_frames = metrics.counter("serve.batched_frames");
-    obs::Counter &pipelined_frames =
-        metrics.counter("serve.pipelined_frames");
-    for (const Route pipeline : {Route::Off, Route::On}) {
-        SCOPED_TRACE(std::string("pipeline ") + routeName(pipeline));
-        EdgePcConfig cfg = EdgePcConfig::sn();
-        cfg.pipeline = pipeline;
-        DispatchGate gate;
-        StreamOptions blocker_opts;
-        blocker_opts.robust.inferenceProlog = gate.prolog();
-        ServingOptions eopts;
-        eopts.maxBatch = 4;
-        ServingEngine engine(model, cfg, eopts);
-        const StreamId blocker = engine.openStream(blocker_opts);
-        const StreamId s0 = engine.openStream();
-        const StreamId s1 = engine.openStream();
-        const StreamId s2 = engine.openStream();
+    obs::Counter &batched_frames =
+        obs::MetricsRegistry::global().counter("serve.batched_frames");
+    DispatchGate gate;
+    StreamOptions blocker_opts;
+    blocker_opts.robust.inferenceProlog = gate.prolog();
+    ServingOptions eopts;
+    eopts.maxBatch = 4;
+    ServingEngine engine(model, EdgePcConfig::sn(), eopts);
+    const StreamId blocker = engine.openStream(blocker_opts);
+    const StreamId s0 = engine.openStream();
+    const StreamId s1 = engine.openStream();
+    const StreamId s2 = engine.openStream();
 
-        SubmitTicket tb = engine.submit(blocker, frames[0]);
-        ASSERT_TRUE(gate.waitEntered());
-        // Three heads pile up behind the blocked dispatcher and go out
-        // as one round on release; the middle one is all NaN.
-        SubmitTicket t0 = engine.submit(s0, frames[1]);
-        SubmitTicket t1 = engine.submit(s1, rejected);
-        SubmitTicket t2 = engine.submit(s2, frames[3]);
-        const std::uint64_t batched_before = batched_frames.value();
-        const std::uint64_t pipelined_before = pipelined_frames.value();
-        gate.open();
-        (void)await(tb);
-        const FrameResponse r0 = await(t0);
-        const FrameResponse dropped = await(t1);
-        const FrameResponse r2 = await(t2);
-        (void)engine.drain();
+    SubmitTicket tb = engine.submit(blocker, frames[0]);
+    ASSERT_TRUE(gate.waitEntered());
+    // Three heads pile up behind the blocked dispatcher and go out as
+    // one round on release; the middle one is all NaN.
+    SubmitTicket t0 = engine.submit(s0, frames[1]);
+    SubmitTicket t1 = engine.submit(s1, rejected);
+    SubmitTicket t2 = engine.submit(s2, frames[3]);
+    const std::uint64_t batched_before = batched_frames.value();
+    gate.open();
+    (void)await(tb);
+    const FrameResponse r0 = await(t0);
+    const FrameResponse dropped = await(t1);
+    const FrameResponse r2 = await(t2);
+    (void)engine.drain();
 
-        EXPECT_EQ(dropped.status, FrameStatus::Dropped);
-        EXPECT_FALSE(dropped.batched);
-        EXPECT_FALSE(dropped.pipelined);
-        const bool staged = pipeline == Route::On &&
-                            resolvePipeline(model, cfg, 3);
-        for (const FrameResponse *r : {&r0, &r2}) {
-            EXPECT_EQ(r->status, FrameStatus::Ok);
-            EXPECT_EQ(r->batched, !staged);
-            EXPECT_EQ(r->pipelined, staged);
+    EXPECT_EQ(dropped.status, FrameStatus::Dropped);
+    EXPECT_FALSE(dropped.batched);
+    for (const FrameResponse *r : {&r0, &r2}) {
+        EXPECT_EQ(r->status, FrameStatus::Ok);
+        EXPECT_TRUE(r->batched);
+    }
+    EXPECT_EQ(batched_frames.value() - batched_before, 2u);
+}
+
+/**
+ * Forwards to a lite PointNet++ and raises a typed error from its first
+ * inferBatch call, so a serving round's batch fails while infer() (the
+ * per-frame fallback's route) keeps working.
+ */
+class FirstBatchFailsModel : public PointCloudModel
+{
+  public:
+    FirstBatchFailsModel()
+        : inner(PointNetPPConfig::liteSegmentation(kPoints, 5), 3)
+    {
+    }
+
+    nn::Matrix infer(const PointCloud &cloud, const EdgePcConfig &cfg,
+                     StageTimer *timer) override
+    {
+        return inner.infer(cloud, cfg, timer);
+    }
+    std::vector<nn::Matrix> inferBatch(std::span<const PointCloud> clouds,
+                                       const EdgePcConfig &cfg,
+                                       StageTimer *timer) override
+    {
+        if (batchCalls.fetch_add(1) == 0) {
+            raise(ErrorCode::Internal, "injected inferBatch failure");
         }
-        EXPECT_EQ(batched_frames.value() - batched_before, staged ? 0u : 2u);
-        EXPECT_EQ(pipelined_frames.value() - pipelined_before,
-                  staged ? 2u : 0u);
+        return inner.inferBatch(clouds, cfg, timer);
+    }
+    std::string name() const override { return inner.name(); }
+    std::size_t numClasses() const override { return inner.numClasses(); }
+    void collectParameters(std::vector<nn::Parameter *> &out) override
+    {
+        inner.collectParameters(out);
+    }
+
+    std::atomic<int> batchCalls{0};
+
+  private:
+    PointNetPP inner;
+};
+
+TEST(ServingEngine, FailedBatchFallsBackPerFrame)
+{
+    // The round's one inferBatch raises: each head is then served by
+    // its stream's RobustPipeline, with the logits of its own infer(),
+    // and none counts as batched.
+    FirstBatchFailsModel model;
+    const EdgePcConfig cfg = EdgePcConfig::sn();
+    obs::Counter &batched_frames =
+        obs::MetricsRegistry::global().counter("serve.batched_frames");
+    DispatchGate gate;
+    StreamOptions blocker_opts;
+    blocker_opts.robust.inferenceProlog = gate.prolog();
+    ServingOptions eopts;
+    eopts.maxBatch = 4;
+    ServingEngine engine(model, cfg, eopts);
+    const StreamId blocker = engine.openStream(blocker_opts);
+    const std::vector<StreamId> heads = {
+        engine.openStream(), engine.openStream(), engine.openStream()};
+
+    const std::vector<PointCloud> frames = makeStream(4, 321);
+    SubmitTicket tb = engine.submit(blocker, frames[0]);
+    ASSERT_TRUE(gate.waitEntered());
+    std::vector<SubmitTicket> tickets;
+    for (std::size_t h = 0; h < heads.size(); ++h) {
+        tickets.push_back(engine.submit(heads[h], frames[h + 1]));
+    }
+    const std::uint64_t batched_before = batched_frames.value();
+    gate.open();
+
+    EXPECT_FALSE(await(tb).batched);
+    for (std::size_t h = 0; h < heads.size(); ++h) {
+        const FrameResponse r = await(tickets[h]);
+        EXPECT_EQ(r.status, FrameStatus::Ok) << "head " << h;
+        EXPECT_FALSE(r.batched) << "head " << h;
+        EXPECT_EQ(differingLogits(r.logits, model.infer(frames[h + 1], cfg,
+                                                        nullptr)),
+                  0u)
+            << "head " << h;
+    }
+    EXPECT_EQ(model.batchCalls.load(), 1);
+    EXPECT_EQ(batched_frames.value() - batched_before, 0u);
+
+    for (const StreamReport &rep : engine.drain()) {
+        EXPECT_EQ(rep.serve.served, 1u) << "stream " << rep.id;
+        EXPECT_EQ(rep.serve.batchedFrames, 0u) << "stream " << rep.id;
+        EXPECT_EQ(rep.health.frames, 1u) << "stream " << rep.id;
+        EXPECT_EQ(rep.health.ok, 1u) << "stream " << rep.id;
+        EXPECT_EQ(rep.health.repaired + rep.health.degraded +
+                      rep.health.dropped + rep.health.retries +
+                      rep.health.deadlineMisses,
+                  0u)
+            << "stream " << rep.id;
     }
 }
 
